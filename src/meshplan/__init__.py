@@ -23,9 +23,8 @@ from .report import emit_report, render_report, result_row
 from .routing import (LinkCost, Route, RouteTable, cost_table,
                       fixed_point_route, link_cost, routed_link_loads,
                       select_routes)
-from .scenario import (PRESETS, AlgorithmParams, Scenario, SimParams,
-                       TopologySpec, load_scenario, parse_scenario,
-                       scenario_from_dict)
+from .scenario import (PRESETS, AlgorithmParams, Scenario, TopologySpec,
+                       load_scenario, parse_scenario, scenario_from_dict)
 from .sim import (ServiceAudit, SimConfig, SimMetrics, Simulator,
                   run_simulation)
 from .topology import (InterferenceMap, MeshNode, Topology, VirtualLink,

@@ -45,14 +45,6 @@ class ChannelAssignment:
     def links_in_frame(self, frame: int) -> list[int]:
         return [l for l in range(self.n_links) if self.frame_of[l] == frame]
 
-    def V(self, link: int, channel: int) -> int:
-        return 1 if self.channel_of[link] == channel else 0
-
-    @property
-    def current_frame(self) -> int:
-        assigned = [f for f in self.frame_of if f is not None]
-        return max(assigned) if assigned else 0
-
     @property
     def n_frames(self) -> int:
         assigned = [f for f in self.frame_of if f is not None]
@@ -92,10 +84,8 @@ def order_links(delta: Sequence[float]) -> list[int]:
 
 
 def eligible(link: int, assignment: ChannelAssignment, n1: Sequence[frozenset[int]],
-             frame: int | None = None) -> bool:
+             frame: int) -> bool:
     """A link can join a frame only if no node-adjacent neighbour is in it."""
-    if frame is None:
-        frame = assignment.current_frame
     return all(assignment.frame_of[e] != frame for e in n1[link])
 
 

@@ -8,12 +8,12 @@ round-trippable serialization of the full result bundle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from statistics import fmean
 
 from .channels import ChannelAssignment, baseline_assign, order_links, schedule_all_frames
 from .errors import PipelineError
-from .loads import GoodputReport, LoadEstimate, Pair, goodput
+from .loads import GoodputReport, LoadEstimate, goodput, pair_key, parse_pair_key
 from .routing import (LinkCost, Route, RouteTable, cost_table,
                       fixed_point_route, routed_link_loads)
 from .scenario import Scenario
@@ -41,26 +41,22 @@ class PipelineResult:
             "scenario_name": self.scenario_name,
             "protocol": self.protocol,
             "n_channels": self.n_channels,
-            "config": {"horizon_s": self.config.horizon_s,
-                       "channel_capacity_bps": self.config.channel_capacity_bps,
-                       "slot_s": self.config.slot_s,
-                       "queue_packets": self.config.queue_packets,
-                       "seed": self.config.seed},
+            "config": asdict(self.config),
             "loads": {"capacity": list(self.loads.capacity),
                       "load": list(self.loads.load),
-                      "paths": {_pk(p): [list(path) for path in paths]
+                      "paths": {pair_key(p): [list(path) for path in paths]
                                 for p, paths in sorted(self.loads.paths.items())}},
             "costs": {"values": [("inf" if math.isinf(v) else v) for v in self.costs.values],
                       "threshold_fraction": self.costs.threshold_fraction},
-            "routes": {"routes": {_pk(p): {"links": list(r.links), "cost": r.cost}
+            "routes": {"routes": {pair_key(p): {"links": list(r.links), "cost": r.cost}
                                   for p, r in sorted(self.routes.routes.items())},
-                       "blocked": sorted(_pk(p) for p in self.routes.blocked),
+                       "blocked": sorted(pair_key(p) for p in self.routes.blocked),
                        "iterations": self.routes.iterations,
                        "converged": self.routes.converged},
             "assignment": self.assignment.to_dict(),
             "metrics": self.metrics.to_dict(),
-            "goodput": {"assigned": {_pk(p): v for p, v in sorted(self.goodput.assigned.items())},
-                        "useful": {_pk(p): v for p, v in sorted(self.goodput.useful.items())},
+            "goodput": {"assigned": {pair_key(p): v for p, v in sorted(self.goodput.assigned.items())},
+                        "useful": {pair_key(p): v for p, v in sorted(self.goodput.useful.items())},
                         "total": self.goodput.total},
         }
 
@@ -69,15 +65,15 @@ class PipelineResult:
         loads = LoadEstimate(
             capacity=tuple(d["loads"]["capacity"]),
             load=tuple(d["loads"]["load"]),
-            paths={_pk_inv(k): tuple(tuple(path) for path in v)
+            paths={parse_pair_key(k): tuple(tuple(path) for path in v)
                    for k, v in d["loads"]["paths"].items()})
         costs = LinkCost(tuple(math.inf if v == "inf" else v
                                for v in d["costs"]["values"]),
                          d["costs"]["threshold_fraction"])
         routes = RouteTable(
-            routes={_pk_inv(k): Route(tuple(r["links"]), r["cost"])
+            routes={parse_pair_key(k): Route(tuple(r["links"]), r["cost"])
                     for k, r in d["routes"]["routes"].items()},
-            blocked=frozenset(_pk_inv(k) for k in d["routes"]["blocked"]),
+            blocked=frozenset(parse_pair_key(k) for k in d["routes"]["blocked"]),
             iterations=d["routes"]["iterations"],
             converged=d["routes"]["converged"])
         return cls(
@@ -91,18 +87,9 @@ class PipelineResult:
             assignment=ChannelAssignment.from_dict(d["assignment"]),
             metrics=SimMetrics.from_dict(d["metrics"]),
             goodput=GoodputReport(
-                assigned={_pk_inv(k): v for k, v in d["goodput"]["assigned"].items()},
-                useful={_pk_inv(k): v for k, v in d["goodput"]["useful"].items()},
+                assigned={parse_pair_key(k): v for k, v in d["goodput"]["assigned"].items()},
+                useful={parse_pair_key(k): v for k, v in d["goodput"]["useful"].items()},
                 total=d["goodput"]["total"]))
-
-
-def _pk(pair: Pair) -> str:
-    return f"{pair[0]}->{pair[1]}"
-
-
-def _pk_inv(key: str) -> Pair:
-    s, _, d = key.partition("->")
-    return (int(s), int(d))
 
 
 def _stage(name: str):
@@ -117,6 +104,10 @@ def _stage(name: str):
     return _Ctx()
 
 
+def _given(**overrides) -> dict:
+    return {k: v for k, v in overrides.items() if v is not None}
+
+
 def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
                  n_channels: int | None = None, horizon_s: float | None = None,
                  seed: int | None = None) -> PipelineResult:
@@ -128,9 +119,9 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     """
     if protocol not in PROTOCOLS:
         raise PipelineError("setup", ValueError(f"unknown protocol {protocol!r}"))
-    alg = scenario.algorithm
-    channels = alg.n_channels if n_channels is None else n_channels
-    config = scenario.sim_config(horizon_s=horizon_s, seed=seed)
+    alg = replace(scenario.algorithm, **_given(n_channels=n_channels))
+    config = replace(scenario.sim, **_given(horizon_s=horizon_s, seed=seed))
+    channels = alg.n_channels
 
     with _stage("topology"):
         topology = scenario.build_topology()
@@ -185,19 +176,14 @@ class SweepRow:
     throughput_pkts: float
 
     def to_dict(self) -> dict:
-        return {"scenario": self.scenario, "protocol": self.protocol,
-                "channels": self.channels, "horizon_s": self.horizon_s,
-                "seed": self.seed, "generated": self.generated,
-                "delivered": self.delivered, "dropped": self.dropped,
-                "avg_delay_s": self.avg_delay_s, "pdr": self.pdr,
-                "throughput_pkts": self.throughput_pkts}
+        return asdict(self)
 
 
-def _row(scenario: Scenario, result: PipelineResult, seed: int) -> SweepRow:
+def result_row(result: PipelineResult) -> SweepRow:
     m = result.metrics
-    return SweepRow(scenario.name, result.protocol, result.n_channels,
-                    result.config.horizon_s, seed, m.generated, m.delivered,
-                    m.dropped, m.avg_delay_s, m.pdr, m.throughput_pkts)
+    return SweepRow(result.scenario_name, result.protocol, result.n_channels,
+                    result.config.horizon_s, result.config.seed, m.generated,
+                    m.delivered, m.dropped, m.avg_delay_s, m.pdr, m.throughput_pkts)
 
 
 def _mean_row(rows: list[SweepRow]) -> SweepRow:
@@ -221,7 +207,7 @@ def _sweep(scenario: Scenario, points: list, seeds: list[int] | None,
             group = []
             for seed in seeds:
                 result = run_pipeline(scenario, protocol, seed=seed, **overrides(point))
-                group.append(_row(scenario, result, seed))
+                group.append(result_row(result))
             rows.extend(group)
             if len(seeds) > 1:
                 rows.append(_mean_row(group))
@@ -233,8 +219,6 @@ def sweep_channels(scenario: Scenario, channel_counts: list[int],
                    protocols: tuple[str, ...] = PROTOCOLS) -> list[SweepRow]:
     """One run per (channel count, protocol, seed), capacities and routes
     recomputed per count; plus a mean row per group when several seeds."""
-    if any(c < 1 for c in channel_counts):
-        raise ValueError("channel counts must be >= 1")
     return _sweep(scenario, channel_counts, seeds, protocols,
                   lambda c: {"n_channels": c})
 
@@ -243,7 +227,5 @@ def sweep_time(scenario: Scenario, horizons: list[float],
                seeds: list[int] | None = None,
                protocols: tuple[str, ...] = PROTOCOLS) -> list[SweepRow]:
     """One run per (horizon, protocol, seed)."""
-    if any(h <= 0 for h in horizons):
-        raise ValueError("horizons must be positive")
     return _sweep(scenario, horizons, seeds, protocols,
                   lambda h: {"horizon_s": h})

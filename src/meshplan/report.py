@@ -10,20 +10,13 @@ import io
 import json
 from pathlib import Path as FsPath
 
-from .pipeline import PipelineResult, SweepRow
+from .pipeline import PipelineResult, SweepRow, result_row
 
 CSV_COLUMNS = ("scenario", "protocol", "channels", "horizon_s", "seed",
                "generated", "delivered", "dropped", "avg_delay_s", "pdr",
                "throughput_pkts")
 
 ASSIGNMENT_COLUMNS = ("link", "channel", "frame")
-
-
-def result_row(result: PipelineResult) -> SweepRow:
-    m = result.metrics
-    return SweepRow(result.scenario_name, result.protocol, result.n_channels,
-                    result.config.horizon_s, result.config.seed, m.generated,
-                    m.delivered, m.dropped, m.avg_delay_s, m.pdr, m.throughput_pkts)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -1,6 +1,8 @@
 """Scenario documents: JSON files with topology/traffic/algorithm/sim
-sections, strict key validation, defaults, and the named presets.
+sections, strict key and type validation, defaults, and the named presets.
 
+Every section is built by handing its keys to the dataclass that declares
+its fields (see ``schema``), so a failure names the section and the field.
 A document may be just {"preset": "<name>"}; any sections given alongside
 the preset override the preset's values key by key.
 """
@@ -8,25 +10,41 @@ the preset override the preset's values key by key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path as FsPath
 
 from .errors import ScenarioParseError, ScenarioValidationError
+from .loads import DEFAULT_PATH_CAP, DEFAULT_SLACK
+from .routing import DEFAULT_MAX_ITERS, DEFAULT_THRESHOLD_FRACTION
+from .schema import check, invalid, param
 from .sim import SimConfig
-from .topology import (DEFAULT_TX_RANGE, TOPOLOGY_KINDS, MeshNode, Topology,
-                       build_topology, topology_from_nodes)
-from .traffic import FLOW_KINDS, Flow, TrafficProfile, vod_flow, voip_flow
+from .topology import (DEFAULT_GAIN_EXP, DEFAULT_GAIN_REF, DEFAULT_TX_RANGE,
+                       TOPOLOGY_KINDS, MeshNode, Topology, build_topology,
+                       topology_from_nodes)
+from .traffic import Flow, TrafficProfile, vod_flow, voip_flow
 
 
 @dataclass(frozen=True)
 class TopologySpec:
     """Either a generator (kind/n/spacing) or explicit node placements."""
-    kind: str | None = None
-    n: int = 0
-    spacing: float = 0.0
-    nic_count: int = 1
-    tx_range: float = DEFAULT_TX_RANGE
+    kind: str | None = param(None, choices=TOPOLOGY_KINDS)
+    n: int | None = None
+    spacing: float | None = None
+    nic_count: int = param(1, ge=1)
+    tx_range: float = param(DEFAULT_TX_RANGE, gt=0)
     nodes: tuple[MeshNode, ...] = ()
+
+    def __post_init__(self):
+        check(self)
+        generator = {"kind": self.kind, "n": self.n, "spacing": self.spacing}
+        if self.nodes:
+            given = [k for k, v in generator.items() if v is not None]
+            if given:
+                raise invalid(given[0], "not allowed with explicit nodes")
+        else:
+            missing = [k for k, v in generator.items() if v is None]
+            if missing:
+                raise invalid(missing[0], "required unless nodes are given")
 
     @property
     def n_nodes(self) -> int:
@@ -35,23 +53,17 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class AlgorithmParams:
-    n_channels: int = 3
-    threshold_fraction: float = 0.9
-    slack: int = 1
-    cap: int = 32
-    d0: float = 10.0
-    alpha: float = 3.0
-    interference_multiplier: float = 2.0
-    max_iters: int = 10
+    n_channels: int = param(3, ge=1)
+    threshold_fraction: float = param(DEFAULT_THRESHOLD_FRACTION, gt=0, le=1)
+    slack: int = param(DEFAULT_SLACK, ge=0)
+    cap: int = param(DEFAULT_PATH_CAP, ge=1)
+    d0: float = param(DEFAULT_GAIN_REF, gt=0)
+    alpha: float = param(DEFAULT_GAIN_EXP, ge=2)
+    interference_multiplier: float = param(2.0, ge=1)
+    max_iters: int = param(DEFAULT_MAX_ITERS, ge=1)
 
-
-@dataclass(frozen=True)
-class SimParams:
-    slot_s: float = 1e-3
-    horizon_s: float = 100.0
-    channel_capacity_bps: float = 10e6
-    queue_packets: int = 64
-    seed: int = 1
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,10 @@ class Scenario:
     topology: TopologySpec
     traffic: TrafficProfile
     algorithm: AlgorithmParams = field(default_factory=AlgorithmParams)
-    sim: SimParams = field(default_factory=SimParams)
+    sim: SimConfig = field(default_factory=SimConfig)
+
+    def __post_init__(self):
+        check(self)
 
     def build_topology(self) -> Topology:
         spec, alg = self.topology, self.algorithm
@@ -72,14 +87,6 @@ class Scenario:
         return build_topology(spec.kind, spec.n, spec.spacing, spec.nic_count,
                               tx_range=spec.tx_range, interference_range=interference,
                               d0=alg.d0, alpha=alg.alpha)
-
-    def sim_config(self, *, horizon_s: float | None = None,
-                   seed: int | None = None) -> SimConfig:
-        return SimConfig(horizon_s=self.sim.horizon_s if horizon_s is None else horizon_s,
-                         channel_capacity_bps=self.sim.channel_capacity_bps,
-                         slot_s=self.sim.slot_s,
-                         queue_packets=self.sim.queue_packets,
-                         seed=self.sim.seed if seed is None else seed)
 
 
 
@@ -115,24 +122,9 @@ def _preset_table1() -> dict:
 
 PRESETS = {"paper-ring-4": _preset_ring4, "paper-table1": _preset_table1}
 
-_TOPOLOGY_KEYS = {"kind", "n", "spacing", "nic_count", "tx_range", "nodes"}
-_NODE_KEYS = {"id", "x", "y", "nic_count", "is_gateway"}
-_FLOW_KEYS = {"src", "dst", "rate_bps", "packet_bytes", "kind"}
-_ALGO_KEYS = {"n_channels", "threshold_fraction", "slack", "cap", "d0", "alpha",
-              "interference_multiplier", "max_iters"}
-_SIM_KEYS = {"slot_s", "horizon_s", "channel_capacity_bps", "queue_packets", "seed"}
-_TOP_KEYS = {"preset", "name", "topology", "traffic", "algorithm", "sim"}
-
 # Nominal rate/size per flow kind, applied when a flow omits them.
-_KIND_DEFAULTS = {"voip": (voip_flow(0, 1).rate_bps, voip_flow(0, 1).packet_bytes),
-                  "vod": (vod_flow(0, 1).rate_bps, vod_flow(0, 1).packet_bytes)}
-
-
-def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ScenarioValidationError(
-            f"{section}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
+_KIND_DEFAULTS = {f.kind: {"rate_bps": f.rate_bps, "packet_bytes": f.packet_bytes}
+                  for f in (voip_flow(0, 1), vod_flow(0, 1))}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -140,112 +132,82 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioValidationError(message)
 
 
-def _parse_topology(doc: dict) -> TopologySpec:
-    _reject_unknown("topology", doc, _TOPOLOGY_KEYS)
-    if "nodes" in doc:
-        _require("kind" not in doc and "n" not in doc and "spacing" not in doc,
-                 "topology: explicit nodes exclude kind/n/spacing")
-        nodes = []
-        for i, nd in enumerate(doc["nodes"]):
-            _reject_unknown(f"topology.nodes[{i}]", nd, _NODE_KEYS)
-            _require("x" in nd and "y" in nd, f"topology.nodes[{i}]: x and y required")
-            nodes.append(MeshNode(id=nd.get("id", i), x=float(nd["x"]), y=float(nd["y"]),
-                                  nic_count=int(nd.get("nic_count", 1)),
-                                  is_gateway=bool(nd.get("is_gateway", False))))
-        _require([n.id for n in nodes] == list(range(len(nodes))),
-                 "topology.nodes: ids must be dense 0..N-1 in order")
-        return TopologySpec(nodes=tuple(nodes),
-                            tx_range=float(doc.get("tx_range", DEFAULT_TX_RANGE)))
-    _require("kind" in doc, "topology: kind (or nodes) required")
-    _require(doc["kind"] in TOPOLOGY_KINDS,
-             f"topology: unknown kind {doc['kind']!r}; supported: {list(TOPOLOGY_KINDS)}")
-    _require("n" in doc and "spacing" in doc, "topology: n and spacing required")
-    return TopologySpec(kind=doc["kind"], n=int(doc["n"]), spacing=float(doc["spacing"]),
-                        nic_count=int(doc.get("nic_count", 1)),
-                        tx_range=float(doc.get("tx_range", DEFAULT_TX_RANGE)))
+def _object(where: str, value) -> dict:
+    _require(isinstance(value, dict), f"{where}: must be an object, got {value!r}")
+    return value
 
 
-def _parse_traffic(doc: dict, n_nodes: int) -> TrafficProfile:
-    _reject_unknown("traffic", doc, {"flows"})
-    _require("flows" in doc and isinstance(doc["flows"], list) and doc["flows"],
-             "traffic: nonempty flows list required")
-    flows = []
-    for i, fd in enumerate(doc["flows"]):
-        _reject_unknown(f"traffic.flows[{i}]", fd, _FLOW_KEYS)
-        _require("src" in fd and "dst" in fd, f"traffic.flows[{i}]: src and dst required")
-        kind = fd.get("kind", "cbr")
-        _require(kind in FLOW_KINDS, f"traffic.flows[{i}]: unknown kind {kind!r}")
-        rate, size = _KIND_DEFAULTS.get(kind, (None, None))
-        rate = float(fd.get("rate_bps", rate) or 0.0)
-        size = int(fd.get("packet_bytes", size) or 0)
-        _require(rate > 0, f"traffic.flows[{i}]: rate_bps required for kind {kind!r}")
-        _require(size > 0, f"traffic.flows[{i}]: packet_bytes required for kind {kind!r}")
-        src, dst = int(fd["src"]), int(fd["dst"])
-        for node in (src, dst):
-            _require(0 <= node < n_nodes,
-                     f"traffic.flows[{i}]: node {node} not in topology (0..{n_nodes - 1})")
-        flows.append(Flow(src, dst, rate, size, kind))
-    try:
-        return TrafficProfile(tuple(flows))
-    except ValueError as e:
-        raise ScenarioValidationError(f"traffic: {e}") from e
+def _list(where: str, value) -> list:
+    _require(isinstance(value, list), f"{where}: must be a list, got {value!r}")
+    return value
 
 
-def _parse_section(section: str, doc: dict, allowed: set[str], cls):
-    _reject_unknown(section, doc, allowed)
+def _known(where: str, doc, allowed) -> dict:
+    unknown = set(_object(where, doc)) - set(allowed)
+    _require(not unknown, f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
+    return doc
+
+
+def _build(cls, where: str, doc, **defaults):
+    """cls(**doc) over the keys cls declares, with every failure re-raised
+    as a ScenarioValidationError naming the section and field."""
+    doc = {**defaults, **_known(where, doc, [f.name for f in fields(cls)])}
+    for f in fields(cls):
+        _require(f.name in doc or f.default is not MISSING or f.default_factory is not MISSING,
+                 f"{where}.{f.name}: required")
     try:
         return cls(**doc)
-    except (TypeError, ValueError) as e:
-        raise ScenarioValidationError(f"{section}: {e}") from e
+    except ValueError as e:
+        raise ScenarioValidationError(f"{where}.{e}") from e
+
+
+def _parse_topology(doc) -> TopologySpec:
+    if "nodes" in _object("topology", doc):
+        nodes = tuple(_build(MeshNode, f"topology.nodes[{i}]", nd, id=i)
+                      for i, nd in enumerate(_list("topology.nodes", doc["nodes"])))
+        doc = {**doc, "nodes": nodes}
+    return _build(TopologySpec, "topology", doc)
+
+
+def _parse_traffic(doc, n_nodes: int) -> TrafficProfile:
+    flows = []
+    for i, fd in enumerate(_list("traffic.flows", _object("traffic", doc).get("flows"))):
+        where = f"traffic.flows[{i}]"
+        kind = _object(where, fd).get("kind")
+        flow = _build(Flow, where, fd, **(_KIND_DEFAULTS.get(kind, {})
+                                          if isinstance(kind, str) else {}))
+        for end in ("src", "dst"):
+            node = getattr(flow, end)
+            _require(0 <= node < n_nodes,
+                     f"{where}.{end}: node {node} not in topology (0..{n_nodes - 1})")
+        flows.append(flow)
+    _require(bool(flows), "traffic.flows: must not be empty")
+    return _build(TrafficProfile, "traffic", {**doc, "flows": tuple(flows)})
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioValidationError("scenario document must be a JSON object")
-    _reject_unknown("scenario", doc, _TOP_KEYS)
-
+    _known("scenario", doc, ["preset"] + [f.name for f in fields(Scenario)])
     if "preset" in doc:
         name = doc["preset"]
-        if name not in PRESETS:
-            raise ScenarioValidationError(
-                f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        _require(isinstance(name, str) and name in PRESETS,
+                 f"unknown preset {name!r}; available: {sorted(PRESETS)}")
         base = PRESETS[name]()
         for section in ("topology", "traffic", "algorithm", "sim"):
             if section in doc:
-                merged = dict(base[section])
-                merged.update(doc[section])
-                base[section] = merged
+                base[section] = {**base[section], **_object(section, doc[section])}
         if "name" in doc:
             base["name"] = doc["name"]
         doc = base
 
     for section in ("topology", "traffic"):
-        _require(section in doc, f"scenario: {section} section required")
+        _require(section in doc, f"scenario.{section}: required")
     topo = _parse_topology(doc["topology"])
-    traffic = _parse_traffic(doc["traffic"], topo.n_nodes)
-    algorithm = _parse_section("algorithm", doc.get("algorithm", {}), _ALGO_KEYS,
-                               AlgorithmParams)
-    sim = _parse_section("sim", doc.get("sim", {}), _SIM_KEYS, SimParams)
-    _validate_params(algorithm, sim)
-    return Scenario(name=str(doc.get("name", "scenario")), topology=topo,
-                    traffic=traffic, algorithm=algorithm, sim=sim)
-
-
-def _validate_params(alg: AlgorithmParams, sim: SimParams) -> None:
-    _require(alg.n_channels >= 1, "algorithm.n_channels must be >= 1")
-    _require(0 < alg.threshold_fraction <= 1,
-             "algorithm.threshold_fraction must be in (0, 1]")
-    _require(alg.slack >= 0, "algorithm.slack must be >= 0")
-    _require(alg.cap >= 1, "algorithm.cap must be >= 1")
-    _require(alg.d0 > 0, "algorithm.d0 must be positive")
-    _require(alg.alpha >= 2, "algorithm.alpha must be >= 2")
-    _require(alg.interference_multiplier >= 1,
-             "algorithm.interference_multiplier must be >= 1")
-    _require(alg.max_iters >= 1, "algorithm.max_iters must be >= 1")
-    _require(sim.slot_s > 0, "sim.slot_s must be positive")
-    _require(sim.horizon_s >= sim.slot_s, "sim.horizon_s must cover at least one slot")
-    _require(sim.channel_capacity_bps > 0, "sim.channel_capacity_bps must be positive")
-    _require(sim.queue_packets >= 1, "sim.queue_packets must be >= 1")
+    return _build(Scenario, "scenario", {
+        "name": doc.get("name", "scenario"),
+        "topology": topo,
+        "traffic": _parse_traffic(doc["traffic"], topo.n_nodes),
+        "algorithm": _build(AlgorithmParams, "algorithm", doc.get("algorithm", {})),
+        "sim": _build(SimConfig, "sim", doc.get("sim", {}))})
 
 
 def parse_scenario(path: str | FsPath) -> Scenario:

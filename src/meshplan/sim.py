@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .channels import ChannelAssignment
 from .errors import ContractError
-from .loads import Pair
+from .loads import Pair, pair_key, parse_pair_key
 from .routing import RouteTable
+from .schema import check, invalid, param
 from .topology import InterferenceMap, Topology
 from .traffic import TrafficProfile
 
@@ -29,21 +30,16 @@ _TIME_EPS = 1e-9    # relative slack on slot-boundary comparisons
 
 @dataclass(frozen=True)
 class SimConfig:
-    horizon_s: float
-    channel_capacity_bps: float = 10e6
-    slot_s: float = 1e-3
-    queue_packets: int = 64
+    horizon_s: float = 100.0
+    channel_capacity_bps: float = param(10e6, gt=0)
+    slot_s: float = param(1e-3, gt=0)
+    queue_packets: int = param(64, ge=1)
     seed: int = 1
 
     def __post_init__(self):
-        if self.slot_s <= 0:
-            raise ValueError("slot duration must be positive")
+        check(self)
         if self.horizon_s < self.slot_s:
-            raise ValueError("horizon must cover at least one slot")
-        if self.channel_capacity_bps <= 0:
-            raise ValueError("channel capacity must be positive")
-        if self.queue_packets < 1:
-            raise ValueError("queue capacity must be >= 1 packet")
+            raise invalid("horizon_s", f"must cover at least one slot of {self.slot_s} s")
 
     @property
     def n_slots(self) -> int:
@@ -57,15 +53,6 @@ class FlowStats:
     dropped: int = 0
     delivered_bits: int = 0
     delay_sum_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"generated": self.generated, "delivered": self.delivered,
-                "dropped": self.dropped, "delivered_bits": self.delivered_bits,
-                "delay_sum_s": self.delay_sum_s}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlowStats":
-        return cls(**d)
 
 
 @dataclass
@@ -82,22 +69,14 @@ class SimMetrics:
     per_flow: dict[Pair, FlowStats] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"generated": self.generated, "delivered": self.delivered,
-                "dropped": self.dropped, "in_flight": self.in_flight,
-                "blocked_flows": self.blocked_flows, "avg_delay_s": self.avg_delay_s,
-                "pdr": self.pdr, "throughput_pkts": self.throughput_pkts,
-                "throughput_bps": self.throughput_bps,
-                "per_flow": {f"{s}->{d}": st.to_dict()
-                             for (s, d), st in sorted(self.per_flow.items())}}
+        d = asdict(self)
+        d["per_flow"] = {pair_key(p): st for p, st in sorted(d["per_flow"].items())}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimMetrics":
-        per_flow = {}
-        for key, st in d["per_flow"].items():
-            s, _, t = key.partition("->")
-            per_flow[(int(s), int(t))] = FlowStats.from_dict(st)
-        plain = {k: v for k, v in d.items() if k != "per_flow"}
-        return cls(per_flow=per_flow, **plain)
+        per_flow = {parse_pair_key(k): FlowStats(**st) for k, st in d["per_flow"].items()}
+        return cls(**{**d, "per_flow": per_flow})
 
 
 class ServiceAudit:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .schema import check, param
 
 # Relative slack applied to range comparisons so that constructions placing
 # nodes at exactly tx_range apart survive floating-point rounding.
@@ -30,12 +31,11 @@ class MeshNode:
     id: int
     x: float
     y: float
-    nic_count: int = 1
+    nic_count: int = param(1, ge=1)
     is_gateway: bool = False
 
     def __post_init__(self):
-        if self.nic_count < 1:
-            raise ConfigurationError(f"node {self.id}: nic_count must be >= 1")
+        check(self)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .schema import check, invalid, param
 
 FLOW_KINDS = ("voip", "vod", "cbr")
 
@@ -20,19 +20,14 @@ VOD_PACKET_BYTES = 65536
 class Flow:
     src: int
     dst: int
-    rate_bps: float
-    packet_bytes: int
-    kind: str = "cbr"
+    rate_bps: float = param(gt=0)
+    packet_bytes: int = param(ge=1)
+    kind: str = param("cbr", choices=FLOW_KINDS)
 
     def __post_init__(self):
+        check(self)
         if self.src == self.dst:
-            raise ConfigurationError(f"flow endpoints must differ, got ({self.src}, {self.dst})")
-        if self.rate_bps <= 0:
-            raise ConfigurationError(f"flow ({self.src}, {self.dst}): rate must be positive")
-        if self.packet_bytes < 1:
-            raise ConfigurationError(f"flow ({self.src}, {self.dst}): packet size must be >= 1 byte")
-        if self.kind not in FLOW_KINDS:
-            raise ConfigurationError(f"unknown flow kind {self.kind!r}")
+            raise invalid("dst", f"must differ from src, got ({self.src}, {self.dst})")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -50,7 +45,7 @@ class TrafficProfile:
     def __post_init__(self):
         pairs = [f.pair for f in self.flows]
         if len(set(pairs)) != len(pairs):
-            raise ConfigurationError("duplicate (src, dst) pair in traffic profile")
+            raise invalid("flows", "duplicate (src, dst) pair in traffic profile")
 
     def by_pair(self) -> dict[tuple[int, int], Flow]:
         return {f.pair: f for f in self.flows}

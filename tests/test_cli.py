@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from meshplan.cli import main
 from meshplan.report import CSV_COLUMNS
@@ -73,10 +76,82 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(p)]) == 2
 
 
-def test_exit_code_validation_error(tmp_path, capsys):
-    doc = json.loads(json.dumps(MINI))
-    doc["traffic"]["flows"][0]["dst"] = 99
+NODES = {
+    "name": "explicit",
+    "topology": {"nodes": [{"x": 0.0, "y": 0.0}, {"x": 200.0, "y": 0.0},
+                           {"x": 400.0, "y": 0.0}]},
+    "traffic": {"flows": [{"src": 0, "dst": 2, "kind": "voip"}]},
+    "sim": {"horizon_s": 2.0},
+}
+
+
+def edited(base, path, value):
+    """A copy of `base` with the key at `path` set to `value`."""
+    doc = json.loads(json.dumps(base))
+    target = doc
+    for key in path[:-1]:
+        target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
+    target[path[-1]] = value
+    return doc
+
+
+MALFORMED = {
+    "horizon-infinite": (edited(MINI, ("sim", "horizon_s"), math.inf), "sim.horizon_s"),
+    "horizon-nan": (edited(MINI, ("sim", "horizon_s"), math.nan), "sim.horizon_s"),
+    "horizon-bool": (edited(MINI, ("sim", "horizon_s"), True), "sim.horizon_s"),
+    "channels-fraction": (edited(MINI, ("algorithm", "n_channels"), 2.5),
+                          "algorithm.n_channels"),
+    "channels-string": (edited(MINI, ("algorithm", "n_channels"), "3"),
+                        "algorithm.n_channels"),
+    "queue-string": (edited(MINI, ("sim", "queue_packets"), "64"), "sim.queue_packets"),
+    "seed-string": (edited(MINI, ("sim", "seed"), "x"), "sim.seed"),
+    "n-null": (edited(MINI, ("topology", "n"), None), "topology.n"),
+    "n-string": (edited(MINI, ("topology", "n"), "3"), "topology.n"),
+    "n-fraction": (edited(MINI, ("topology", "n"), 3.7), "topology.n"),
+    "spacing-nan": (edited(MINI, ("topology", "spacing"), math.nan), "topology.spacing"),
+    "nic-count-string": (edited(MINI, ("topology", "nic_count"), "2"),
+                         "topology.nic_count"),
+    "nodes-not-a-list": (edited(MINI, ("topology", "nodes"), 5), "topology.nodes"),
+    "coordinate-nan": (edited(NODES, ("topology", "nodes", 1, "x"), math.nan),
+                       "topology.nodes[1].x"),
+    "gateway-string": (edited(NODES, ("topology", "nodes", 0, "is_gateway"), "no"),
+                       "topology.nodes[0].is_gateway"),
+    "flow-not-an-object": (edited(MINI, ("traffic", "flows"), [1]), "traffic.flows[0]"),
+    "src-fraction": (edited(MINI, ("traffic", "flows", 0, "src"), 0.9),
+                     "traffic.flows[0].src"),
+    "rate-infinite": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), math.inf),
+                      "traffic.flows[0].rate_bps"),
+    "name-object": (edited(MINI, ("name",), {"a": 1}), "scenario.name"),
+    "preset-sim-list": ({"preset": "paper-ring-4", "sim": []}, "sim:"),
+}
+
+
+def assert_validation_error(tmp_path, capsys, doc, where):
+    """Exit 3 with one error line that names the section and field."""
     assert main(["run", "--scenario", scenario_file(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("meshplan: error: ") and err.count("\n") == 1, err
+    assert where in err and "Traceback" not in err, err
+
+
+def test_exit_code_validation_error(tmp_path, capsys):
+    doc = edited(MINI, ("traffic", "flows", 0, "dst"), 99)
+    assert_validation_error(tmp_path, capsys, doc, "traffic.flows[0].dst")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exit_code(tmp_path, capsys, case):
+    assert_validation_error(tmp_path, capsys, *MALFORMED[case])
+
+
+def test_integral_float_field_reports_as_float(tmp_path, capsys):
+    reports = []
+    for horizon in (10, 10.0):
+        path = scenario_file(tmp_path, edited(MINI, ("sim", "horizon_s"), horizon))
+        for fmt in ("csv", "json"):
+            assert main(["run", "--scenario", path, "--format", fmt]) == 0
+            reports.append(capsys.readouterr().out)
+    assert reports[:2] == reports[2:]
 
 
 def test_exit_code_contract_error(tmp_path, capsys):

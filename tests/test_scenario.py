@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from meshplan import (PRESETS, ScenarioParseError, ScenarioValidationError,
+from meshplan import (PRESETS, ConfigurationError, Flow, MeshNode,
+                      ScenarioParseError, ScenarioValidationError, SimConfig,
                       load_scenario, parse_scenario, scenario_from_dict)
 
 
@@ -160,3 +161,17 @@ def test_load_scenario_resolves_presets_and_paths(tmp_path):
     assert s.name == "paper-ring-4"
     p = write(tmp_path, MINI)
     assert load_scenario(str(p)).name == "mini"
+
+
+def test_library_objects_follow_field_rules():
+    # the checker runs however the object is built, not only from documents
+    cfg = SimConfig(horizon_s=10)
+    assert cfg.horizon_s == 10.0 and type(cfg.horizon_s) is float
+    with pytest.raises(ConfigurationError, match="rate_bps"):
+        Flow(0, 1, True, 125)
+    with pytest.raises(ConfigurationError, match="seed"):
+        SimConfig(seed=1.0)
+    with pytest.raises(ConfigurationError, match="is_gateway"):
+        MeshNode(0, 0.0, 0.0, is_gateway=1)
+    with pytest.raises(ConfigurationError, match="kind"):
+        Flow(0, 1, 1e3, 125, "ftp")
