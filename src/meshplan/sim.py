@@ -8,6 +8,12 @@ links active in the same slot. Service accrues as byte credit so packets
 larger than one slot's share span several active slots. Queues are FIFO
 with a fixed packet capacity; overflow drops. Everything is deterministic
 for a given scenario and seed.
+
+``run()`` steps only the slots that can change state: those whose frame
+has a backlogged link and those at which a flow's next packet is due. It
+jumps over every other slot. A skipped slot serves no link and admits no
+packet, so it changes no state, and the result equals stepping every slot.
+One run may inject at most ``MAX_PACKETS`` packets.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 
 from .channels import ChannelAssignment
-from .errors import ContractError
+from .errors import ConfigurationError, ContractError
 from .loads import Pair, pair_key, parse_pair_key
 from .routing import RouteTable
 from .schema import check, invalid, param
@@ -26,6 +32,7 @@ from .traffic import TrafficProfile
 
 _CREDIT_EPS = 1e-6  # bits of slack on credit comparisons
 _TIME_EPS = 1e-9    # relative slack on slot-boundary comparisons
+MAX_PACKETS = 1e8   # bound on the packets one run may inject
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class _Packet:
 
 
 class _FlowRun:
-    __slots__ = ("pair", "route", "size_bits", "interval_s", "next_idx", "stats")
+    __slots__ = ("pair", "route", "size_bits", "interval_s", "next_idx", "due", "stats")
 
     def __init__(self, pair: Pair, route: tuple[int, ...], size_bits: int, rate_bps: float):
         self.pair = pair
@@ -108,11 +115,42 @@ class _FlowRun:
         self.size_bits = size_bits
         self.interval_s = size_bits / rate_bps
         self.next_idx = 0
+        self.due = 0  # first slot whose start admits the next packet
         self.stats = FlowStats()
 
     @property
     def next_t(self) -> float:
         return self.next_idx * self.interval_s
+
+    def set_due(self, slot_s: float, tol: float) -> None:
+        """Set ``due`` to the first slot s with next_t <= s * slot_s + tol,
+        the test by which ``Simulator._inject`` admits a packet. The test is
+        monotone in s, so a gallop out from next_t / slot_s and a bisection
+        find its first slot with that very comparison and never disagree
+        with it."""
+        t = self.next_t
+
+        def admits(s: int) -> bool:
+            return t <= s * slot_s + tol
+
+        s = math.ceil(t / slot_s)
+        gap = 1
+        if admits(s):
+            lo, hi = s - 1, s
+            while lo >= 0 and admits(lo):
+                lo, hi, gap = lo - gap, lo, 2 * gap
+            lo = max(lo, -1)
+        else:
+            lo, hi = s, s + 1
+            while not admits(hi):
+                lo, hi, gap = hi, hi + gap, 2 * gap
+        while hi - lo > 1:  # admits(hi); lo == -1 or not admits(lo)
+            mid = (lo + hi) // 2
+            if admits(mid):
+                hi = mid
+            else:
+                lo = mid
+        self.due = hi
 
 
 class Simulator:
@@ -138,22 +176,32 @@ class Simulator:
             f = flows[pair]
             self._flows.append(_FlowRun(pair, route.links, f.packet_bits, f.rate_bps))
 
+        packets = sum(config.horizon_s / fr.interval_s + 1 for fr in self._flows)
+        if packets > MAX_PACKETS:
+            raise ConfigurationError(
+                f"sim.horizon_s: {config.horizon_s} s at the flows' rates would inject "
+                f"about {packets:.3g} packets; one run may inject at most {MAX_PACKETS:.0e}")
+
         used = sorted({l for fr in self._flows for l in fr.route})
         for l in used:
             if assignment.channel_of[l] is None or assignment.frame_of[l] is None:
                 raise ContractError(f"route link {l} has no channel/frame assignment")
 
-        self._used_links = used
         self._frame_of = {l: assignment.frame_of[l] for l in used}
+        # Only links of l's own frame can be active alongside it.
         self._co_ch = {l: tuple(q for q in used
                                 if q in imap.interferers[l]
-                                and assignment.channel_of[q] == assignment.channel_of[l])
+                                and assignment.channel_of[q] == assignment.channel_of[l]
+                                and self._frame_of[q] == self._frame_of[l])
                        for l in used}
         self.n_frames = max(1, assignment.n_frames)
         self._queues: dict[int, deque[_Packet]] = {l: deque() for l in used}
+        # Per frame, the links with a non-empty queue.
+        self._backlog: list[set[int]] = [set() for _ in range(self.n_frames)]
         self._credit: dict[int, float] = {l: 0.0 for l in used}
         self._stats_by_pair = {fr.pair: fr.stats for fr in self._flows}
         self._route_by_pair = {fr.pair: fr.route for fr in self._flows}
+        self._min_due: float = 0 if self._flows else math.inf
 
         self.slot = 0
         self.generated = 0
@@ -165,47 +213,60 @@ class Simulator:
 
     # -- slot mechanics -------------------------------------------------
 
-    def _inject(self, now: float) -> None:
-        tol = self.config.slot_s * _TIME_EPS
-        qcap = self.config.queue_packets
+    def _inject(self) -> None:
+        if self.slot < self._min_due:
+            return
+        cfg = self.config
+        now = self.slot * cfg.slot_s
+        tol = cfg.slot_s * _TIME_EPS
+        qcap = cfg.queue_packets
         for fr in self._flows:
+            if fr.due > self.slot:
+                continue
+            first = fr.route[0]
+            q = self._queues[first]
             while fr.next_t <= now + tol:
                 pkt = _Packet(fr.pair, fr.size_bits, fr.next_t)
                 fr.next_idx += 1
                 self.generated += 1
                 fr.stats.generated += 1
-                q = self._queues[fr.route[0]]
                 if len(q) >= qcap:
                     self.dropped += 1
                     fr.stats.dropped += 1
                 else:
+                    if not q:
+                        self._backlog[self._frame_of[first]].add(first)
                     q.append(pkt)
                     self.in_flight += 1
+            fr.set_due(cfg.slot_s, tol)
+        self._min_due = min(fr.due for fr in self._flows)
 
     def step(self) -> None:
         cfg = self.config
-        now = self.slot * cfg.slot_s
-        self._inject(now)
+        self._inject()
 
-        frame = self.slot % self.n_frames
-        active = {l for l in self._used_links
-                  if self._frame_of[l] == frame and self._queues[l]}
+        # Serve the links backlogged at slot start in link order; packets
+        # forwarded in this slot wait in the outbox until service ends.
+        backlog = self._backlog[self.slot % self.n_frames]
+        served = sorted(backlog)
+        divisors = [sum(1 for q in self._co_ch[l] if q in backlog) for l in served]
+        queues, credit, audit = self._queues, self._credit, self.audit
 
         outbox: list[_Packet] = []
         slot_bits = cfg.channel_capacity_bps * cfg.slot_s
-        for l in self._used_links:
-            if l not in active:
-                continue
-            divisor = sum(1 for q in self._co_ch[l] if q in active)
+        for l, divisor in zip(served, divisors):
             share = slot_bits / divisor
-            self._credit[l] += share
-            if self.audit is not None:
-                self.audit.record(self.slot, l, share, divisor)
-            q = self._queues[l]
-            while q and q[0].size_bits <= self._credit[l] + _CREDIT_EPS:
+            c = credit[l] + share
+            if audit is not None:
+                audit.record(self.slot, l, share, divisor)
+            q = queues[l]
+            while q and q[0].size_bits <= c + _CREDIT_EPS:
                 pkt = q.popleft()
-                self._credit[l] -= pkt.size_bits
+                c -= pkt.size_bits
                 outbox.append(pkt)
+            credit[l] = c
+            if not q:
+                backlog.discard(l)
 
         end_t = (self.slot + 1) * cfg.slot_s
         for pkt in outbox:
@@ -221,17 +282,21 @@ class Simulator:
                 st.delay_sum_s += end_t - pkt.inject_t
             else:
                 pkt.hop += 1
-                q = self._queues[route[pkt.hop]]
+                link = route[pkt.hop]
+                q = queues[link]
                 if len(q) >= cfg.queue_packets:
                     self.in_flight -= 1
                     self.dropped += 1
                     st.dropped += 1
                 else:
+                    if not q:
+                        self._backlog[self._frame_of[link]].add(link)
                     q.append(pkt)
 
-        for l in self._used_links:
-            if not self._queues[l]:
-                self._credit[l] = 0.0
+        # Only a served link can hold credit with an empty queue.
+        for l in served:
+            if not queues[l]:
+                credit[l] = 0.0
 
         if self.generated != self.delivered + self.dropped + self.in_flight:
             raise ContractError(
@@ -241,21 +306,23 @@ class Simulator:
 
     def run(self, until_slot: int | None = None) -> None:
         bound = self.config.n_slots if until_slot is None else min(until_slot, self.config.n_slots)
+        backlog, n_frames = self._backlog, self.n_frames
         while self.slot < bound:
             self.step()
-            if self.in_flight == 0 and self.slot < bound:
+            if not backlog[self.slot % n_frames]:
                 self._skip_idle(bound)
 
     def _skip_idle(self, bound: int) -> None:
-        """Jump over slots where nothing can happen (empty network, no
-        injection due). Skipped slots change no state."""
-        if not self._flows:
-            self.slot = bound
-            return
-        next_t = min(fr.next_t for fr in self._flows)
-        target = math.ceil(next_t / self.config.slot_s - _TIME_EPS)
+        """Jump to the first slot, at most ``bound``, whose frame has backlog
+        or at which an injection is due. The slots jumped over serve no link
+        and admit no packet, so they change no state."""
+        target = min(self._min_due, bound)
+        for slot in range(self.slot + 1, min(self.slot + self.n_frames, target)):
+            if self._backlog[slot % self.n_frames]:
+                target = slot
+                break
         if target > self.slot:
-            self.slot = min(target, bound)
+            self.slot = target
 
     # -- results ---------------------------------------------------------
 

@@ -99,6 +99,8 @@ MALFORMED = {
     "horizon-infinite": (edited(MINI, ("sim", "horizon_s"), math.inf), "sim.horizon_s"),
     "horizon-nan": (edited(MINI, ("sim", "horizon_s"), math.nan), "sim.horizon_s"),
     "horizon-bool": (edited(MINI, ("sim", "horizon_s"), True), "sim.horizon_s"),
+    # finite, but more packets than one run may inject
+    "horizon-huge": (edited(MINI, ("sim", "horizon_s"), 1e30), "sim.horizon_s"),
     "channels-fraction": (edited(MINI, ("algorithm", "n_channels"), 2.5),
                           "algorithm.n_channels"),
     "channels-string": (edited(MINI, ("algorithm", "n_channels"), "3"),
@@ -121,6 +123,7 @@ MALFORMED = {
                      "traffic.flows[0].src"),
     "rate-infinite": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), math.inf),
                       "traffic.flows[0].rate_bps"),
+    "rate-huge": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), 1e300), "sim.horizon_s"),
     "name-object": (edited(MINI, ("name",), {"a": 1}), "scenario.name"),
     "preset-sim-list": ({"preset": "paper-ring-4", "sim": []}, "sim:"),
 }

@@ -1,12 +1,16 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       ServiceAudit, SimConfig, Simulator, TrafficProfile,
                       build_interference_map, build_topology, run_pipeline,
                       run_simulation, scenario_from_dict, sweep_channels,
                       sweep_time)
+
+from meshplan.sim import _TIME_EPS, _FlowRun
 
 from conftest import cbr, profile
 
@@ -186,6 +190,125 @@ def test_prefix_property_and_monotone_injection():
     sim.run()
     assert sim.generated >= short.metrics.generated
     assert sim.metrics() == long_result.metrics
+
+
+def run_both_ways(scenario, protocol, **overrides):
+    """metrics() and audit grants from run(), which jumps over idle slots,
+    and from a loop that steps every slot."""
+    result = run_pipeline(scenario, protocol, **overrides)
+    topo = scenario.build_topology()
+    imap = build_interference_map(topo)
+    outcomes = []
+    for jump in (True, False):
+        audit = ServiceAudit()
+        sim = Simulator(topo, imap, scenario.traffic, result.routes,
+                        result.assignment, result.config, audit)
+        if jump:
+            sim.run()
+        else:
+            while sim.slot < result.config.n_slots:
+                sim.step()
+        outcomes.append((sim.metrics(), audit.grants))
+    assert outcomes[0][0] == result.metrics
+    return outcomes
+
+
+def small_doc(n, flows, horizon_s, seed=1, spacing=200.0, kind="chain"):
+    return {"name": f"{kind}-{n}",
+            "topology": {"kind": kind, "n": n, "spacing": spacing},
+            "traffic": {"flows": flows},
+            "sim": {"horizon_s": horizon_s, "seed": seed}}
+
+
+@pytest.mark.parametrize("protocol", ["ccmca", "baseline"])
+def test_run_equals_stepping_every_slot(protocol):
+    table1 = scenario_from_dict({"preset": "paper-table1", "sim": {"horizon_s": 20.0}})
+    jumped, stepped = run_both_ways(table1, protocol, n_channels=3)
+    assert jumped == stepped
+
+    saturated = scenario_from_dict(small_doc(8, [{"src": 0, "dst": 7, "rate_bps": 5.3e6,
+                                                  "packet_bytes": 64}], 1.0))
+    jumped, stepped = run_both_ways(saturated, protocol)
+    assert jumped == stepped
+    assert jumped[0].dropped > 0
+
+    # 64 KiB vod packets need several slots' share of service each.
+    ring = fast_ring(horizon_s=10.0)
+    slot_bits = ring.sim.channel_capacity_bps * ring.sim.slot_s
+    assert max(f.packet_bits for f in ring.traffic.flows) > 10 * slot_bits
+    jumped, stepped = run_both_ways(ring, protocol, n_channels=1)
+    assert jumped == stepped
+    assert jumped[0].delivered > 0
+
+
+@st.composite
+def small_scenarios(draw):
+    kind = draw(st.sampled_from(["chain", "ring"]))
+    n = draw(st.integers(min_value=3, max_value=7))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=3, unique=True))
+    flows = []
+    for src, dst in pairs:
+        flows.append({"src": src, "dst": dst, "kind": "cbr",
+                      "rate_bps": draw(st.floats(min_value=1e3, max_value=4e6)),
+                      "packet_bytes": draw(st.sampled_from([40, 125, 1500, 4000]))})
+    doc = small_doc(n, flows, draw(st.sampled_from([0.05, 0.2, 0.5])),
+                    seed=draw(st.integers(1, 1000)), spacing=250.0, kind=kind)
+    doc["sim"]["queue_packets"] = draw(st.sampled_from([4, 64]))
+    return (scenario_from_dict(doc), draw(st.sampled_from(["ccmca", "baseline"])),
+            draw(st.integers(min_value=1, max_value=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios())
+def test_run_equals_stepping_every_slot_random(case):
+    scenario, protocol, n_channels = case
+    jumped, stepped = run_both_ways(scenario, protocol, n_channels=n_channels)
+    assert jumped == stepped
+
+
+def assert_due_is_first_admitting_slot(flow, slot_s):
+    tol = slot_s * _TIME_EPS
+    flow.set_due(slot_s, tol)
+    assert flow.next_t <= flow.due * slot_s + tol
+    assert flow.due == 0 or flow.next_t > (flow.due - 1) * slot_s + tol
+
+
+@pytest.mark.parametrize("rate_bps,packet_bytes", [(2.5e6, 1250), (12.2e3, 61), (5.3e6, 64)])
+def test_flow_due_is_first_slot_inject_admits(rate_bps, packet_bytes):
+    # Packet times here often land within rounding of a slot start, where
+    # ceil(next_t / slot_s) is one slot late.
+    flow = _FlowRun((0, 1), (0,), packet_bytes * 8, rate_bps)
+    for idx in range(3000):
+        flow.next_idx = idx
+        assert_due_is_first_admitting_slot(flow, 1e-3)
+
+
+@given(st.floats(min_value=1e-12, max_value=1e12), st.integers(1, 65536),
+       st.integers(0, 10 ** 9), st.sampled_from([1e-4, 1e-3, 3e-3]))
+def test_flow_due_is_first_slot_inject_admits_random(rate_bps, packet_bytes, idx, slot_s):
+    flow = _FlowRun((0, 1), (0,), packet_bytes * 8, rate_bps)
+    flow.next_idx = idx
+    assert_due_is_first_admitting_slot(flow, slot_s)
+
+
+def test_run_steps_only_slots_that_can_change_state():
+    class CountingSimulator(Simulator):
+        steps = 0
+
+        def step(self):
+            self.steps += 1
+            super().step()
+
+    scenario = scenario_from_dict({"preset": "paper-table1", "sim": {"horizon_s": 20.0}})
+    result = run_pipeline(scenario, "ccmca", n_channels=3)
+    topo = scenario.build_topology()
+    sim = CountingSimulator(topo, build_interference_map(topo), scenario.traffic,
+                            result.routes, result.assignment, result.config)
+    sim.run()
+    assert sim.metrics() == result.metrics
+    assert sim.steps < 0.65 * result.config.n_slots
 
 
 def test_determinism_identical_metrics():
