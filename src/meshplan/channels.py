@@ -28,7 +28,6 @@ class ChannelAssignment:
         self.n_channels = n_channels
         self.channel_of: list[int | None] = [None] * n_links
         self.frame_of: list[int | None] = [None] * n_links
-        self._by_channel: list[set[int]] = [set() for _ in range(n_channels)]
 
     def assign(self, link: int, channel: int, frame: int) -> None:
         if not 0 <= channel < self.n_channels:
@@ -37,10 +36,6 @@ class ChannelAssignment:
             raise ContractError(f"link {link} already assigned")
         self.channel_of[link] = channel
         self.frame_of[link] = frame
-        self._by_channel[channel].add(link)
-
-    def links_on_channel(self, channel: int) -> frozenset[int]:
-        return frozenset(self._by_channel[channel])
 
     def links_in_frame(self, frame: int) -> list[int]:
         return [l for l in range(self.n_links) if self.frame_of[l] == frame]
@@ -94,9 +89,9 @@ def channel_gain_sum(link: int, channel: int, assignment: ChannelAssignment,
     """Summed gain of assigned co-channel links that interfere with `link`."""
     if not 0 <= channel < assignment.n_channels:
         raise ValueError(f"channel {channel} out of range")
-    co = assignment.links_on_channel(channel) & imap.interferers[link]
+    channel_of = assignment.channel_of
     # sorted so the float summation order never depends on set internals
-    return sum(gains[q] for q in sorted(co))
+    return sum(gains[q] for q in sorted(imap.interferers[link]) if channel_of[q] == channel)
 
 
 def assign_frame(order: Sequence[int], assignment: ChannelAssignment,

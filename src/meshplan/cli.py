@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import (ConfigurationError, ContractError, PipelineError,
                      ScenarioParseError, ScenarioValidationError,
                      UnroutableFlowError)
-from .pipeline import PROTOCOLS, run_pipeline, sweep_channels, sweep_time
+from .pipeline import PROTOCOLS, plan, run_pipeline, sweep_channels, sweep_time
 from .report import assignment_to_csv, emit_report, render_report
 from .scenario import load_scenario
 
@@ -121,14 +121,14 @@ def _cmd_sweep_time(args) -> int:
 
 def _cmd_assign(args) -> int:
     scenario = load_scenario(args.scenario)
-    result = run_pipeline(scenario, args.protocol)
+    *_, assignment = plan(scenario, args.protocol)
     if args.format == "csv":
-        text = assignment_to_csv(result)
+        text = assignment_to_csv(assignment)
     else:
-        text = json.dumps({"scenario": result.scenario_name,
-                           "protocol": result.protocol,
-                           "n_channels": result.n_channels,
-                           "assignment": result.assignment.to_dict()}, indent=2) + "\n"
+        text = json.dumps({"scenario": scenario.name,
+                           "protocol": args.protocol,
+                           "n_channels": assignment.n_channels,
+                           "assignment": assignment.to_dict()}, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

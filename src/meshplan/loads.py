@@ -109,25 +109,30 @@ def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
     found: list[Path] = []
     path: list[int] = []
     visited = {s}
-
-    def walk(node: int) -> bool:
-        if node == d:
-            found.append(tuple(path))
-            return len(found) >= cap
-        for link_id, nxt in adj[node]:
+    # An explicit stack, so path length is not bounded by the recursion
+    # limit: per node on the path, an iterator over its untried links.
+    stack = [(s, iter(adj[s]))]
+    while stack:
+        node, untried = stack[-1]
+        for link_id, nxt in untried:
             if nxt in visited:
                 continue
             if len(path) + 1 + dist_to_d[nxt] > max_hops or dist_to_d[nxt] < 0:
                 continue
+            if nxt == d:
+                found.append((*path, link_id))
+                if len(found) >= cap:
+                    return tuple(found)
+                continue
             visited.add(nxt)
             path.append(link_id)
-            if walk(nxt):
-                return True
-            path.pop()
-            visited.remove(nxt)
-        return False
-
-    walk(s)
+            stack.append((nxt, iter(adj[nxt])))
+            break
+        else:
+            stack.pop()
+            visited.remove(node)
+            if path:
+                path.pop()
     return tuple(found)
 
 

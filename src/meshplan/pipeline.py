@@ -108,19 +108,13 @@ def _given(**overrides) -> dict:
     return {k: v for k, v in overrides.items() if v is not None}
 
 
-def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
-                 n_channels: int | None = None, horizon_s: float | None = None,
-                 seed: int | None = None) -> PipelineResult:
-    """Run every stage for one scenario/protocol and return the bundle.
-
-    The keyword overrides exist for sweeps; they leave the scenario object
-    untouched. Assigned per-pair bandwidth is the delivered share of the
-    pair's demand, so goodput is exactly the demand when delivery is total.
-    """
+def plan(scenario: Scenario, protocol: str):
+    """The planning stages: topology, interference, routing and channel
+    assignment, with no simulation. Returns (topology, imap, loads, costs,
+    routes, assignment)."""
     if protocol not in PROTOCOLS:
         raise PipelineError("setup", ValueError(f"unknown protocol {protocol!r}"))
-    alg = replace(scenario.algorithm, **_given(n_channels=n_channels))
-    config = replace(scenario.sim, **_given(horizon_s=horizon_s, seed=seed))
+    alg, config = scenario.algorithm, scenario.sim
     channels = alg.n_channels
 
     with _stage("topology"):
@@ -143,9 +137,25 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
             assignment = schedule_all_frames(order_links(induced), imap, gains, channels)
         else:
             assignment = baseline_assign(topology.n_links, channels, config.seed, imap.n1)
+    return topology, imap, loads, costs, routes, assignment
+
+
+def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
+                 n_channels: int | None = None, horizon_s: float | None = None,
+                 seed: int | None = None) -> PipelineResult:
+    """Run every stage for one scenario/protocol and return the bundle.
+
+    The keyword overrides exist for sweeps; they leave the scenario object
+    untouched. Assigned per-pair bandwidth is the delivered share of the
+    pair's demand, so goodput is exactly the demand when delivery is total.
+    """
+    scenario = replace(
+        scenario, algorithm=replace(scenario.algorithm, **_given(n_channels=n_channels)),
+        sim=replace(scenario.sim, **_given(horizon_s=horizon_s, seed=seed)))
+    topology, imap, loads, costs, routes, assignment = plan(scenario, protocol)
     with _stage("simulation"):
         metrics = run_simulation(topology, imap, scenario.traffic, routes,
-                                 assignment, config)
+                                 assignment, scenario.sim)
     with _stage("goodput"):
         assigned = {}
         for pair in scenario.traffic.pairs():
@@ -157,8 +167,8 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
                 assigned[pair] = 0.0
         report = goodput(assigned, scenario.traffic)
 
-    return PipelineResult(scenario.name, protocol, channels, config, loads,
-                          costs, routes, assignment, metrics, report)
+    return PipelineResult(scenario.name, protocol, scenario.algorithm.n_channels,
+                          scenario.sim, loads, costs, routes, assignment, metrics, report)
 
 
 @dataclass(frozen=True)

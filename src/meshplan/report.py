@@ -10,6 +10,7 @@ import io
 import json
 from pathlib import Path as FsPath
 
+from .channels import ChannelAssignment
 from .pipeline import PipelineResult, SweepRow, result_row
 
 CSV_COLUMNS = ("scenario", "protocol", "channels", "horizon_s", "seed",
@@ -29,17 +30,16 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return out.getvalue()
 
 
-def assignment_table(result: PipelineResult) -> list[dict]:
-    asg = result.assignment
+def assignment_table(asg: ChannelAssignment) -> list[dict]:
     return [{"link": l, "channel": asg.channel_of[l], "frame": asg.frame_of[l]}
             for l in range(asg.n_links)]
 
 
-def assignment_to_csv(result: PipelineResult) -> str:
+def assignment_to_csv(asg: ChannelAssignment) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(ASSIGNMENT_COLUMNS)
-    for row in assignment_table(result):
+    for row in assignment_table(asg):
         writer.writerow([row[c] for c in ASSIGNMENT_COLUMNS])
     return out.getvalue()
 

@@ -28,9 +28,8 @@ from .traffic import Flow, TrafficProfile, vod_flow, voip_flow
 class TopologySpec:
     """Either a generator (kind/n/spacing) or explicit node placements."""
     kind: str | None = param(None, choices=TOPOLOGY_KINDS)
-    n: int | None = None
-    spacing: float | None = None
-    nic_count: int = param(1, ge=1)
+    n: int | None = param(None, ge=2)
+    spacing: float | None = param(None, gt=0)
     tx_range: float = param(DEFAULT_TX_RANGE, gt=0)
     nodes: tuple[MeshNode, ...] = ()
 
@@ -84,7 +83,7 @@ class Scenario:
             return topology_from_nodes(spec.nodes, tx_range=spec.tx_range,
                                        interference_range=interference,
                                        d0=alg.d0, alpha=alg.alpha)
-        return build_topology(spec.kind, spec.n, spec.spacing, spec.nic_count,
+        return build_topology(spec.kind, spec.n, spec.spacing,
                               tx_range=spec.tx_range, interference_range=interference,
                               d0=alg.d0, alpha=alg.alpha)
 
@@ -93,8 +92,7 @@ class Scenario:
 def _preset_ring4() -> dict:
     return {
         "name": "paper-ring-4",
-        "topology": {"kind": "ring", "n": 4, "spacing": 250.0, "nic_count": 2,
-                     "tx_range": 250.0},
+        "topology": {"kind": "ring", "n": 4, "spacing": 250.0, "tx_range": 250.0},
         "traffic": {"flows": [
             {"src": 0, "dst": 2, "kind": "voip"},
             {"src": 1, "dst": 3, "kind": "voip"},
@@ -108,8 +106,7 @@ def _preset_ring4() -> dict:
 def _preset_table1() -> dict:
     return {
         "name": "paper-table1",
-        "topology": {"kind": "ring", "n": 50, "spacing": 250.0, "nic_count": 2,
-                     "tx_range": 250.0},
+        "topology": {"kind": "ring", "n": 50, "spacing": 250.0, "tx_range": 250.0},
         "traffic": {"flows": [
             {"src": 0, "dst": 25, "kind": "voip"},
             {"src": 12, "dst": 37, "kind": "voip"},
@@ -163,7 +160,7 @@ def _build(cls, where: str, doc, **defaults):
 
 def _parse_topology(doc) -> TopologySpec:
     if "nodes" in _object("topology", doc):
-        nodes = tuple(_build(MeshNode, f"topology.nodes[{i}]", nd, id=i)
+        nodes = tuple(_build(MeshNode, f"topology.nodes[{i}]", nd)
                       for i, nd in enumerate(_list("topology.nodes", doc["nodes"])))
         doc = {**doc, "nodes": nodes}
     return _build(TopologySpec, "topology", doc)

@@ -97,11 +97,11 @@ class ServiceAudit:
 
 
 class _Packet:
-    __slots__ = ("pair", "size_bits", "inject_t", "hop")
+    __slots__ = ("flow", "size_bits", "inject_t", "hop")
 
-    def __init__(self, pair: Pair, size_bits: int, inject_t: float):
-        self.pair = pair
-        self.size_bits = size_bits
+    def __init__(self, flow: _FlowRun, inject_t: float):
+        self.flow = flow
+        self.size_bits = flow.size_bits
         self.inject_t = inject_t
         self.hop = 0
 
@@ -199,8 +199,6 @@ class Simulator:
         # Per frame, the links with a non-empty queue.
         self._backlog: list[set[int]] = [set() for _ in range(self.n_frames)]
         self._credit: dict[int, float] = {l: 0.0 for l in used}
-        self._stats_by_pair = {fr.pair: fr.stats for fr in self._flows}
-        self._route_by_pair = {fr.pair: fr.route for fr in self._flows}
         self._min_due: float = 0 if self._flows else math.inf
 
         self.slot = 0
@@ -226,8 +224,6 @@ class Simulator:
             first = fr.route[0]
             q = self._queues[first]
             while fr.next_t <= now + tol:
-                pkt = _Packet(fr.pair, fr.size_bits, fr.next_t)
-                fr.next_idx += 1
                 self.generated += 1
                 fr.stats.generated += 1
                 if len(q) >= qcap:
@@ -236,8 +232,9 @@ class Simulator:
                 else:
                     if not q:
                         self._backlog[self._frame_of[first]].add(first)
-                    q.append(pkt)
+                    q.append(_Packet(fr, fr.next_t))
                     self.in_flight += 1
+                fr.next_idx += 1
             fr.set_due(cfg.slot_s, tol)
         self._min_due = min(fr.due for fr in self._flows)
 
@@ -270,8 +267,8 @@ class Simulator:
 
         end_t = (self.slot + 1) * cfg.slot_s
         for pkt in outbox:
-            route = self._route_by_pair[pkt.pair]
-            st = self._stats_by_pair[pkt.pair]
+            route = pkt.flow.route
+            st = pkt.flow.stats
             if pkt.hop == len(route) - 1:
                 self.in_flight -= 1
                 self.delivered += 1

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .schema import check, param
+from .schema import check
 
 # Relative slack applied to range comparisons so that constructions placing
 # nodes at exactly tx_range apart survive floating-point rounding.
@@ -28,11 +28,8 @@ TOPOLOGY_KINDS = ("chain", "ring", "grid", "star", "binary-tree")
 
 @dataclass(frozen=True)
 class MeshNode:
-    id: int
     x: float
     y: float
-    nic_count: int = param(1, ge=1)
-    is_gateway: bool = False
 
     def __post_init__(self):
         check(self)
@@ -40,7 +37,6 @@ class MeshNode:
 
 @dataclass(frozen=True)
 class VirtualLink:
-    id: int
     u: int
     v: int
     distance: float
@@ -49,6 +45,7 @@ class VirtualLink:
 
 @dataclass(frozen=True)
 class Topology:
+    """Node i is nodes[i] and link l is links[l]: an id is a position."""
     nodes: tuple[MeshNode, ...]
     links: tuple[VirtualLink, ...]
     tx_range: float
@@ -57,12 +54,6 @@ class Topology:
     def __post_init__(self):
         if self.interference_range < self.tx_range:
             raise ConfigurationError("interference_range must be >= tx_range")
-        ids = [n.id for n in self.nodes]
-        if ids != list(range(len(self.nodes))):
-            raise ConfigurationError("node ids must be dense 0..N-1")
-        lids = [l.id for l in self.links]
-        if lids != list(range(len(self.links))):
-            raise ConfigurationError("link ids must be dense 0..L-1")
 
     @property
     def n_nodes(self) -> int:
@@ -78,9 +69,9 @@ class Topology:
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per node: (link id, neighbor node id) pairs, sorted by link id."""
         adj: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-        for l in self.links:
-            adj[l.u].append((l.id, l.v))
-            adj[l.v].append((l.id, l.u))
+        for lid, l in enumerate(self.links):
+            adj[l.u].append((lid, l.v))
+            adj[l.v].append((lid, l.u))
         for entries in adj:
             entries.sort()
         return adj
@@ -118,7 +109,7 @@ def _links_from_positions(nodes: tuple[MeshNode, ...], tx_range: float,
         for v in range(u + 1, len(nodes)):
             d = _distance((nodes[u].x, nodes[u].y), (nodes[v].x, nodes[v].y))
             if d <= limit:
-                links.append(VirtualLink(len(links), u, v, d, link_gain(d, d0, alpha)))
+                links.append(VirtualLink(u, v, d, link_gain(d, d0, alpha)))
     return tuple(links)
 
 
@@ -183,7 +174,7 @@ def _place_binary_tree(n: int, spacing: float, tx_range: float) -> list[tuple[fl
     return pos
 
 
-def build_topology(kind: str, n: int, spacing: float, nic_count: int = 1, *,
+def build_topology(kind: str, n: int, spacing: float, *,
                    tx_range: float = DEFAULT_TX_RANGE,
                    interference_range: float | None = None,
                    d0: float = DEFAULT_GAIN_REF,
@@ -207,14 +198,14 @@ def build_topology(kind: str, n: int, spacing: float, nic_count: int = 1, *,
         interference_range = 2.0 * tx_range
 
     positions = _place(kind, n, spacing, tx_range)
-    nodes = tuple(MeshNode(i, x, y, nic_count) for i, (x, y) in enumerate(positions))
+    nodes = tuple(MeshNode(x, y) for x, y in positions)
 
     if kind == "binary-tree":
         links: list[VirtualLink] = []
         for child in range(1, n):
             parent = (child - 1) // 2
             d = _distance(positions[parent], positions[child])
-            links.append(VirtualLink(len(links), parent, child, d, link_gain(d, d0, alpha)))
+            links.append(VirtualLink(parent, child, d, link_gain(d, d0, alpha)))
         link_tuple = tuple(links)
     else:
         link_tuple = _links_from_positions(nodes, tx_range, d0, alpha)

@@ -13,7 +13,7 @@ from meshplan import (Flow, MeshNode, TrafficProfile, build_interference_map,
 @pytest.fixture
 def ring4():
     # Links sort by (u, v): 0=(0,1) 1=(0,3) 2=(1,2) 3=(2,3).
-    return build_topology("ring", 4, 250.0, 2)
+    return build_topology("ring", 4, 250.0)
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def ring4_imap(ring4):
 
 @pytest.fixture
 def grid9():
-    return build_topology("grid", 9, 200.0, 2)
+    return build_topology("grid", 9, 200.0)
 
 
 def cbr(src, dst, rate, packet_bytes=125):
@@ -40,8 +40,8 @@ def random_topology(seed: int, max_nodes: int = 12, max_links: int = 24):
     n = rng.randint(4, max_nodes)
     side = 600.0
     while True:
-        nodes = tuple(MeshNode(i, rng.uniform(0, side), rng.uniform(0, side))
-                      for i in range(n))
+        nodes = tuple(MeshNode(rng.uniform(0, side), rng.uniform(0, side))
+                      for _ in range(n))
         topo = topology_from_nodes(nodes, tx_range=250.0)
         if 1 <= topo.n_links <= max_links:
             return topo

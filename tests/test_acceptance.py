@@ -83,8 +83,8 @@ def test_acceptance_3_load_conservation(capsys):
         assert topo.n_nodes <= 8
         g = nx.Graph()
         g.add_nodes_from(range(topo.n_nodes))
-        for l in topo.links:
-            g.add_edge(l.u, l.v, link=l.id)
+        for lid, l in enumerate(topo.links):
+            g.add_edge(l.u, l.v, link=lid)
 
         pairs = rng.sample([(s, d) for s in range(topo.n_nodes)
                             for d in range(topo.n_nodes) if s != d], k=3)

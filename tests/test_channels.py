@@ -237,4 +237,4 @@ def test_assignment_roundtrip():
     asg.assign(1, 1, 1)
     again = ChannelAssignment.from_dict(asg.to_dict())
     assert again == asg
-    assert again.links_on_channel(1) == frozenset({0, 1})
+    assert again.channel_of == [1, 1, 0]

@@ -65,6 +65,16 @@ def test_assign_cli(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_assign_runs_no_simulation(tmp_path, capsys):
+    # a horizon past the packet budget only matters to a simulation
+    tables = []
+    for horizon in (2.0, 1e30):
+        doc = edited(MINI, ("sim", "horizon_s"), horizon)
+        assert main(["assign", "--scenario", scenario_file(tmp_path, doc)]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+
+
 def test_exit_code_io_missing_file(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "ghost.json")]) == 5
     assert "error" in capsys.readouterr().err
@@ -111,13 +121,15 @@ MALFORMED = {
     "n-string": (edited(MINI, ("topology", "n"), "3"), "topology.n"),
     "n-fraction": (edited(MINI, ("topology", "n"), 3.7), "topology.n"),
     "spacing-nan": (edited(MINI, ("topology", "spacing"), math.nan), "topology.spacing"),
-    "nic-count-string": (edited(MINI, ("topology", "nic_count"), "2"),
-                         "topology.nic_count"),
+    "spacing-negative": (edited(MINI, ("topology", "spacing"), -5.0), "topology.spacing"),
+    "n-one": (edited(MINI, ("topology", "n"), 1), "topology.n"),
+    # keys of deleted fields are unknown keys now
+    "nic-count-unknown": (edited(MINI, ("topology", "nic_count"), 2), "topology"),
     "nodes-not-a-list": (edited(MINI, ("topology", "nodes"), 5), "topology.nodes"),
     "coordinate-nan": (edited(NODES, ("topology", "nodes", 1, "x"), math.nan),
                        "topology.nodes[1].x"),
-    "gateway-string": (edited(NODES, ("topology", "nodes", 0, "is_gateway"), "no"),
-                       "topology.nodes[0].is_gateway"),
+    "node-id-unknown": (edited(NODES, ("topology", "nodes", 0, "id"), 0),
+                        "topology.nodes[0]"),
     "flow-not-an-object": (edited(MINI, ("traffic", "flows"), [1]), "traffic.flows[0]"),
     "src-fraction": (edited(MINI, ("traffic", "flows", 0, "src"), 0.9),
                      "traffic.flows[0].src"),

@@ -16,8 +16,8 @@ from conftest import cbr, generator_topologies_upto_8, profile
 def to_nx(topo):
     g = nx.Graph()
     g.add_nodes_from(range(topo.n_nodes))
-    for l in topo.links:
-        g.add_edge(l.u, l.v, link=l.id)
+    for lid, l in enumerate(topo.links):
+        g.add_edge(l.u, l.v, link=lid)
     return g
 
 
@@ -76,9 +76,15 @@ def test_paths_slack_matches_oracle(grid9):
 
 
 def test_disconnected_pair_yields_empty():
-    nodes = (MeshNode(0, 0.0, 0.0), MeshNode(1, 100.0, 0.0), MeshNode(2, 900.0, 0.0))
+    nodes = (MeshNode(0.0, 0.0), MeshNode(100.0, 0.0), MeshNode(900.0, 0.0))
     t = topology_from_nodes(nodes, tx_range=250.0)
     assert enumerate_acceptable_paths(t, 0, 2) == ()
+
+
+def test_long_path_needs_no_recursion():
+    # far longer than the interpreter's default recursion limit of 1000
+    t = build_topology("chain", 1200, 200.0)
+    assert enumerate_acceptable_paths(t, 0, 1199) == (tuple(range(1199)),)
 
 
 def test_paths_precondition_errors(ring4):
@@ -121,7 +127,7 @@ def test_expected_load_unused_link_zero(grid9):
 
 
 def test_unroutable_flow_names_pair():
-    nodes = (MeshNode(0, 0.0, 0.0), MeshNode(1, 100.0, 0.0), MeshNode(2, 900.0, 0.0))
+    nodes = (MeshNode(0.0, 0.0), MeshNode(100.0, 0.0), MeshNode(900.0, 0.0))
     t = topology_from_nodes(nodes, tx_range=250.0)
     prof = profile(cbr(0, 2, 10.0))
     paths = acceptable_paths_for_profile(t, prof)

@@ -145,7 +145,7 @@ def test_csv_single_bundle_row():
 
 def test_assignment_table_export():
     result = run_pipeline(ring_scenario(horizon_s=2.0), "ccmca")
-    text = assignment_to_csv(result)
+    text = assignment_to_csv(result.assignment)
     lines = text.strip().split("\n")
     assert lines[0] == "link,channel,frame"
     assert len(lines) == 5

@@ -1,10 +1,14 @@
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
 from meshplan import (PRESETS, ConfigurationError, Flow, MeshNode,
                       ScenarioParseError, ScenarioValidationError, SimConfig,
-                      load_scenario, parse_scenario, scenario_from_dict)
+                      load_scenario, parse_scenario, run_pipeline,
+                      scenario_from_dict)
 
 
 def write(tmp_path, doc):
@@ -134,7 +138,7 @@ def test_explicit_nodes_topology():
     doc = {
         "name": "explicit",
         "topology": {"nodes": [{"x": 0, "y": 0}, {"x": 200, "y": 0},
-                               {"x": 400, "y": 0, "nic_count": 2}],
+                               {"x": 400, "y": 0}],
                      "tx_range": 250.0},
         "traffic": {"flows": [{"src": 0, "dst": 2, "rate_bps": 5e3,
                                "packet_bytes": 125}]},
@@ -142,7 +146,7 @@ def test_explicit_nodes_topology():
     s = scenario_from_dict(doc)
     topo = s.build_topology()
     assert topo.n_nodes == 3 and topo.n_links == 2
-    assert topo.nodes[2].nic_count == 2
+    assert topo.nodes[2] == MeshNode(400.0, 0.0)
     # explicit nodes exclude the generator keys
     doc["topology"]["kind"] = "chain"
     with pytest.raises(ScenarioValidationError):
@@ -171,7 +175,15 @@ def test_library_objects_follow_field_rules():
         Flow(0, 1, True, 125)
     with pytest.raises(ConfigurationError, match="seed"):
         SimConfig(seed=1.0)
-    with pytest.raises(ConfigurationError, match="is_gateway"):
-        MeshNode(0, 0.0, 0.0, is_gateway=1)
+    with pytest.raises(ConfigurationError, match="^x: "):
+        MeshNode(math.nan, 0.0)
     with pytest.raises(ConfigurationError, match="kind"):
         Flow(0, 1, 1e3, 125, "ftp")
+
+
+def test_readme_example_runs():
+    # the documented scenario format must stay what the parser accepts
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example, = re.findall(r"```json\n(.*?)```", readme, re.S)
+    result = run_pipeline(scenario_from_dict(json.loads(example)), horizon_s=2.0)
+    assert result.scenario_name == "my-experiment" and result.metrics.generated > 0

@@ -19,7 +19,7 @@ def test_ring4_paper_setup(ring4):
 
 
 def test_chain2_minimal():
-    t = build_topology("chain", 2, 100.0, 1)
+    t = build_topology("chain", 2, 100.0)
     assert t.n_nodes == 2 and t.n_links == 1
     assert (t.links[0].u, t.links[0].v) == (0, 1)
 
@@ -33,13 +33,13 @@ def test_grid9_edge_count(grid9):
 
 
 def test_star_five_leaves():
-    t = build_topology("star", 6, 250.0, 1)
+    t = build_topology("star", 6, 250.0)
     assert t.n_links == 5
     assert all(l.u == 0 for l in t.links)
 
 
 def test_binary_tree_links_are_tree_edges():
-    t = build_topology("binary-tree", 7, 200.0, 1)
+    t = build_topology("binary-tree", 7, 200.0)
     assert t.n_links == 6
     assert sorted((l.u, l.v) for l in t.links) == [(0, 1), (0, 2), (1, 3), (1, 4),
                                                    (2, 5), (2, 6)]
@@ -58,8 +58,6 @@ def test_configuration_errors():
         build_topology("chain", 4, -5.0)
     with pytest.raises(ConfigurationError):
         build_topology("binary-tree", 7, 300.0, tx_range=250.0)
-    with pytest.raises(ConfigurationError):
-        MeshNode(0, 0.0, 0.0, nic_count=0)
 
 
 def test_interference_range_must_cover_tx():
@@ -152,15 +150,15 @@ def test_generated_links_match_range_rule():
 
 
 def test_determinism():
-    a = build_topology("grid", 9, 200.0, 2)
-    b = build_topology("grid", 9, 200.0, 2)
+    a = build_topology("grid", 9, 200.0)
+    b = build_topology("grid", 9, 200.0)
     assert a == b and repr(a) == repr(b)
     im_a, im_b = build_interference_map(a), build_interference_map(b)
     assert im_a == im_b
 
 
 def test_topology_from_nodes_uses_range_rule():
-    nodes = (MeshNode(0, 0.0, 0.0), MeshNode(1, 100.0, 0.0), MeshNode(2, 1000.0, 0.0))
+    nodes = (MeshNode(0.0, 0.0), MeshNode(100.0, 0.0), MeshNode(1000.0, 0.0))
     t = topology_from_nodes(nodes, tx_range=250.0)
     assert [(l.u, l.v) for l in t.links] == [(0, 1)]
     assert t.interference_range == 500.0
