@@ -19,16 +19,6 @@ Pair = tuple[int, int]
 Path = tuple[int, ...]
 
 
-def pair_key(pair: Pair) -> str:
-    """A flow pair as a JSON object key: "src->dst"."""
-    return f"{pair[0]}->{pair[1]}"
-
-
-def parse_pair_key(key: str) -> Pair:
-    s, _, d = key.partition("->")
-    return (int(s), int(d))
-
-
 @dataclass(frozen=True)
 class LoadEstimate:
     """Per-link capacity share and expected load, plus the acceptable-path

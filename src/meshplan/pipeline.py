@@ -7,16 +7,15 @@ round-trippable serialization of the full result bundle.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from statistics import fmean
 
 from .channels import ChannelAssignment, baseline_assign, order_links, schedule_all_frames
 from .errors import PipelineError
-from .loads import GoodputReport, LoadEstimate, goodput, pair_key, parse_pair_key
-from .routing import (LinkCost, Route, RouteTable, cost_table,
-                      fixed_point_route, routed_link_loads)
+from .loads import GoodputReport, LoadEstimate, goodput
+from .routing import LinkCost, RouteTable, cost_table, fixed_point_route, routed_link_loads
 from .scenario import Scenario
+from .schema import from_json, to_json
 from .sim import SimConfig, SimMetrics, run_simulation
 from .topology import build_interference_map
 
@@ -37,59 +36,11 @@ class PipelineResult:
     goodput: GoodputReport
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_name": self.scenario_name,
-            "protocol": self.protocol,
-            "n_channels": self.n_channels,
-            "config": asdict(self.config),
-            "loads": {"capacity": list(self.loads.capacity),
-                      "load": list(self.loads.load),
-                      "paths": {pair_key(p): [list(path) for path in paths]
-                                for p, paths in sorted(self.loads.paths.items())}},
-            "costs": {"values": [("inf" if math.isinf(v) else v) for v in self.costs.values],
-                      "threshold_fraction": self.costs.threshold_fraction},
-            "routes": {"routes": {pair_key(p): {"links": list(r.links), "cost": r.cost}
-                                  for p, r in sorted(self.routes.routes.items())},
-                       "blocked": sorted(pair_key(p) for p in self.routes.blocked),
-                       "iterations": self.routes.iterations,
-                       "converged": self.routes.converged},
-            "assignment": self.assignment.to_dict(),
-            "metrics": self.metrics.to_dict(),
-            "goodput": {"assigned": {pair_key(p): v for p, v in sorted(self.goodput.assigned.items())},
-                        "useful": {pair_key(p): v for p, v in sorted(self.goodput.useful.items())},
-                        "total": self.goodput.total},
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineResult":
-        loads = LoadEstimate(
-            capacity=tuple(d["loads"]["capacity"]),
-            load=tuple(d["loads"]["load"]),
-            paths={parse_pair_key(k): tuple(tuple(path) for path in v)
-                   for k, v in d["loads"]["paths"].items()})
-        costs = LinkCost(tuple(math.inf if v == "inf" else v
-                               for v in d["costs"]["values"]),
-                         d["costs"]["threshold_fraction"])
-        routes = RouteTable(
-            routes={parse_pair_key(k): Route(tuple(r["links"]), r["cost"])
-                    for k, r in d["routes"]["routes"].items()},
-            blocked=frozenset(parse_pair_key(k) for k in d["routes"]["blocked"]),
-            iterations=d["routes"]["iterations"],
-            converged=d["routes"]["converged"])
-        return cls(
-            scenario_name=d["scenario_name"],
-            protocol=d["protocol"],
-            n_channels=d["n_channels"],
-            config=SimConfig(**d["config"]),
-            loads=loads,
-            costs=costs,
-            routes=routes,
-            assignment=ChannelAssignment.from_dict(d["assignment"]),
-            metrics=SimMetrics.from_dict(d["metrics"]),
-            goodput=GoodputReport(
-                assigned={parse_pair_key(k): v for k, v in d["goodput"]["assigned"].items()},
-                useful={parse_pair_key(k): v for k, v in d["goodput"]["useful"].items()},
-                total=d["goodput"]["total"]))
+        return from_json(cls, d, "bundle")
 
 
 def _stage(name: str):
@@ -186,7 +137,11 @@ class SweepRow:
     throughput_pkts: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return to_json(self)
+
+
+# Every field after the seed is a metric, which a mean row averages.
+_METRICS = tuple(f.name for f in fields(SweepRow))[5:]
 
 
 def result_row(result: PipelineResult) -> SweepRow:
@@ -197,12 +152,8 @@ def result_row(result: PipelineResult) -> SweepRow:
 
 
 def _mean_row(rows: list[SweepRow]) -> SweepRow:
-    first = rows[0]
-    return SweepRow(first.scenario, first.protocol, first.channels, first.horizon_s,
-                    "mean", fmean(r.generated for r in rows),
-                    fmean(r.delivered for r in rows), fmean(r.dropped for r in rows),
-                    fmean(r.avg_delay_s for r in rows), fmean(r.pdr for r in rows),
-                    fmean(r.throughput_pkts for r in rows))
+    return replace(rows[0], seed="mean",
+                   **{name: fmean(getattr(r, name) for r in rows) for name in _METRICS})
 
 
 def _sweep(scenario: Scenario, points: list, seeds: list[int] | None,

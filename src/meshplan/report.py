@@ -8,14 +8,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import astuple, fields
 from pathlib import Path as FsPath
 
 from .channels import ChannelAssignment
 from .pipeline import PipelineResult, SweepRow, result_row
 
-CSV_COLUMNS = ("scenario", "protocol", "channels", "horizon_s", "seed",
-               "generated", "delivered", "dropped", "avg_delay_s", "pdr",
-               "throughput_pkts")
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 ASSIGNMENT_COLUMNS = ("link", "channel", "frame")
 
@@ -24,9 +23,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        d = r.to_dict()
-        writer.writerow([d[c] for c in CSV_COLUMNS])
+    writer.writerows(astuple(r) for r in rows)
     return out.getvalue()
 
 

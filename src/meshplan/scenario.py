@@ -1,27 +1,29 @@
 """Scenario documents: JSON files with topology/traffic/algorithm/sim
 sections, strict key and type validation, defaults, and the named presets.
 
-Every section is built by handing its keys to the dataclass that declares
-its fields (see ``schema``), so a failure names the section and the field.
-A document may be just {"preset": "<name>"}; any sections given alongside
-the preset override the preset's values key by key.
+Every section is decoded by ``schema.from_json`` against the dataclass that
+declares its fields, so a failure names the section and the field. This
+module adds only what no field declares: the allowed top-level keys, preset
+merging, per-kind flow defaults, a non-empty flow list and flow nodes that
+exist. A document may be just {"preset": "<name>"}; any sections given
+alongside the preset override the preset's values key by key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import ConfigurationError, ScenarioParseError, ScenarioValidationError
 from .loads import DEFAULT_PATH_CAP, DEFAULT_SLACK
 from .routing import DEFAULT_MAX_ITERS, DEFAULT_THRESHOLD_FRACTION
-from .schema import check, invalid, param
+from .schema import check, from_json, invalid, known_keys, param
 from .sim import SimConfig
 from .topology import (DEFAULT_GAIN_EXP, DEFAULT_GAIN_REF, DEFAULT_TX_RANGE,
                        TOPOLOGY_KINDS, MeshNode, Topology, build_topology,
                        topology_from_nodes)
-from .traffic import Flow, TrafficProfile, vod_flow, voip_flow
+from .traffic import TrafficProfile, vod_flow, voip_flow
 
 
 @dataclass(frozen=True)
@@ -124,87 +126,54 @@ _KIND_DEFAULTS = {f.kind: {"rate_bps": f.rate_bps, "packet_bytes": f.packet_byte
                   for f in (voip_flow(0, 1), vod_flow(0, 1))}
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ScenarioValidationError(message)
-
-
-def _object(where: str, value) -> dict:
-    _require(isinstance(value, dict), f"{where}: must be an object, got {value!r}")
-    return value
-
-
-def _list(where: str, value) -> list:
-    _require(isinstance(value, list), f"{where}: must be a list, got {value!r}")
-    return value
-
-
-def _known(where: str, doc, allowed) -> dict:
-    unknown = set(_object(where, doc)) - set(allowed)
-    _require(not unknown, f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-    return doc
-
-
-def _build(cls, where: str, doc, **defaults):
-    """cls(**doc) over the keys cls declares, with every failure re-raised
-    as a ScenarioValidationError naming the section and field."""
-    doc = {**defaults, **_known(where, doc, [f.name for f in fields(cls)])}
-    for f in fields(cls):
-        _require(f.name in doc or f.default is not MISSING or f.default_factory is not MISSING,
-                 f"{where}.{f.name}: required")
-    try:
-        return cls(**doc)
-    except ValueError as e:
-        raise ScenarioValidationError(f"{where}.{e}") from e
-
-
-def _parse_topology(doc) -> TopologySpec:
-    if "nodes" in _object("topology", doc):
-        nodes = tuple(_build(MeshNode, f"topology.nodes[{i}]", nd)
-                      for i, nd in enumerate(_list("topology.nodes", doc["nodes"])))
-        doc = {**doc, "nodes": nodes}
-    return _build(TopologySpec, "topology", doc)
-
-
-def _parse_traffic(doc, n_nodes: int) -> TrafficProfile:
-    flows = []
-    for i, fd in enumerate(_list("traffic.flows", _object("traffic", doc).get("flows"))):
-        where = f"traffic.flows[{i}]"
-        kind = _object(where, fd).get("kind")
-        flow = _build(Flow, where, fd, **(_KIND_DEFAULTS.get(kind, {})
-                                          if isinstance(kind, str) else {}))
-        for end in ("src", "dst"):
-            node = getattr(flow, end)
-            _require(0 <= node < n_nodes,
-                     f"{where}.{end}: node {node} not in topology (0..{n_nodes - 1})")
-        flows.append(flow)
-    _require(bool(flows), "traffic.flows: must not be empty")
-    return _build(TrafficProfile, "traffic", {**doc, "flows": tuple(flows)})
+def _with_kind_defaults(traffic):
+    """The traffic section with each flow's kind defaults filled in, where
+    the section has the shape to take them; the codec reports any other."""
+    if not (isinstance(traffic, dict) and isinstance(traffic.get("flows"), list)):
+        return traffic
+    flows = [{**_KIND_DEFAULTS.get(fd.get("kind"), {}), **fd}
+             if isinstance(fd, dict) and isinstance(fd.get("kind"), str) else fd
+             for fd in traffic["flows"]]
+    return {**traffic, "flows": flows}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    _known("scenario", doc, ["preset"] + [f.name for f in fields(Scenario)])
-    if "preset" in doc:
-        name = doc["preset"]
-        _require(isinstance(name, str) and name in PRESETS,
-                 f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-        base = PRESETS[name]()
-        for section in ("topology", "traffic", "algorithm", "sim"):
-            if section in doc:
-                base[section] = {**base[section], **_object(section, doc[section])}
-        if "name" in doc:
-            base["name"] = doc["name"]
-        doc = base
+    try:
+        known_keys(doc, ["preset"] + [f.name for f in fields(Scenario)], "scenario")
+        if "preset" in doc:
+            name = doc["preset"]
+            if not (isinstance(name, str) and name in PRESETS):
+                raise ConfigurationError(
+                    f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+            base = PRESETS[name]()
+            for section in ("topology", "traffic", "algorithm", "sim"):
+                given = doc.get(section, {})
+                base[section] = {**base[section], **given} if isinstance(given, dict) else given
+            base["name"] = doc.get("name", base["name"])
+            doc = base
 
-    for section in ("topology", "traffic"):
-        _require(section in doc, f"scenario.{section}: required")
-    topo = _parse_topology(doc["topology"])
-    return _build(Scenario, "scenario", {
-        "name": doc.get("name", "scenario"),
-        "topology": topo,
-        "traffic": _parse_traffic(doc["traffic"], topo.n_nodes),
-        "algorithm": _build(AlgorithmParams, "algorithm", doc.get("algorithm", {})),
-        "sim": _build(SimConfig, "sim", doc.get("sim", {}))})
+        for section in ("topology", "traffic"):
+            if section not in doc:
+                raise invalid(f"scenario.{section}", "required")
+        topology = from_json(TopologySpec, doc["topology"], "topology")
+        traffic = from_json(TrafficProfile, _with_kind_defaults(doc["traffic"]), "traffic")
+        if not traffic.flows:
+            raise invalid("traffic.flows", "must not be empty")
+        n = topology.n_nodes
+        for i, flow in enumerate(traffic.flows):
+            for end in ("src", "dst"):
+                node = getattr(flow, end)
+                if not 0 <= node < n:
+                    raise invalid(f"traffic.flows[{i}].{end}",
+                                  f"node {node} not in topology (0..{n - 1})")
+        algorithm = from_json(AlgorithmParams, doc.get("algorithm", {}), "algorithm")
+        sim = from_json(SimConfig, doc.get("sim", {}), "sim")
+    except ConfigurationError as e:
+        raise ScenarioValidationError(str(e)) from e
+    try:
+        return Scenario(doc.get("name", "scenario"), topology, traffic, algorithm, sim)
+    except ConfigurationError as e:
+        raise ScenarioValidationError(f"scenario.{e}") from e
 
 
 def parse_scenario(path: str | FsPath) -> Scenario:

@@ -1,4 +1,5 @@
-"""Declared scenario fields and the one checker that enforces them.
+"""Declared fields, the one checker that enforces them, and the one JSON
+codec that reads and writes them (``to_json``/``from_json``).
 
 A field is declared once, on the dataclass that carries it. Its annotation
 gives the JSON type (``int``, ``float``, ``bool``, ``str``, each optionally
@@ -16,13 +17,17 @@ raise ``ConfigurationError("<field>: <problem>")``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import MISSING, field, fields
+import re
+import typing
+from dataclasses import MISSING, field, fields, is_dataclass
 
 from .errors import ConfigurationError
 
 _BOUNDS = (("gt", operator.gt, ">"), ("ge", operator.ge, ">="), ("le", operator.le, "<="))
+_PAIR_KEY = re.compile(r"(\d+)->(\d+)", re.ASCII)
 _TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)),
           "bool": ("a boolean", bool), "str": ("a string", str)}
 
@@ -70,3 +75,98 @@ def check(obj) -> None:
         for key, holds, sign in _BOUNDS:
             if key in f.metadata and not holds(typed, f.metadata[key]):
                 raise invalid(f.name, f"must be {sign} {f.metadata[key]}, got {typed!r}")
+
+
+def pair_key(pair: tuple[int, int]) -> str:
+    """A flow pair as a JSON object key: "src->dst"."""
+    return f"{pair[0]}->{pair[1]}"
+
+
+def parse_pair_key(key, where: str) -> tuple[int, int]:
+    match = _PAIR_KEY.fullmatch(str(key))
+    if match is None:
+        raise invalid(where, f"{key!r} is not a \"src->dst\" key")
+    return (int(match[1]), int(match[2]))
+
+
+def _shaped(doc, typ: type, where: str):
+    if not isinstance(doc, typ):
+        raise invalid(where, f"must be {'an object' if typ is dict else 'a list'}, got {doc!r}")
+    return doc
+
+
+def known_keys(doc, allowed, where: str) -> dict:
+    """doc, if it is an object whose keys are all allowed."""
+    unknown = set(_shaped(doc, dict, where)) - set(allowed)
+    if unknown:
+        raise invalid(where, f"unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
+    return doc
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """Per field of a dataclass, in declared order: (type, required)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def to_json(obj):
+    """obj as JSON: a dataclass is an object of its fields in declared order;
+    a dict keyed by (src, dst) pairs is an object keyed "src->dst", and a
+    frozenset of pairs a list of such keys, both sorted by pair; a tuple is
+    a list and an infinite float "inf". Other classes have ``to_dict()``."""
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return "inf" if math.isinf(obj) else obj
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {pair_key(k): to_json(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, frozenset):
+        return [pair_key(p) for p in sorted(obj)]
+    if is_dataclass(obj):
+        return {name: to_json(getattr(obj, name)) for name in _fields(type(obj))}
+    return obj.to_dict()
+
+
+def from_json(tp, doc, where: str):
+    """The value of type tp that ``to_json`` writes as doc. An unknown key, a
+    missing required field, a non-object or non-list value and a failed
+    ``__post_init__`` raise ConfigurationError naming the place, such as
+    ``traffic.flows[0].dst``; scalars are left to ``check``."""
+    # Most values are link ids and floats; testing for them first makes a
+    # large bundle decode about three times faster.
+    if tp is int or tp is float:
+        return math.inf if doc == "inf" and tp is float else doc
+    if is_dataclass(tp):
+        declared = _fields(tp)
+        doc = known_keys(doc, declared, where)
+        values = {}
+        for name, (ftp, required) in declared.items():
+            if name in doc:
+                values[name] = from_json(ftp, doc[name], f"{where}.{name}")
+            elif required:
+                raise invalid(f"{where}.{name}", "required")
+        try:
+            return tp(**values)
+        except ValueError as e:
+            raise ConfigurationError(f"{where}.{e}") from e
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is dict:
+        return {parse_pair_key(k, where): from_json(args[1], v, f"{where}.{k}")
+                for k, v in _shaped(doc, dict, where).items()}
+    if origin is frozenset:
+        return frozenset(parse_pair_key(k, where) for k in _shaped(doc, list, where))
+    if origin is tuple:
+        return tuple(from_json(args[0], v, f"{where}[{i}]")
+                     for i, v in enumerate(_shaped(doc, list, where)))
+    if hasattr(tp, "from_dict"):
+        try:
+            return tp.from_dict(_shaped(doc, dict, where))
+        except KeyError as e:
+            raise invalid(f"{where}.{e.args[0]}", "required") from e
+        except ValueError as e:
+            raise invalid(where, str(e)) from e
+    return math.inf if doc == "inf" and float in (tp, *args) else doc

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .channels import ChannelAssignment
 from .errors import ConfigurationError, ContractError
-from .loads import Pair, pair_key, parse_pair_key
+from .loads import Pair
 from .routing import RouteTable
 from .schema import check, invalid, param
 from .topology import InterferenceMap, Topology
@@ -74,16 +74,6 @@ class SimMetrics:
     throughput_pkts: int = 0
     throughput_bps: float = 0.0
     per_flow: dict[Pair, FlowStats] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["per_flow"] = {pair_key(p): st for p, st in sorted(d["per_flow"].items())}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimMetrics":
-        per_flow = {parse_pair_key(k): FlowStats(**st) for k, st in d["per_flow"].items()}
-        return cls(**{**d, "per_flow": per_flow})
 
 
 class ServiceAudit:
@@ -187,12 +177,12 @@ class Simulator:
             if assignment.channel_of[l] is None or assignment.frame_of[l] is None:
                 raise ContractError(f"route link {l} has no channel/frame assignment")
 
-        self._frame_of = {l: assignment.frame_of[l] for l in used}
-        # Only links of l's own frame can be active alongside it.
-        self._co_ch = {l: tuple(q for q in used
-                                if q in imap.interferers[l]
-                                and assignment.channel_of[q] == assignment.channel_of[l]
-                                and self._frame_of[q] == self._frame_of[l])
+        self._frame_of = frame_of = {l: assignment.frame_of[l] for l in used}
+        channel_of = assignment.channel_of
+        # Only used links of l's own channel and frame can be active alongside it.
+        self._co_ch = {l: tuple(q for q in imap.interferers[l]
+                                if q in frame_of and frame_of[q] == frame_of[l]
+                                and channel_of[q] == channel_of[l])
                        for l in used}
         self.n_frames = max(1, assignment.n_frames)
         self._queues: dict[int, deque[_Packet]] = {l: deque() for l in used}

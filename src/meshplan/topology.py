@@ -224,18 +224,19 @@ class InterferenceMap:
 
 def build_interference_map(topology: Topology) -> InterferenceMap:
     links = topology.links
-    mids = [((l.u, l.v), ((topology.nodes[l.u].x + topology.nodes[l.v].x) / 2.0,
-                          (topology.nodes[l.u].y + topology.nodes[l.v].y) / 2.0))
+    mids = [((topology.nodes[l.u].x + topology.nodes[l.v].x) / 2.0,
+             (topology.nodes[l.u].y + topology.nodes[l.v].y) / 2.0)
             for l in links]
     limit = topology.interference_range * (1.0 + _RANGE_TOL)
 
     interferers = []
-    n1 = []
-    for i, ((iu, iv), mi) in enumerate(mids):
-        within = {j for j, (_, mj) in enumerate(mids) if _distance(mi, mj) <= limit}
+    for i, mi in enumerate(mids):
+        within = {j for j, mj in enumerate(mids) if _distance(mi, mj) <= limit}
         within.add(i)
         interferers.append(frozenset(within))
-        ends = {iu, iv}
-        n1.append(frozenset(j for j, ((ju, jv), _) in enumerate(mids)
-                            if j != i and (ju in ends or jv in ends)))
-    return InterferenceMap(tuple(interferers), tuple(n1))
+    # A link's node-adjacent links are the links at either endpoint, added
+    # in ascending id order.
+    adj = topology.adjacency()
+    n1 = tuple(frozenset(sorted(j for j, _ in adj[l.u] + adj[l.v] if j != i))
+               for i, l in enumerate(links))
+    return InterferenceMap(tuple(interferers), n1)

@@ -138,6 +138,25 @@ MALFORMED = {
     "rate-huge": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), 1e300), "sim.horizon_s"),
     "name-object": (edited(MINI, ("name",), {"a": 1}), "scenario.name"),
     "preset-sim-list": ({"preset": "paper-ring-4", "sim": []}, "sim:"),
+    "top-level-unknown": (edited(MINI, ("tolopogy",), {}), "scenario"),
+    "document-a-list": ([MINI], "scenario"),
+    "traffic-missing": ({k: v for k, v in MINI.items() if k != "traffic"},
+                        "scenario.traffic"),
+    "flows-missing": (edited(MINI, ("traffic",), {}), "traffic.flows"),
+    "flows-empty": (edited(MINI, ("traffic", "flows"), []), "traffic.flows"),
+    "src-missing": (edited(MINI, ("traffic", "flows", 0), {"dst": 2, "kind": "voip"}),
+                    "traffic.flows[0].src"),
+    "kind-list": (edited(MINI, ("traffic", "flows", 0, "kind"), ["voip"]),
+                  "traffic.flows[0]"),
+    "rate-inf-string": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), "inf"),
+                        "traffic.flows[0].rate_bps"),
+    "node-a-list": (edited(NODES, ("topology", "nodes", 0), [0.0, 0.0]),
+                    "topology.nodes[0]"),
+    "flow-pair-duplicate": (edited(MINI, ("traffic", "flows"),
+                                   2 * MINI["traffic"]["flows"]), "traffic.flows"),
+    "preset-sim-unknown": ({"preset": "paper-ring-4", "sim": {"slots": 5}}, "sim"),
+    "preset-traffic-list": ({"preset": "paper-ring-4", "traffic": []}, "traffic"),
+    "preset-algorithm-null": ({"preset": "paper-ring-4", "algorithm": None}, "algorithm"),
 }
 
 

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from meshplan import (PipelineError, PipelineResult, UnroutableFlowError,
-                      emit_report, render_report, run_pipeline,
-                      scenario_from_dict, sweep_channels)
+from meshplan import (ConfigurationError, GoodputReport, PipelineError,
+                      PipelineResult, UnroutableFlowError, emit_report,
+                      render_report, run_pipeline, scenario_from_dict,
+                      sweep_channels)
 from meshplan.report import CSV_COLUMNS, assignment_to_csv, result_row
+from meshplan.schema import from_json, to_json
 
 
 def ring_scenario(horizon_s=5.0, seed=1):
@@ -82,23 +84,58 @@ def test_bundle_roundtrip_through_json():
         assert again == result
 
 
+# A threshold below any feasible load blocks every flow.
+BLOCKED = {
+    "name": "blocked",
+    "topology": {"kind": "chain", "n": 2, "spacing": 100.0},
+    "traffic": {"flows": [{"src": 0, "dst": 1, "rate_bps": 5e6,
+                           "packet_bytes": 1250}]},
+    "algorithm": {"n_channels": 1, "threshold_fraction": 0.0001},
+    "sim": {"horizon_s": 1.0},
+}
+
+
 def test_blocked_flows_flow_through_pipeline():
-    # A threshold below any feasible load blocks every flow: the run still
-    # completes, flows are skipped with a counter, and goodput is zero.
-    doc = {
-        "name": "blocked",
-        "topology": {"kind": "chain", "n": 2, "spacing": 100.0},
-        "traffic": {"flows": [{"src": 0, "dst": 1, "rate_bps": 5e6,
-                               "packet_bytes": 1250}]},
-        "algorithm": {"n_channels": 1, "threshold_fraction": 0.0001},
-        "sim": {"horizon_s": 1.0},
-    }
-    result = run_pipeline(scenario_from_dict(doc), "ccmca")
+    # The run still completes, flows are skipped with a counter, and
+    # goodput is zero.
+    result = run_pipeline(scenario_from_dict(BLOCKED), "ccmca")
     assert result.routes.blocked == frozenset({(0, 1)})
     assert not result.routes.converged  # blocked/routed tables alternate
     assert result.metrics.blocked_flows == 1
     assert result.metrics.generated == 0
     assert result.goodput.total == 0.0
+
+
+def test_blocked_bundle_roundtrip_through_json():
+    # an infinite link cost and a blocked pair take the codec's own forms
+    result = run_pipeline(scenario_from_dict(BLOCKED), "ccmca")
+    doc = json.loads(render_report(result, "json"))
+    assert doc["costs"]["values"] == ["inf"]
+    assert doc["routes"]["blocked"] == ["0->1"]
+    assert PipelineResult.from_dict(doc) == result
+
+
+def test_codec_orders_pairs_numerically():
+    goodput = GoodputReport({(10, 1): 1.0, (2, 0): 2.0}, {(0, 5): 0.5}, 3.5)
+    doc = to_json(goodput)
+    assert list(doc["assigned"]) == ["2->0", "10->1"]
+    assert to_json(frozenset({(10, 1), (2, 0), (2, 11)})) == ["2->0", "2->11", "10->1"]
+    assert from_json(GoodputReport, doc, "goodput") == goodput
+
+
+def test_bundle_missing_field_names_it():
+    doc = run_pipeline(ring_scenario(), "ccmca").to_dict()
+    del doc["metrics"]
+    with pytest.raises(ConfigurationError, match=r"^bundle\.metrics: required$"):
+        PipelineResult.from_dict(doc)
+    doc = run_pipeline(ring_scenario(), "ccmca").to_dict()
+    del doc["assignment"]["frame"]
+    with pytest.raises(ConfigurationError, match=r"^bundle\.assignment\.frame: required$"):
+        PipelineResult.from_dict(doc)
+    doc = run_pipeline(ring_scenario(), "ccmca").to_dict()
+    doc["routes"]["routes"]["0->2"]["hops"] = 2
+    with pytest.raises(ConfigurationError, match=r"^bundle\.routes\.routes\.0->2: unknown key"):
+        PipelineResult.from_dict(doc)
 
 
 def test_unroutable_flow_tagged_with_stage():
