@@ -66,11 +66,29 @@ class ChannelAssignment:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelAssignment":
-        asg = cls(d["n_links"], d["n_channels"])
-        for link, (c, f) in enumerate(zip(d["channel"], d["frame"])):
-            if c is not None:
-                asg.assign(link, c, f)
+        """The assignment ``to_dict`` writes as d. A link holds both a channel
+        in [0, n_channels) and a frame >= 0, or neither; anything else, or a
+        list whose length is not n_links, raises ValueError."""
+        n_links, n_channels, channel, frame = (d["n_links"], d["n_channels"],
+                                               d["channel"], d["frame"])
+        if not (_is_int(n_links) and n_links >= 0 and _is_int(n_channels)):
+            raise ValueError(f"n_links and n_channels must be integers, got "
+                             f"{n_links!r} and {n_channels!r}")
+        for name, values in (("channel", channel), ("frame", frame)):
+            if not isinstance(values, list) or len(values) != n_links:
+                raise ValueError(f"{name} must list {n_links} links, got {values!r}")
+        asg = cls(n_links, n_channels)
+        for link, (c, f) in enumerate(zip(channel, frame)):
+            if c is None and f is None:
+                continue
+            if not (_is_int(c) and _is_int(f) and f >= 0):
+                raise ValueError(f"link {link} has channel {c!r} and frame {f!r}")
+            asg.assign(link, c, f)
         return asg
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def order_links(delta: Sequence[float]) -> list[int]:

@@ -9,6 +9,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ContractError, UnroutableFlowError
+from .schema import check, param
 from .topology import InterferenceMap, Topology
 from .traffic import TrafficProfile
 
@@ -36,7 +37,10 @@ class LoadEstimate:
 class GoodputReport:
     assigned: dict[Pair, float]
     useful: dict[Pair, float]
-    total: float
+    total: float = param(ge=0)
+
+    def __post_init__(self):
+        check(self)
 
 
 def virtual_link_capacity(n_channels: int, channel_capacity: float,

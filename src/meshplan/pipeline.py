@@ -16,7 +16,7 @@ from .loads import GoodputReport, LoadEstimate, goodput
 from .routing import LinkCost, RouteTable, cost_table, fixed_point_route, routed_link_loads
 from .scenario import Scenario
 from .schema import from_json, to_json
-from .sim import SimConfig, SimMetrics, run_simulation
+from .sim import SimConfig, SimMetrics, run_simulation, sim_key
 from .topology import build_interference_map
 
 PROTOCOLS = ("ccmca", "baseline")
@@ -93,20 +93,26 @@ def plan(scenario: Scenario, protocol: str):
 
 def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
                  n_channels: int | None = None, horizon_s: float | None = None,
-                 seed: int | None = None) -> PipelineResult:
+                 seed: int | None = None, _sims: dict | None = None) -> PipelineResult:
     """Run every stage for one scenario/protocol and return the bundle.
 
     The keyword overrides exist for sweeps; they leave the scenario object
-    untouched. Assigned per-pair bandwidth is the delivered share of the
-    pair's demand, so goodput is exactly the demand when delivery is total.
+    untouched. ``_sims`` is a sweep's map from ``sim_key`` to the metrics
+    already simulated in that sweep; a run whose key is there reuses them.
+    Assigned per-pair bandwidth is the delivered share of the pair's demand,
+    so goodput is exactly the demand when delivery is total.
     """
     scenario = replace(
         scenario, algorithm=replace(scenario.algorithm, **_given(n_channels=n_channels)),
         sim=replace(scenario.sim, **_given(horizon_s=horizon_s, seed=seed)))
     topology, imap, loads, costs, routes, assignment = plan(scenario, protocol)
+    sims = {} if _sims is None else _sims
     with _stage("simulation"):
-        metrics = run_simulation(topology, imap, scenario.traffic, routes,
-                                 assignment, scenario.sim)
+        key = sim_key(imap, scenario.traffic, routes, assignment, scenario.sim)
+        if key not in sims:
+            sims[key] = run_simulation(topology, imap, scenario.traffic, routes,
+                                       assignment, scenario.sim)
+        metrics = sims[key]
     with _stage("goodput"):
         assigned = {}
         for pair in scenario.traffic.pairs():
@@ -162,12 +168,16 @@ def _sweep(scenario: Scenario, points: list, seeds: list[int] | None,
         raise ValueError("sweep needs at least one point")
     if seeds is None:
         seeds = [scenario.sim.seed]
+    # The metrics of each distinct simulator input met in this call; the
+    # dict dies with the call, so every sweep does the same work.
+    sims: dict = {}
     rows: list[SweepRow] = []
     for point in points:
         for protocol in protocols:
             group = []
             for seed in seeds:
-                result = run_pipeline(scenario, protocol, seed=seed, **overrides(point))
+                result = run_pipeline(scenario, protocol, seed=seed, _sims=sims,
+                                      **overrides(point))
                 group.append(result_row(result))
             rows.extend(group)
             if len(seeds) > 1:
@@ -178,8 +188,13 @@ def _sweep(scenario: Scenario, points: list, seeds: list[int] | None,
 def sweep_channels(scenario: Scenario, channel_counts: list[int],
                    seeds: list[int] | None = None,
                    protocols: tuple[str, ...] = PROTOCOLS) -> list[SweepRow]:
-    """One run per (channel count, protocol, seed), capacities and routes
-    recomputed per count; plus a mean row per group when several seeds."""
+    """One row per (channel count, protocol, seed), capacities and routes
+    recomputed per count; plus a mean row per group when several seeds.
+
+    Every row is the row of a direct ``run_pipeline`` call with the same
+    arguments, but runs with the same simulator input (``sim_key``) are
+    simulated once per sweep. The seed reaches only the baseline's channel
+    draw, so most rows reuse a simulation."""
     return _sweep(scenario, channel_counts, seeds, protocols,
                   lambda c: {"n_channels": c})
 
@@ -187,6 +202,8 @@ def sweep_channels(scenario: Scenario, channel_counts: list[int],
 def sweep_time(scenario: Scenario, horizons: list[float],
                seeds: list[int] | None = None,
                protocols: tuple[str, ...] = PROTOCOLS) -> list[SweepRow]:
-    """One run per (horizon, protocol, seed)."""
+    """One row per (horizon, protocol, seed), plus a mean row per group when
+    several seeds; runs with the same simulator input are simulated once per
+    sweep, as in ``sweep_channels``."""
     return _sweep(scenario, horizons, seeds, protocols,
                   lambda h: {"horizon_s": h})

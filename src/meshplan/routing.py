@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import ContractError
 from .loads import (LoadEstimate, Pair, Path, acceptable_paths_for_profile,
                     expected_link_load, link_capacities)
+from .schema import check, param
 from .topology import InterferenceMap, Topology
 from .traffic import TrafficProfile
 
@@ -25,7 +26,10 @@ DEFAULT_MAX_ITERS = 10
 @dataclass(frozen=True)
 class LinkCost:
     values: tuple[float, ...]
-    threshold_fraction: float
+    threshold_fraction: float = param(gt=0, le=1)
+
+    def __post_init__(self):
+        check(self)
 
     def path_cost(self, links: Path) -> float:
         return sum(self.values[l] for l in links)
@@ -65,8 +69,11 @@ class Route:
 class RouteTable:
     routes: dict[Pair, Route] = field(default_factory=dict)
     blocked: frozenset[Pair] = frozenset()
-    iterations: int = 1
+    iterations: int = param(1, ge=0)
     converged: bool = True
+
+    def __post_init__(self):
+        check(self)
 
 
 def select_routes(paths: dict[Pair, tuple[Path, ...]], costs: LinkCost) -> RouteTable:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .channels import ChannelAssignment
 from .errors import ConfigurationError, ContractError
@@ -55,25 +55,31 @@ class SimConfig:
 
 @dataclass
 class FlowStats:
-    generated: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    delivered_bits: int = 0
-    delay_sum_s: float = 0.0
+    generated: int = param(0, ge=0)
+    delivered: int = param(0, ge=0)
+    dropped: int = param(0, ge=0)
+    delivered_bits: int = param(0, ge=0)
+    delay_sum_s: float = param(0.0, ge=0)
+
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass
 class SimMetrics:
-    generated: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    in_flight: int = 0
-    blocked_flows: int = 0
-    avg_delay_s: float = 0.0
-    pdr: float = 0.0
-    throughput_pkts: int = 0
-    throughput_bps: float = 0.0
+    generated: int = param(0, ge=0)
+    delivered: int = param(0, ge=0)
+    dropped: int = param(0, ge=0)
+    in_flight: int = param(0, ge=0)
+    blocked_flows: int = param(0, ge=0)
+    avg_delay_s: float = param(0.0, ge=0)
+    pdr: float = param(0.0, ge=0, le=1)
+    throughput_pkts: int = param(0, ge=0)
+    throughput_bps: float = param(0.0, ge=0)
     per_flow: dict[Pair, FlowStats] = field(default_factory=dict)
+
+    def __post_init__(self):
+        check(self)
 
 
 class ServiceAudit:
@@ -143,6 +149,43 @@ class _FlowRun:
         self.due = hi
 
 
+def _run_inputs(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTable,
+                assignment: ChannelAssignment, horizon_s: float):
+    """What a run reads of its inputs besides the config, after the checks
+    that precede its first slot. Returns the flows that run, in pair order,
+    each with its route's links; per link on a route, its frame; and per such
+    link, the links on routes that interfere with it on its own frame and
+    channel, itself included, in ascending order. Only those can be active
+    alongside it."""
+    flows = profile.by_pair()
+    routed = []
+    for pair in profile.pairs():
+        if pair in routes.blocked:
+            continue
+        route = routes.routes.get(pair)
+        if route is None:
+            raise ContractError(f"flow {pair} has no route and is not blocked")
+        routed.append((flows[pair], route.links))
+
+    packets = sum(horizon_s / (f.packet_bits / f.rate_bps) + 1 for f, _ in routed)
+    if packets > MAX_PACKETS:
+        raise ConfigurationError(
+            f"sim.horizon_s: {horizon_s} s at the flows' rates would inject "
+            f"about {packets:.3g} packets; one run may inject at most {MAX_PACKETS:.0e}")
+
+    used = sorted({l for _, links in routed for l in links})
+    for l in used:
+        if assignment.channel_of[l] is None or assignment.frame_of[l] is None:
+            raise ContractError(f"route link {l} has no channel/frame assignment")
+    frame_of = {l: assignment.frame_of[l] for l in used}
+    channel_of = assignment.channel_of
+    co_ch = {l: tuple(sorted(q for q in imap.interferers[l]
+                             if q in frame_of and frame_of[q] == frame_of[l]
+                             and channel_of[q] == channel_of[l]))
+             for l in used}
+    return routed, frame_of, co_ch
+
+
 class Simulator:
     """Single deterministic run; step() advances one slot."""
 
@@ -152,43 +195,16 @@ class Simulator:
                  audit: ServiceAudit | None = None):
         self.config = config
         self.audit = audit
-        flows = profile.by_pair()
-
-        self._flows: list[_FlowRun] = []
-        self.blocked_flows = 0
-        for pair in profile.pairs():
-            if pair in routes.blocked:
-                self.blocked_flows += 1
-                continue
-            route = routes.routes.get(pair)
-            if route is None:
-                raise ContractError(f"flow {pair} has no route and is not blocked")
-            f = flows[pair]
-            self._flows.append(_FlowRun(pair, route.links, f.packet_bits, f.rate_bps))
-
-        packets = sum(config.horizon_s / fr.interval_s + 1 for fr in self._flows)
-        if packets > MAX_PACKETS:
-            raise ConfigurationError(
-                f"sim.horizon_s: {config.horizon_s} s at the flows' rates would inject "
-                f"about {packets:.3g} packets; one run may inject at most {MAX_PACKETS:.0e}")
-
-        used = sorted({l for fr in self._flows for l in fr.route})
-        for l in used:
-            if assignment.channel_of[l] is None or assignment.frame_of[l] is None:
-                raise ContractError(f"route link {l} has no channel/frame assignment")
-
-        self._frame_of = frame_of = {l: assignment.frame_of[l] for l in used}
-        channel_of = assignment.channel_of
-        # Only used links of l's own channel and frame can be active alongside it.
-        self._co_ch = {l: tuple(q for q in imap.interferers[l]
-                                if q in frame_of and frame_of[q] == frame_of[l]
-                                and channel_of[q] == channel_of[l])
-                       for l in used}
+        routed, self._frame_of, self._co_ch = _run_inputs(
+            imap, profile, routes, assignment, config.horizon_s)
+        self._flows = [_FlowRun(f.pair, links, f.packet_bits, f.rate_bps)
+                       for f, links in routed]
+        self.blocked_flows = len(profile.flows) - len(routed)
         self.n_frames = max(1, assignment.n_frames)
-        self._queues: dict[int, deque[_Packet]] = {l: deque() for l in used}
+        self._queues: dict[int, deque[_Packet]] = {l: deque() for l in self._frame_of}
         # Per frame, the links with a non-empty queue.
         self._backlog: list[set[int]] = [set() for _ in range(self.n_frames)]
-        self._credit: dict[int, float] = {l: 0.0 for l in used}
+        self._credit: dict[int, float] = {l: 0.0 for l in self._frame_of}
         self._min_due: float = 0 if self._flows else math.inf
 
         self.slot = 0
@@ -335,3 +351,19 @@ def run_simulation(topology: Topology, imap: InterferenceMap, profile: TrafficPr
     sim = Simulator(topology, imap, profile, routes, assignment, config, audit)
     sim.run()
     return sim.metrics()
+
+
+def sim_key(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTable,
+            assignment: ChannelAssignment, config: SimConfig) -> tuple:
+    """Everything ``run_simulation`` reads, as a hashable key: runs with equal
+    keys return equal metrics. The simulator draws no random numbers, so the
+    seed drops out, and so do channel labels and links on no route. Building
+    the key runs every check that precedes a run's first slot."""
+    routed, frame_of, co_ch = _run_inputs(imap, profile, routes, assignment,
+                                          config.horizon_s)
+    return (profile,
+            tuple((f.pair, links) for f, links in routed),
+            routes.blocked,
+            tuple((l, frame_of[l], co_ch[l]) for l in frame_of),
+            max(1, assignment.n_frames),
+            tuple(getattr(config, f.name) for f in fields(config) if f.name != "seed"))

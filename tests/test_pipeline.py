@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshplan import (ConfigurationError, GoodputReport, PipelineError,
                       PipelineResult, UnroutableFlowError, emit_report,
-                      render_report, run_pipeline, scenario_from_dict,
-                      sweep_channels)
+                      load_scenario, pipeline, render_report, run_pipeline,
+                      scenario_from_dict, sweep_channels, sweep_time)
 from meshplan.report import CSV_COLUMNS, assignment_to_csv, result_row
 from meshplan.schema import from_json, to_json
 
@@ -138,6 +140,34 @@ def test_bundle_missing_field_names_it():
         PipelineResult.from_dict(doc)
 
 
+# Values of the right shape that no run could produce; paper-ring-4 has 4
+# links and 3 channels.
+@pytest.mark.parametrize("path,value,error", [
+    (("assignment", "channel"), [0, 0],
+     r"^bundle\.assignment: channel must list 4 links, got \[0, 0\]$"),
+    (("assignment", "frame"), [0, 1, 0, 1, 0], r"^bundle\.assignment: frame must list 4 links"),
+    (("assignment", "channel"), [0, 1, 2, 3], r"^bundle\.assignment: channel 3 out of range$"),
+    (("assignment", "frame"), [0, 1, None, 1],
+     r"^bundle\.assignment: link 2 has channel \d and frame None$"),
+    (("routes", "iterations"), "x", r"^bundle\.routes\.iterations: must be an integer, got 'x'$"),
+    (("metrics", "pdr"), [1], r"^bundle\.metrics\.pdr: must be a number, got \[1\]$"),
+    (("metrics", "pdr"), 1.5, r"^bundle\.metrics\.pdr: must be <= 1, got 1\.5$"),
+    (("metrics", "per_flow", "0->2", "delivered"), -1,
+     r"^bundle\.metrics\.per_flow\.0->2\.delivered: must be >= 0, got -1$"),
+    (("costs", "threshold_fraction"), "x",
+     r"^bundle\.costs\.threshold_fraction: must be a number, got 'x'$"),
+    (("goodput", "total"), -1.0, r"^bundle\.goodput\.total: must be >= 0, got -1\.0$"),
+])
+def test_bundle_impossible_value_names_it(path, value, error):
+    doc = run_pipeline(ring_scenario(), "ccmca").to_dict()
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with pytest.raises(ConfigurationError, match=error):
+        PipelineResult.from_dict(doc)
+
+
 def test_unroutable_flow_tagged_with_stage():
     doc = {
         "name": "split",
@@ -202,3 +232,60 @@ def test_json_sweep_rows_roundtrip(tmp_path):
     assert len(parsed) == 4
     assert parsed[0]["scenario"] == "paper-ring-4"
     assert set(parsed[0]) == set(CSV_COLUMNS)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small chain or ring with random CBR flows and queue size, plus the
+    channel counts, horizons and seeds to sweep it over."""
+    kind = draw(st.sampled_from(["chain", "ring"]))
+    n = draw(st.integers(min_value=3, max_value=6))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=3, unique=True))
+    flows = [{"src": src, "dst": dst,
+              "rate_bps": draw(st.sampled_from([2e4, 1e5, 5e5, 2e6])),
+              "packet_bytes": draw(st.sampled_from([64, 125, 500, 1500]))}
+             for src, dst in pairs]
+    scenario = scenario_from_dict({
+        "name": f"{kind}-{n}", "topology": {"kind": kind, "n": n, "spacing": 200.0},
+        "traffic": {"flows": flows},
+        "sim": {"horizon_s": 0.5, "queue_packets": draw(st.integers(1, 16))}})
+    channels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    horizons = draw(st.lists(st.sampled_from([0.1, 0.25, 0.5]), min_size=2, max_size=2,
+                             unique=True))
+    seeds = draw(st.lists(st.integers(0, 50), min_size=2, max_size=3, unique=True))
+    return scenario, channels, horizons, seeds
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_cases())
+def test_sweep_rows_equal_direct_runs(case):
+    # A sweep simulates each distinct simulator input once; every row must
+    # still be the row of a direct run with the same arguments.
+    scenario, channels, horizons, seeds = case
+    for sweep, points, name in ((sweep_channels, channels, "n_channels"),
+                                (sweep_time, horizons, "horizon_s")):
+        rows = [r for r in sweep(scenario, points, seeds) if r.seed != "mean"]
+        direct = [result_row(run_pipeline(scenario, protocol, seed=seed, **{name: point}))
+                  for point in points for protocol in pipeline.PROTOCOLS for seed in seeds]
+        assert rows == direct
+
+
+def test_sweep_shares_simulations_within_one_call(monkeypatch):
+    calls = []
+    simulate = pipeline.run_simulation
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(pipeline, "run_simulation", counted)
+    scenario = load_scenario("paper-ring-4")
+    rows = sweep_channels(scenario, [1, 2, 3, 4, 5], seeds=[1, 2, 3])
+    runs = sum(r.seed != "mean" for r in rows)
+    first = len(calls)
+    assert runs == 30 and 0 < first < runs
+    # Nothing outlives a call: the same sweep again simulates as often.
+    assert sweep_channels(scenario, [1, 2, 3, 4, 5], seeds=[1, 2, 3]) == rows
+    assert len(calls) == 2 * first

@@ -10,7 +10,7 @@ from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       run_simulation, scenario_from_dict, sweep_channels,
                       sweep_time)
 
-from meshplan.sim import _TIME_EPS, _FlowRun
+from meshplan.sim import _TIME_EPS, _FlowRun, sim_key
 
 from conftest import cbr, profile
 
@@ -128,6 +128,37 @@ def test_blocked_flow_skipped_with_counter():
                        SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
     assert m.blocked_flows == 1
     assert m.generated == 0
+
+
+def test_sim_key_holds_what_a_run_reads(ring4, ring4_imap):
+    # Links 0=(0,1) and 3=(2,3) carry one flow each and share frame 0; links
+    # 1 and 2 are on no route.
+    prof = profile(cbr(0, 1, 2.5e6, 1250), cbr(2, 3, 2.5e6, 1250))
+    routes = RouteTable({(0, 1): Route((0,), 1.0), (2, 3): Route((3,), 1.0)})
+    config = SimConfig(horizon_s=0.5)
+
+    def assignment(channels, frames):
+        asg = ChannelAssignment(4, 2)
+        for link, (c, f) in enumerate(zip(channels, frames)):
+            asg.assign(link, c, f)
+        return asg
+
+    def outcome(asg, cfg=config):
+        return (sim_key(ring4_imap, prof, routes, asg, cfg),
+                run_simulation(ring4, ring4_imap, prof, routes, asg, cfg))
+
+    base = outcome(assignment([0, 0, 0, 0], [0, 1, 1, 0]))
+    # Channel labels, the channels of links on no route and the seed drop out.
+    assert outcome(assignment([1, 0, 1, 1], [0, 1, 1, 0])) == base
+    assert outcome(assignment([0, 0, 0, 0], [0, 1, 1, 0]),
+                   dataclasses.replace(config, seed=7)) == base
+    # A longer frame cycle, a smaller co-channel set and a shorter horizon
+    # each change the run, and so the key.
+    for other in (outcome(assignment([0, 0, 0, 0], [0, 1, 2, 0])),
+                  outcome(assignment([0, 0, 0, 1], [0, 1, 1, 0])),
+                  outcome(assignment([0, 0, 0, 0], [0, 1, 1, 0]),
+                          dataclasses.replace(config, horizon_s=0.4))):
+        assert other[0] != base[0] and other[1] != base[1]
 
 
 def test_sim_config_validation():
