@@ -12,83 +12,40 @@ assigner provides the comparison baseline.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ContractError
+from .schema import check, invalid, param
 from .topology import InterferenceMap
 
 
+@dataclass(frozen=True)
 class ChannelAssignment:
-    """Mutable assignment state: per-link channel and activation frame."""
+    """Per-link channel in [0, n_channels) and activation frame >= 0; every
+    link holds both."""
+    n_channels: int = param(ge=1)
+    channel_of: tuple[int, ...]
+    frame_of: tuple[int, ...]
 
-    def __init__(self, n_links: int, n_channels: int):
-        if n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
-        self.n_links = n_links
-        self.n_channels = n_channels
-        self.channel_of: list[int | None] = [None] * n_links
-        self.frame_of: list[int | None] = [None] * n_links
-
-    def assign(self, link: int, channel: int, frame: int) -> None:
-        if not 0 <= channel < self.n_channels:
-            raise ValueError(f"channel {channel} out of range")
-        if self.channel_of[link] is not None:
-            raise ContractError(f"link {link} already assigned")
-        self.channel_of[link] = channel
-        self.frame_of[link] = frame
+    def __post_init__(self):
+        check(self)
+        if len(self.frame_of) != len(self.channel_of):
+            raise invalid("frame_of", f"must list {len(self.channel_of)} links, "
+                                      f"like channel_of, got {len(self.frame_of)}")
+        for link, (c, f) in enumerate(zip(self.channel_of, self.frame_of)):
+            if not 0 <= c < self.n_channels:
+                raise invalid(f"channel_of[{link}]",
+                              f"must be in [0, {self.n_channels}), got {c}")
+            if f < 0:
+                raise invalid(f"frame_of[{link}]", f"must be >= 0, got {f}")
 
     def links_in_frame(self, frame: int) -> list[int]:
-        return [l for l in range(self.n_links) if self.frame_of[l] == frame]
+        return [l for l, f in enumerate(self.frame_of) if f == frame]
 
     @property
     def n_frames(self) -> int:
-        assigned = [f for f in self.frame_of if f is not None]
-        return max(assigned) + 1 if assigned else 0
-
-    @property
-    def fully_assigned(self) -> bool:
-        return all(c is not None for c in self.channel_of)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ChannelAssignment)
-                and self.n_links == other.n_links
-                and self.n_channels == other.n_channels
-                and self.channel_of == other.channel_of
-                and self.frame_of == other.frame_of)
-
-    def __repr__(self) -> str:
-        return (f"ChannelAssignment(n_links={self.n_links}, n_channels={self.n_channels}, "
-                f"channel_of={self.channel_of}, frame_of={self.frame_of})")
-
-    def to_dict(self) -> dict:
-        return {"n_links": self.n_links, "n_channels": self.n_channels,
-                "channel": list(self.channel_of), "frame": list(self.frame_of)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelAssignment":
-        """The assignment ``to_dict`` writes as d. A link holds both a channel
-        in [0, n_channels) and a frame >= 0, or neither; anything else, or a
-        list whose length is not n_links, raises ValueError."""
-        n_links, n_channels, channel, frame = (d["n_links"], d["n_channels"],
-                                               d["channel"], d["frame"])
-        if not (_is_int(n_links) and n_links >= 0 and _is_int(n_channels)):
-            raise ValueError(f"n_links and n_channels must be integers, got "
-                             f"{n_links!r} and {n_channels!r}")
-        for name, values in (("channel", channel), ("frame", frame)):
-            if not isinstance(values, list) or len(values) != n_links:
-                raise ValueError(f"{name} must list {n_links} links, got {values!r}")
-        asg = cls(n_links, n_channels)
-        for link, (c, f) in enumerate(zip(channel, frame)):
-            if c is None and f is None:
-                continue
-            if not (_is_int(c) and _is_int(f) and f >= 0):
-                raise ValueError(f"link {link} has channel {c!r} and frame {f!r}")
-            asg.assign(link, c, f)
-        return asg
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+        return max(self.frame_of, default=-1) + 1
 
 
 def order_links(delta: Sequence[float]) -> list[int]:
@@ -96,37 +53,32 @@ def order_links(delta: Sequence[float]) -> list[int]:
     return sorted(range(len(delta)), key=lambda l: (-delta[l], l))
 
 
-def eligible(link: int, assignment: ChannelAssignment, n1: Sequence[frozenset[int]],
-             frame: int) -> bool:
+def eligible(link: int, frame_of: Sequence[int | None],
+             n1: Sequence[frozenset[int]], frame: int) -> bool:
     """A link can join a frame only if no node-adjacent neighbour is in it."""
-    return all(assignment.frame_of[e] != frame for e in n1[link])
+    return all(frame_of[e] != frame for e in n1[link])
 
 
-def channel_gain_sum(link: int, channel: int, assignment: ChannelAssignment,
+def channel_gain_sum(link: int, channel: int, channel_of: Sequence[int | None],
                      imap: InterferenceMap, gains: Sequence[float]) -> float:
     """Summed gain of assigned co-channel links that interfere with `link`."""
-    if not 0 <= channel < assignment.n_channels:
-        raise ValueError(f"channel {channel} out of range")
-    channel_of = assignment.channel_of
     # sorted so the float summation order never depends on set internals
     return sum(gains[q] for q in sorted(imap.interferers[link]) if channel_of[q] == channel)
 
 
-def assign_frame(order: Sequence[int], assignment: ChannelAssignment,
-                 imap: InterferenceMap, gains: Sequence[float],
-                 frame: int) -> list[int]:
-    """One pass over unassigned links in priority order; returns the links
-    placed into this frame."""
+def assign_frame(order: Sequence[int], channel_of: list[int | None],
+                 frame_of: list[int | None], n_channels: int,
+                 imap: InterferenceMap, gains: Sequence[float], frame: int) -> list[int]:
+    """One pass over unassigned links (channel None) in priority order; fills
+    their entries in channel_of and frame_of and returns the links placed
+    into this frame."""
     placed: list[int] = []
     for link in order:
-        if assignment.channel_of[link] is not None:
+        if channel_of[link] is not None or not eligible(link, frame_of, imap.n1, frame):
             continue
-        if not eligible(link, assignment, imap.n1, frame):
-            continue
-        d = [channel_gain_sum(link, c, assignment, imap, gains)
-             for c in range(assignment.n_channels)]
-        best = min(range(assignment.n_channels), key=lambda c: (d[c], c))
-        assignment.assign(link, best, frame)
+        d = [channel_gain_sum(link, c, channel_of, imap, gains) for c in range(n_channels)]
+        channel_of[link] = min(range(n_channels), key=lambda c: (d[c], c))
+        frame_of[link] = frame
         placed.append(link)
     return placed
 
@@ -137,14 +89,14 @@ def schedule_all_frames(order: Sequence[int], imap: InterferenceMap,
     assigned. Channel choice keeps seeing the cumulative co-channel state;
     frame eligibility resets per pass. Each pass places at least the first
     leftover link, so at most len(order) frames are built."""
-    assignment = ChannelAssignment(len(order), n_channels)
+    channel_of: list[int | None] = [None] * len(order)
+    frame_of: list[int | None] = [None] * len(order)
     frame = 0
-    while not assignment.fully_assigned:
-        placed = assign_frame(order, assignment, imap, gains, frame)
-        if not placed:
+    while None in channel_of:
+        if not assign_frame(order, channel_of, frame_of, n_channels, imap, gains, frame):
             raise ContractError("assignment made no progress; inconsistent neighbour sets")
         frame += 1
-    return assignment
+    return ChannelAssignment(n_channels, tuple(channel_of), tuple(frame_of))
 
 
 def baseline_assign(n_links: int, n_channels: int, seed: int,
@@ -152,13 +104,13 @@ def baseline_assign(n_links: int, n_channels: int, seed: int,
     """Comparison baseline: seeded uniform-random channel per link, frames
     by greedy colouring of the shared-endpoint conflict in link-id order."""
     rng = random.Random(seed)
-    assignment = ChannelAssignment(n_links, n_channels)
+    channel_of: list[int] = []
+    frame_of: list[int] = []
     for link in range(n_links):
-        channel = rng.randrange(n_channels)
-        taken = {assignment.frame_of[e] for e in n1[link]
-                 if assignment.frame_of[e] is not None}
+        channel_of.append(rng.randrange(n_channels))
+        taken = {frame_of[e] for e in n1[link] if e < link}
         frame = 0
         while frame in taken:
             frame += 1
-        assignment.assign(link, channel, frame)
-    return assignment
+        frame_of.append(frame)
+    return ChannelAssignment(n_channels, tuple(channel_of), tuple(frame_of))

@@ -26,6 +26,7 @@ from .errors import (ConfigurationError, ContractError, PipelineError,
 from .pipeline import PROTOCOLS, plan, run_pipeline, sweep_channels, sweep_time
 from .report import assignment_to_csv, emit_report, render_report
 from .scenario import load_scenario
+from .schema import to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -127,8 +128,7 @@ def _cmd_assign(args) -> int:
     else:
         text = json.dumps({"scenario": scenario.name,
                            "protocol": args.protocol,
-                           "n_channels": assignment.n_channels,
-                           "assignment": assignment.to_dict()}, indent=2) + "\n"
+                           "assignment": to_json(assignment)}, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

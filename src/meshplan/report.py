@@ -28,8 +28,8 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def assignment_table(asg: ChannelAssignment) -> list[dict]:
-    return [{"link": l, "channel": asg.channel_of[l], "frame": asg.frame_of[l]}
-            for l in range(asg.n_links)]
+    return [{"link": l, "channel": c, "frame": f}
+            for l, (c, f) in enumerate(zip(asg.channel_of, asg.frame_of))]
 
 
 def assignment_to_csv(asg: ChannelAssignment) -> str:

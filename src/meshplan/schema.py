@@ -115,7 +115,7 @@ def to_json(obj):
     """obj as JSON: a dataclass is an object of its fields in declared order;
     a dict keyed by (src, dst) pairs is an object keyed "src->dst", and a
     frozenset of pairs a list of such keys, both sorted by pair; a tuple is
-    a list and an infinite float "inf". Other classes have ``to_dict()``."""
+    a list and an infinite float "inf"."""
     if obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
@@ -126,20 +126,20 @@ def to_json(obj):
         return {pair_key(k): to_json(v) for k, v in sorted(obj.items())}
     if isinstance(obj, frozenset):
         return [pair_key(p) for p in sorted(obj)]
-    if is_dataclass(obj):
-        return {name: to_json(getattr(obj, name)) for name in _fields(type(obj))}
-    return obj.to_dict()
+    return {name: to_json(getattr(obj, name)) for name in _fields(type(obj))}
 
 
 def from_json(tp, doc, where: str):
     """The value of type tp that ``to_json`` writes as doc. An unknown key, a
     missing required field, a non-object or non-list value and a failed
     ``__post_init__`` raise ConfigurationError naming the place, such as
-    ``traffic.flows[0].dst``; scalars are left to ``check``."""
+    ``traffic.flows[0].dst``. An int or float is typed here, so each element
+    of a tuple or dict is checked too (``bundle.loads.load[0]``); other
+    scalars are left to ``check``."""
     # Most values are link ids and floats; testing for them first makes a
     # large bundle decode about three times faster.
     if tp is int or tp is float:
-        return math.inf if doc == "inf" and tp is float else doc
+        return math.inf if doc == "inf" and tp is float else _typed(where, tp.__name__, doc)
     if is_dataclass(tp):
         declared = _fields(tp)
         doc = known_keys(doc, declared, where)
@@ -162,11 +162,4 @@ def from_json(tp, doc, where: str):
     if origin is tuple:
         return tuple(from_json(args[0], v, f"{where}[{i}]")
                      for i, v in enumerate(_shaped(doc, list, where)))
-    if hasattr(tp, "from_dict"):
-        try:
-            return tp.from_dict(_shaped(doc, dict, where))
-        except KeyError as e:
-            raise invalid(f"{where}.{e.args[0]}", "required") from e
-        except ValueError as e:
-            raise invalid(where, str(e)) from e
     return math.inf if doc == "inf" and float in (tp, *args) else doc

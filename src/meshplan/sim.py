@@ -173,10 +173,10 @@ def _run_inputs(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTab
             f"sim.horizon_s: {horizon_s} s at the flows' rates would inject "
             f"about {packets:.3g} packets; one run may inject at most {MAX_PACKETS:.0e}")
 
+    if len(assignment.channel_of) != len(imap.interferers):
+        raise ContractError(f"the assignment covers {len(assignment.channel_of)} links, "
+                            f"the topology has {len(imap.interferers)}")
     used = sorted({l for _, links in routed for l in links})
-    for l in used:
-        if assignment.channel_of[l] is None or assignment.frame_of[l] is None:
-            raise ContractError(f"route link {l} has no channel/frame assignment")
     frame_of = {l: assignment.frame_of[l] for l in used}
     channel_of = assignment.channel_of
     co_ch = {l: tuple(sorted(q for q in imap.interferers[l]

@@ -73,7 +73,7 @@ def replay_schedule(order, imap, gains, n_channels):
             channel[link] = best_c
             frame[link] = f
         f += 1
-    return channel, frame
+    return tuple(channel), tuple(frame)
 
 
 GENERATOR_CASES_8 = [

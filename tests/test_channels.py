@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from meshplan import (ChannelAssignment, ContractError, assign_frame,
+from meshplan import (ChannelAssignment, ConfigurationError, assign_frame,
                       baseline_assign, build_interference_map, build_topology,
                       channel_gain_sum, eligible, order_links,
                       schedule_all_frames)
+from meshplan.schema import from_json, to_json
 
 from conftest import random_topology, replay_schedule
 
@@ -33,25 +34,24 @@ def test_order_links_matches_selection_sort_oracle():
 
 
 def test_eligible_semantics(ring4, ring4_imap):
-    asg = ChannelAssignment(4, 2)
-    assert all(eligible(l, asg, ring4_imap.n1, frame=0) for l in range(4))
-    asg.assign(0, 0, 0)
+    frame_of = [None] * 4
+    assert all(eligible(l, frame_of, ring4_imap.n1, frame=0) for l in range(4))
+    frame_of[0] = 0
     # links sharing an endpoint with link 0 are blocked, the opposite one is not
-    assert not eligible(1, asg, ring4_imap.n1, frame=0)
-    assert not eligible(2, asg, ring4_imap.n1, frame=0)
-    assert eligible(3, asg, ring4_imap.n1, frame=0)
+    assert not eligible(1, frame_of, ring4_imap.n1, frame=0)
+    assert not eligible(2, frame_of, ring4_imap.n1, frame=0)
+    assert eligible(3, frame_of, ring4_imap.n1, frame=0)
     # in the next frame everyone is eligible again
-    assert all(eligible(l, asg, ring4_imap.n1, frame=1) for l in range(4))
+    assert all(eligible(l, frame_of, ring4_imap.n1, frame=1) for l in range(4))
 
 
 def test_channel_gain_sum(ring4_imap):
     gains = [0.1, 0.2, 0.3, 0.05]
-    asg = ChannelAssignment(4, 2)
-    assert channel_gain_sum(0, 0, asg, ring4_imap, gains) == 0.0
-    asg.assign(1, 0, 0)
-    asg.assign(3, 0, 1)
-    assert channel_gain_sum(0, 0, asg, ring4_imap, gains) == pytest.approx(0.25)
-    assert channel_gain_sum(0, 1, asg, ring4_imap, gains) == 0.0
+    channel_of = [None] * 4
+    assert channel_gain_sum(0, 0, channel_of, ring4_imap, gains) == 0.0
+    channel_of[1] = channel_of[3] = 0
+    assert channel_gain_sum(0, 0, channel_of, ring4_imap, gains) == pytest.approx(0.25)
+    assert channel_gain_sum(0, 1, channel_of, ring4_imap, gains) == 0.0
 
 
 def test_channel_gain_sum_counts_only_interferers(grid9):
@@ -59,46 +59,46 @@ def test_channel_gain_sum_counts_only_interferers(grid9):
     topo = build_topology("grid", 9, 200.0, interference_range=250.0)
     imap = build_interference_map(topo)
     gains = [l.gain for l in topo.links]
-    asg = ChannelAssignment(topo.n_links, 2)
+    channel_of = [None] * topo.n_links
     for l in (0, 5, 11):
-        asg.assign(l, 0, 0)
+        channel_of[l] = 0
     for probe in range(topo.n_links):
-        if asg.channel_of[probe] is not None:
+        if channel_of[probe] is not None:
             continue
         expect = sum(gains[q] for q in (0, 5, 11) if q in imap.interferers[probe])
-        assert channel_gain_sum(probe, 0, asg, imap, gains) == pytest.approx(expect)
+        assert channel_gain_sum(probe, 0, channel_of, imap, gains) == pytest.approx(expect)
 
 
 def test_assign_frame_single_link():
     t = build_topology("chain", 2, 100.0)
     imap = build_interference_map(t)
-    asg = ChannelAssignment(1, 3)
-    placed = assign_frame([0], asg, imap, t.link_gains(), frame=0)
+    channel_of, frame_of = [None], [None]
+    placed = assign_frame([0], channel_of, frame_of, 3, imap, t.link_gains(), frame=0)
     assert placed == [0]
-    assert asg.channel_of[0] == 0  # all gain sums zero: smallest index wins
+    assert channel_of == [0]  # all gain sums zero: smallest index wins
+    assert frame_of == [0]
 
 
 def test_assign_frame_adjacent_links_defer_lower_priority():
     t = build_topology("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
     order = order_links([1.0, 5.0])  # link 1 first
-    asg = ChannelAssignment(2, 2)
-    placed = assign_frame(order, asg, imap, t.link_gains(), frame=0)
+    channel_of, frame_of = [None, None], [None, None]
+    placed = assign_frame(order, channel_of, frame_of, 2, imap, t.link_gains(), frame=0)
     assert placed == [1]
-    assert asg.channel_of[0] is None
+    assert channel_of[0] is None and frame_of[0] is None
 
 
 def test_assign_frame_ring4_matching_and_argmin(ring4, ring4_imap):
     gains = ring4.link_gains()
     order = order_links([4.0, 3.0, 2.0, 1.0])
-    asg = ChannelAssignment(4, 2)
-    placed = assign_frame(order, asg, ring4_imap, gains, frame=0)
+    channel_of, frame_of = [None] * 4, [None] * 4
+    placed = assign_frame(order, channel_of, frame_of, 2, ring4_imap, gains, frame=0)
     assert placed == [0, 3]  # a maximal matching: opposite links
-    assert asg.channel_of[0] == 0
-    assert asg.channel_of[3] == 1  # channel 0 already carries an interferer
+    assert channel_of[0] == 0
+    assert channel_of[3] == 1  # channel 0 already carries an interferer
     # exhaustive argmin replay for the second placed link
-    d = [channel_gain_sum(3, c, ChannelAssignment(4, 2), ring4_imap, gains)
-         for c in range(2)]
+    d = [channel_gain_sum(3, c, [None] * 4, ring4_imap, gains) for c in range(2)]
     assert d == [0.0, 0.0]  # before link 0: ties; after: gain on channel 0 only
 
 
@@ -106,7 +106,7 @@ def test_schedule_two_adjacent_links():
     t = build_topology("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
     asg = schedule_all_frames(order_links([1.0, 5.0]), imap, t.link_gains(), 2)
-    assert asg.frame_of == [1, 0]
+    assert asg.frame_of == (1, 0)
     assert asg.n_frames == 2
 
 
@@ -138,8 +138,7 @@ def test_schedule_coverage_and_matching_invariants():
         delta = [rng.uniform(0, 100) for _ in range(topo.n_links)]
         asg = schedule_all_frames(order_links(delta), imap, topo.link_gains(), 3)
         # coverage: exactly one channel and one frame everywhere
-        assert asg.fully_assigned
-        assert all(f is not None for f in asg.frame_of)
+        assert len(asg.channel_of) == len(asg.frame_of) == topo.n_links
         # matching: no two links in one frame share an endpoint
         for f in range(asg.n_frames):
             in_frame = asg.links_in_frame(f)
@@ -185,22 +184,15 @@ def test_frame_priority_respects_order():
         imap = build_interference_map(topo)
         delta = [random.Random(seed).uniform(0, 9) for _ in range(topo.n_links)]
         order = order_links(delta)
-        asg = ChannelAssignment(topo.n_links, 2)
-        placed = assign_frame(order, asg, imap, topo.link_gains(), frame=0)
+        placed = assign_frame(order, [None] * topo.n_links, [None] * topo.n_links, 2,
+                              imap, topo.link_gains(), frame=0)
         pos = {l: i for i, l in enumerate(order)}
         assert placed == sorted(placed, key=pos.__getitem__)
 
 
-def test_assignment_double_assign_rejected():
-    asg = ChannelAssignment(2, 2)
-    asg.assign(0, 1, 0)
-    with pytest.raises(ContractError):
-        asg.assign(0, 0, 1)
-
-
 def test_baseline_single_link_single_channel():
     asg = baseline_assign(1, 1, 42, [frozenset()])
-    assert asg.channel_of == [0] and asg.frame_of == [0]
+    assert asg == ChannelAssignment(1, (0,), (0,))
 
 
 def test_baseline_deterministic_per_seed(ring4_imap):
@@ -231,10 +223,19 @@ def test_baseline_channel_histogram_uniformish():
 
 
 def test_assignment_roundtrip():
-    asg = ChannelAssignment(3, 2)
-    asg.assign(0, 1, 0)
-    asg.assign(2, 0, 0)
-    asg.assign(1, 1, 1)
-    again = ChannelAssignment.from_dict(asg.to_dict())
-    assert again == asg
-    assert again.channel_of == [1, 1, 0]
+    asg = ChannelAssignment(2, (1, 1, 0), (0, 1, 0))
+    doc = to_json(asg)
+    assert doc == {"n_channels": 2, "channel_of": [1, 1, 0], "frame_of": [0, 1, 0]}
+    assert from_json(ChannelAssignment, doc, "assignment") == asg
+
+
+@pytest.mark.parametrize("n_channels,channel_of,frame_of,error", [
+    (2, (0, 1), (0,), r"^frame_of: must list 2 links, like channel_of, got 1$"),
+    (2, (0, 2), (0, 1), r"^channel_of\[1\]: must be in \[0, 2\), got 2$"),
+    (2, (-1, 0), (0, 1), r"^channel_of\[0\]: must be in \[0, 2\), got -1$"),
+    (2, (0, 1), (0, -1), r"^frame_of\[1\]: must be >= 0, got -1$"),
+    (0, (), (), r"^n_channels: must be >= 1, got 0$"),
+])
+def test_assignment_rejects_impossible_links(n_channels, channel_of, frame_of, error):
+    with pytest.raises(ConfigurationError, match=error):
+        ChannelAssignment(n_channels, channel_of, frame_of)

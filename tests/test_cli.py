@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+from meshplan import ChannelAssignment, load_scenario
 from meshplan.cli import main
+from meshplan.pipeline import plan
 from meshplan.report import CSV_COLUMNS
+from meshplan.schema import from_json
 
 MINI = {
     "name": "mini",
@@ -36,7 +39,7 @@ def test_run_to_stdout_json(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["protocol"] == "baseline"
     assert doc["scenario_name"] == "mini"
-    assert doc["assignment"]["n_links"] == 4
+    assert len(doc["assignment"]["channel_of"]) == 4
 
 
 def test_sweep_channels_cli(tmp_path):
@@ -63,6 +66,15 @@ def test_assign_cli(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "link,channel,frame"
     assert len(lines) == 5
+
+
+def test_assign_json_decodes_to_planned_assignment(tmp_path, capsys):
+    path = scenario_file(tmp_path)
+    assert main(["assign", "--scenario", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["assignment", "protocol", "scenario"]
+    *_, assignment = plan(load_scenario(path), "ccmca")
+    assert from_json(ChannelAssignment, doc["assignment"], "assignment") == assignment
 
 
 def test_assign_runs_no_simulation(tmp_path, capsys):

@@ -20,7 +20,7 @@ def ring_scenario(horizon_s=5.0, seed=1):
 def test_ring4_bundle_complete():
     result = run_pipeline(ring_scenario(), "ccmca", n_channels=3)
     assert result.n_channels == 3
-    assert result.assignment.fully_assigned and result.assignment.n_links == 4
+    assert len(result.assignment.channel_of) == len(result.assignment.frame_of) == 4
     assert len(result.routes.routes) == 3 and not result.routes.blocked
     assert len(result.loads.capacity) == 4
     assert all(c == pytest.approx(3 * 10e6 / 4) for c in result.loads.capacity)
@@ -33,7 +33,7 @@ def test_table1_preset_full_pipeline():
     scenario = scenario_from_dict({"preset": "paper-table1",
                                    "sim": {"horizon_s": 20.0}})
     result = run_pipeline(scenario, "ccmca")
-    assert result.assignment.n_links == 50 and result.assignment.fully_assigned
+    assert len(result.assignment.channel_of) == len(result.assignment.frame_of) == 50
     assert len(result.routes.routes) == 3
     # opposite pairs on a 50-ring ride 25-hop arcs
     assert all(len(r.links) == 25 for r in result.routes.routes.values())
@@ -131,8 +131,8 @@ def test_bundle_missing_field_names_it():
     with pytest.raises(ConfigurationError, match=r"^bundle\.metrics: required$"):
         PipelineResult.from_dict(doc)
     doc = run_pipeline(ring_scenario(), "ccmca").to_dict()
-    del doc["assignment"]["frame"]
-    with pytest.raises(ConfigurationError, match=r"^bundle\.assignment\.frame: required$"):
+    del doc["assignment"]["frame_of"]
+    with pytest.raises(ConfigurationError, match=r"^bundle\.assignment\.frame_of: required$"):
         PipelineResult.from_dict(doc)
     doc = run_pipeline(ring_scenario(), "ccmca").to_dict()
     doc["routes"]["routes"]["0->2"]["hops"] = 2
@@ -143,12 +143,14 @@ def test_bundle_missing_field_names_it():
 # Values of the right shape that no run could produce; paper-ring-4 has 4
 # links and 3 channels.
 @pytest.mark.parametrize("path,value,error", [
-    (("assignment", "channel"), [0, 0],
-     r"^bundle\.assignment: channel must list 4 links, got \[0, 0\]$"),
-    (("assignment", "frame"), [0, 1, 0, 1, 0], r"^bundle\.assignment: frame must list 4 links"),
-    (("assignment", "channel"), [0, 1, 2, 3], r"^bundle\.assignment: channel 3 out of range$"),
-    (("assignment", "frame"), [0, 1, None, 1],
-     r"^bundle\.assignment: link 2 has channel \d and frame None$"),
+    (("assignment", "channel_of"), [0, 0],
+     r"^bundle\.assignment\.frame_of: must list 2 links, like channel_of, got 4$"),
+    (("assignment", "frame_of"), [0, 1, 0, 1, 0],
+     r"^bundle\.assignment\.frame_of: must list 4 links, like channel_of, got 5$"),
+    (("assignment", "channel_of"), [0, 1, 2, 3],
+     r"^bundle\.assignment\.channel_of\[3\]: must be in \[0, 3\), got 3$"),
+    (("assignment", "frame_of"), [0, 1, None, 1],
+     r"^bundle\.assignment\.frame_of\[2\]: must be an integer, got None$"),
     (("routes", "iterations"), "x", r"^bundle\.routes\.iterations: must be an integer, got 'x'$"),
     (("metrics", "pdr"), [1], r"^bundle\.metrics\.pdr: must be a number, got \[1\]$"),
     (("metrics", "pdr"), 1.5, r"^bundle\.metrics\.pdr: must be <= 1, got 1\.5$"),
@@ -157,6 +159,13 @@ def test_bundle_missing_field_names_it():
     (("costs", "threshold_fraction"), "x",
      r"^bundle\.costs\.threshold_fraction: must be a number, got 'x'$"),
     (("goodput", "total"), -1.0, r"^bundle\.goodput\.total: must be >= 0, got -1\.0$"),
+    (("assignment", "channel_of"), [0, 1, None, 1],
+     r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got None$"),
+    (("assignment", "channel_of"), [0, 1, True, 1],
+     r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got True$"),
+    (("loads", "load", 0), "x", r"^bundle\.loads\.load\[0\]: must be a number, got 'x'$"),
+    (("routes", "routes", "0->2", "links"), ["x"],
+     r"^bundle\.routes\.routes\.0->2\.links\[0\]: must be an integer, got 'x'$"),
 ])
 def test_bundle_impossible_value_names_it(path, value, error):
     doc = run_pipeline(ring_scenario(), "ccmca").to_dict()

@@ -19,19 +19,19 @@ RUN_DIGESTS = {
     ("paper-ring-4", "ccmca", "csv"):
         "ab12950cbda1b558379b6850f4630872eaa59facdb4753443b2ade3ea58b0179",
     ("paper-ring-4", "ccmca", "json"):
-        "b3bd7abb1c11a20776d3815d47a79041099a3468327e5944fc8125d55452461a",
+        "441212a663a00af8977a4955e6655b376d53b0c57fda970a3e44171a3a0dad86",
     ("paper-ring-4", "baseline", "csv"):
         "502fc2284c2ae615b2801cb293b4c6e36b4697bd82baf837d13e46e63c25def3",
     ("paper-ring-4", "baseline", "json"):
-        "5fe0810923dcd6ed5dffbf8d511c98f43406abe71b83e7390c88abf4ddbde660",
+        "686b20359ee5570394ad6571f2a6c11084208f436f5b9b14b2a92c90f73ba223",
     ("paper-table1", "ccmca", "csv"):
         "95e94989d9314dd8d967b71cfec2055f8a9414f0161e64bd7d8bc7d487eefd4d",
     ("paper-table1", "ccmca", "json"):
-        "b4c50d232073b0dba001855ac5d1df8a641ec547ff20e747cbf49a0cd9bc2274",
+        "f38bbe2063bce66f708cf370f70279876f2db7f458fe05cde2b1b0ecdd6c7609",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
-        "9e13ddbd1f18e01625457c59a65d338cc8ce40fb64e8003bc9c1856a7b900964",
+        "44bd1b3880632f8c6d486b10a12848e1da049003715978668af9f92543738491",
 }
 
 ASSIGN_DIGESTS = {

@@ -25,8 +25,7 @@ def single_link_setup(rate_bps, packet_bytes, capacity_bps, horizon_s,
     t, imap = chain2()
     prof = profile(cbr(0, 1, rate_bps, packet_bytes))
     routes = RouteTable({(0, 1): Route((0,), 1.0)})
-    asg = ChannelAssignment(1, 1)
-    asg.assign(0, 0, 0)
+    asg = ChannelAssignment(1, (0,), (0,))
     cfg = SimConfig(horizon_s=horizon_s, channel_capacity_bps=capacity_bps,
                     slot_s=slot_s, queue_packets=queue_packets)
     return t, imap, prof, routes, asg, cfg
@@ -35,8 +34,7 @@ def single_link_setup(rate_bps, packet_bytes, capacity_bps, horizon_s,
 def test_zero_flows_all_counters_zero():
     t, imap = chain2()
     prof = TrafficProfile(())
-    asg = ChannelAssignment(1, 1)
-    asg.assign(0, 0, 0)
+    asg = ChannelAssignment(1, (0,), (0,))
     m = run_simulation(t, imap, prof, RouteTable(), asg,
                        SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
     assert (m.generated, m.delivered, m.dropped, m.in_flight) == (0, 0, 0, 0)
@@ -63,9 +61,7 @@ def test_two_hop_tandem_exact_delay():
     imap = build_interference_map(t)
     prof = profile(cbr(0, 2, 2.5e6, 1250))  # one 10000-bit packet every 4 slots
     routes = RouteTable({(0, 2): Route((0, 1), 2.0)})
-    asg = ChannelAssignment(2, 2)
-    asg.assign(0, 0, 0)
-    asg.assign(1, 1, 1)
+    asg = ChannelAssignment(2, (0, 1), (0, 1))
     m = run_simulation(t, imap, prof, routes, asg,
                        SimConfig(horizon_s=1.0, channel_capacity_bps=10e6))
     assert m.pdr == 1.0 and m.dropped == 0
@@ -102,19 +98,19 @@ def test_queue_headroom_means_no_drops():
 def test_missing_route_is_contract_error():
     t, imap = chain2()
     prof = profile(cbr(0, 1, 1000.0, 125))
-    asg = ChannelAssignment(1, 1)
-    asg.assign(0, 0, 0)
+    asg = ChannelAssignment(1, (0,), (0,))
     with pytest.raises(ContractError):
         run_simulation(t, imap, prof, RouteTable(), asg,
                        SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
 
 
 def test_unassigned_route_link_is_contract_error():
+    # an assignment that covers fewer links than the topology has
     t, imap = chain2()
     prof = profile(cbr(0, 1, 1000.0, 125))
     routes = RouteTable({(0, 1): Route((0,), 1.0)})
-    with pytest.raises(ContractError):
-        run_simulation(t, imap, prof, routes, ChannelAssignment(1, 1),
+    with pytest.raises(ContractError, match="covers 0 links, the topology has 1"):
+        run_simulation(t, imap, prof, routes, ChannelAssignment(1, (), ()),
                        SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
 
 
@@ -122,8 +118,7 @@ def test_blocked_flow_skipped_with_counter():
     t, imap = chain2()
     prof = profile(cbr(0, 1, 1000.0, 125))
     routes = RouteTable({}, blocked=frozenset({(0, 1)}))
-    asg = ChannelAssignment(1, 1)
-    asg.assign(0, 0, 0)
+    asg = ChannelAssignment(1, (0,), (0,))
     m = run_simulation(t, imap, prof, routes, asg,
                        SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
     assert m.blocked_flows == 1
@@ -138,10 +133,7 @@ def test_sim_key_holds_what_a_run_reads(ring4, ring4_imap):
     config = SimConfig(horizon_s=0.5)
 
     def assignment(channels, frames):
-        asg = ChannelAssignment(4, 2)
-        for link, (c, f) in enumerate(zip(channels, frames)):
-            asg.assign(link, c, f)
-        return asg
+        return ChannelAssignment(2, tuple(channels), tuple(frames))
 
     def outcome(asg, cfg=config):
         return (sim_key(ring4_imap, prof, routes, asg, cfg),
