@@ -25,8 +25,8 @@ from .routing import (LinkCost, Route, RouteTable, cost_table,
                       select_routes)
 from .scenario import (PRESETS, AlgorithmParams, Scenario, TopologySpec,
                        load_scenario, parse_scenario, scenario_from_dict)
-from .sim import (ServiceAudit, SimConfig, SimMetrics, Simulator,
-                  run_simulation)
+from .sim import (ServiceAudit, SimConfig, SimInput, SimMetrics, Simulator,
+                  run_simulation, sim_input)
 from .topology import (InterferenceMap, MeshNode, Topology, VirtualLink,
                        build_interference_map, build_topology, link_gain,
                        topology_from_nodes)

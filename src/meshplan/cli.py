@@ -16,17 +16,14 @@ Exit codes: 0 ok, 2 parse error, 3 validation error, 4 contract error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .errors import (ConfigurationError, ContractError, PipelineError,
                      ScenarioParseError, ScenarioValidationError,
                      UnroutableFlowError)
 from .pipeline import PROTOCOLS, plan, run_pipeline, sweep_channels, sweep_time
-from .report import assignment_to_csv, emit_report, render_report
+from .report import AssignmentReport, emit_report, render_report
 from .scenario import load_scenario
-from .schema import to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -35,12 +32,12 @@ EXIT_CONTRACT = 4
 EXIT_IO = 5
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _list_of(item):
+    """An argparse type: a comma-separated list, each entry read by item."""
+    def parse(text: str) -> list:
+        return [item(x) for x in text.split(",") if x.strip()]
+    parse.__name__ = f"{item.__name__} list"  # argparse names it in errors
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser, protocols: bool = True) -> None:
@@ -60,21 +57,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the full pipeline once")
     _add_common(p_run)
 
-    p_ch = sub.add_parser("sweep-channels", help="vary the number of channels")
-    _add_common(p_ch, protocols=False)
-    p_ch.add_argument("--channels", type=_int_list, default=[1, 2, 3, 4, 5],
-                      help="comma-separated channel counts (default 1..5)")
-    p_ch.add_argument("--seeds", type=_int_list, default=None,
-                      help="comma-separated seeds (default: scenario seed)")
-    p_ch.add_argument("--protocol", choices=PROTOCOLS, default=None,
-                      help="restrict to one protocol (default: both)")
-
-    p_t = sub.add_parser("sweep-time", help="vary the simulation horizon")
-    _add_common(p_t, protocols=False)
-    p_t.add_argument("--horizons", type=_float_list, default=[5, 10, 15, 20, 25],
-                     help="comma-separated horizons in seconds (default 5..25)")
-    p_t.add_argument("--seeds", type=_int_list, default=None)
-    p_t.add_argument("--protocol", choices=PROTOCOLS, default=None)
+    for name, sweep, option, item, default, what in (
+            ("sweep-channels", sweep_channels, "--channels", int, [1, 2, 3, 4, 5],
+             "vary the number of channels"),
+            ("sweep-time", sweep_time, "--horizons", float, [5, 10, 15, 20, 25],
+             "vary the simulation horizon in seconds")):
+        p = sub.add_parser(name, help=what)
+        _add_common(p, protocols=False)
+        p.add_argument(option, dest="points", metavar=option[2:].upper(),
+                       type=_list_of(item), default=default,
+                       help=f"comma-separated {option[2:]} (default {default[0]}..{default[-1]})")
+        p.add_argument("--seeds", type=_list_of(int), default=None,
+                       help="comma-separated seeds (default: scenario seed)")
+        p.add_argument("--protocol", choices=PROTOCOLS, default=None,
+                       help="restrict to one protocol (default: both)")
+        p.set_defaults(sweep=sweep)
 
     p_a = sub.add_parser("assign", help="channel assignment only, no simulation")
     _add_common(p_a)
@@ -104,40 +101,22 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_channels(args) -> int:
+def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     protocols = (args.protocol,) if args.protocol else PROTOCOLS
-    rows = sweep_channels(scenario, args.channels, args.seeds, protocols)
-    _emit(rows, args.format, args.out)
-    return EXIT_OK
-
-
-def _cmd_sweep_time(args) -> int:
-    scenario = load_scenario(args.scenario)
-    protocols = (args.protocol,) if args.protocol else PROTOCOLS
-    rows = sweep_time(scenario, args.horizons, args.seeds, protocols)
-    _emit(rows, args.format, args.out)
+    _emit(args.sweep(scenario, args.points, args.seeds, protocols), args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_assign(args) -> int:
     scenario = load_scenario(args.scenario)
     *_, assignment = plan(scenario, args.protocol)
-    if args.format == "csv":
-        text = assignment_to_csv(assignment)
-    else:
-        text = json.dumps({"scenario": scenario.name,
-                           "protocol": args.protocol,
-                           "assignment": to_json(assignment)}, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(AssignmentReport(scenario.name, args.protocol, assignment), args.format, args.out)
     return EXIT_OK
 
 
-_COMMANDS = {"run": _cmd_run, "sweep-channels": _cmd_sweep_channels,
-             "sweep-time": _cmd_sweep_time, "assign": _cmd_assign}
+_COMMANDS = {"run": _cmd_run, "sweep-channels": _cmd_sweep,
+             "sweep-time": _cmd_sweep, "assign": _cmd_assign}
 
 
 def _exit_code(exc: BaseException) -> int:

@@ -16,7 +16,7 @@ from .loads import GoodputReport, LoadEstimate, goodput
 from .routing import LinkCost, RouteTable, cost_table, fixed_point_route, routed_link_loads
 from .scenario import Scenario
 from .schema import from_json, to_json
-from .sim import SimConfig, SimMetrics, run_simulation, sim_key
+from .sim import SimConfig, SimMetrics, run_simulation, sim_input, sim_key
 from .topology import build_interference_map
 
 PROTOCOLS = ("ccmca", "baseline")
@@ -105,13 +105,13 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     scenario = replace(
         scenario, algorithm=replace(scenario.algorithm, **_given(n_channels=n_channels)),
         sim=replace(scenario.sim, **_given(horizon_s=horizon_s, seed=seed)))
-    topology, imap, loads, costs, routes, assignment = plan(scenario, protocol)
+    _, imap, loads, costs, routes, assignment = plan(scenario, protocol)
     sims = {} if _sims is None else _sims
     with _stage("simulation"):
-        key = sim_key(imap, scenario.traffic, routes, assignment, scenario.sim)
+        inp = sim_input(imap, scenario.traffic, routes, assignment)
+        key = sim_key(inp, scenario.sim)
         if key not in sims:
-            sims[key] = run_simulation(topology, imap, scenario.traffic, routes,
-                                       assignment, scenario.sim)
+            sims[key] = run_simulation(inp, scenario.sim)
         metrics = sims[key]
     with _stage("goodput"):
         assigned = {}

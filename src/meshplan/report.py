@@ -1,4 +1,5 @@
-"""Report emission: metric rows as CSV, full bundles as JSON.
+"""Report emission: metric rows and channel assignments as CSV, every report
+as JSON through the schema codec.
 
 Field order is pinned so identical inputs produce byte-identical files.
 """
@@ -8,53 +9,59 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import astuple, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path as FsPath
 
 from .channels import ChannelAssignment
 from .pipeline import PipelineResult, SweepRow, result_row
+from .schema import to_json
 
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 ASSIGNMENT_COLUMNS = ("link", "channel", "frame")
 
 
-def rows_to_csv(rows: list[SweepRow]) -> str:
+@dataclass(frozen=True)
+class AssignmentReport:
+    """What ``meshplan assign`` writes: a plan's channel assignment."""
+    scenario: str
+    protocol: str
+    assignment: ChannelAssignment
+
+
+def _csv(header: tuple[str, ...], rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(astuple(r) for r in rows)
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
-def assignment_table(asg: ChannelAssignment) -> list[dict]:
-    return [{"link": l, "channel": c, "frame": f}
-            for l, (c, f) in enumerate(zip(asg.channel_of, asg.frame_of))]
+def rows_to_csv(rows: list[SweepRow]) -> str:
+    return _csv(CSV_COLUMNS, (astuple(r) for r in rows))
 
 
 def assignment_to_csv(asg: ChannelAssignment) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(ASSIGNMENT_COLUMNS)
-    for row in assignment_table(asg):
-        writer.writerow([row[c] for c in ASSIGNMENT_COLUMNS])
-    return out.getvalue()
+    return _csv(ASSIGNMENT_COLUMNS, ((l, c, f) for l, (c, f)
+                                     in enumerate(zip(asg.channel_of, asg.frame_of))))
 
 
-def render_report(obj: PipelineResult | list[SweepRow], fmt: str) -> str:
+Report = PipelineResult | AssignmentReport | list[SweepRow]
+
+
+def render_report(obj: Report, fmt: str) -> str:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
+    if fmt == "json":
+        return json.dumps(to_json(obj), indent=2) + "\n"
     if isinstance(obj, PipelineResult):
-        if fmt == "csv":
-            return rows_to_csv([result_row(obj)])
-        return json.dumps(obj.to_dict(), indent=2, sort_keys=False) + "\n"
-    if fmt == "csv":
-        return rows_to_csv(obj)
-    return json.dumps([r.to_dict() for r in obj], indent=2) + "\n"
+        return rows_to_csv([result_row(obj)])
+    if isinstance(obj, AssignmentReport):
+        return assignment_to_csv(obj.assignment)
+    return rows_to_csv(obj)
 
 
-def emit_report(obj: PipelineResult | list[SweepRow], fmt: str,
-                path: str | FsPath) -> str:
+def emit_report(obj: Report, fmt: str, path: str | FsPath) -> str:
     """Render and write a report; returns the written text."""
     text = render_report(obj, fmt)
     p = FsPath(path)

@@ -57,7 +57,7 @@ class AlgorithmParams:
     n_channels: int = param(3, ge=1)
     threshold_fraction: float = param(DEFAULT_THRESHOLD_FRACTION, gt=0, le=1)
     slack: int = param(DEFAULT_SLACK, ge=0)
-    cap: int = param(DEFAULT_PATH_CAP, ge=1)
+    cap: int = param(DEFAULT_PATH_CAP, ge=1, le=1024)
     d0: float = param(DEFAULT_GAIN_REF, gt=0)
     alpha: float = param(DEFAULT_GAIN_EXP, ge=2)
     interference_multiplier: float = param(2.0, ge=1)

@@ -13,7 +13,8 @@ for a given scenario and seed.
 has a backlogged link and those at which a flow's next packet is due. It
 jumps over every other slot. A skipped slot serves no link and admits no
 packet, so it changes no state, and the result equals stepping every slot.
-One run may inject at most ``MAX_PACKETS`` packets.
+One run may inject at most ``MAX_PACKETS`` packets and span at most
+``MAX_SLOTS`` slots.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .errors import ConfigurationError, ContractError
 from .loads import Pair
 from .routing import RouteTable
 from .schema import check, invalid, param
-from .topology import InterferenceMap, Topology
-from .traffic import TrafficProfile
+from .topology import InterferenceMap
+from .traffic import Flow, TrafficProfile
 
 _CREDIT_EPS = 1e-6  # bits of slack on credit comparisons
 _TIME_EPS = 1e-9    # relative slack on slot-boundary comparisons
 MAX_PACKETS = 1e8   # bound on the packets one run may inject
+MAX_SLOTS = 1e8     # bound on the slots one run may span
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,24 @@ class _FlowRun:
         self.due = hi
 
 
-def _run_inputs(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTable,
-                assignment: ChannelAssignment, horizon_s: float):
-    """What a run reads of its inputs besides the config, after the checks
-    that precede its first slot. Returns the flows that run, in pair order,
-    each with its route's links; per link on a route, its frame; and per such
-    link, the links on routes that interfere with it on its own frame and
-    channel, itself included, in ascending order. Only those can be active
-    alongside it."""
+@dataclass(frozen=True)
+class SimInput:
+    """Everything a run reads besides its config. ``flows``: the flows that
+    run, in pair order, each with its route's links. ``links``: per link on a
+    route, in link order, its frame and the routed links that interfere with
+    it on its own frame and channel, itself included, in ascending order.
+    Channel labels and links on no route drop out."""
+    flows: tuple[tuple[Flow, tuple[int, ...]], ...]
+    blocked_flows: int
+    links: tuple[tuple[int, int, tuple[int, ...]], ...]
+    n_frames: int
+
+
+def sim_input(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTable,
+              assignment: ChannelAssignment) -> SimInput:
+    """The input of a run of these routes and this assignment, after the
+    checks that every routed flow has a route and that the assignment covers
+    every link."""
     flows = profile.by_pair()
     routed = []
     for pair in profile.pairs():
@@ -166,41 +178,42 @@ def _run_inputs(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTab
         if route is None:
             raise ContractError(f"flow {pair} has no route and is not blocked")
         routed.append((flows[pair], route.links))
-
-    packets = sum(horizon_s / (f.packet_bits / f.rate_bps) + 1 for f, _ in routed)
-    if packets > MAX_PACKETS:
-        raise ConfigurationError(
-            f"sim.horizon_s: {horizon_s} s at the flows' rates would inject "
-            f"about {packets:.3g} packets; one run may inject at most {MAX_PACKETS:.0e}")
-
     if len(assignment.channel_of) != len(imap.interferers):
         raise ContractError(f"the assignment covers {len(assignment.channel_of)} links, "
                             f"the topology has {len(imap.interferers)}")
-    used = sorted({l for _, links in routed for l in links})
-    frame_of = {l: assignment.frame_of[l] for l in used}
-    channel_of = assignment.channel_of
-    co_ch = {l: tuple(sorted(q for q in imap.interferers[l]
-                             if q in frame_of and frame_of[q] == frame_of[l]
-                             and channel_of[q] == channel_of[l]))
-             for l in used}
-    return routed, frame_of, co_ch
+    used = {l for _, links in routed for l in links}
+    channel_of, frame_of = assignment.channel_of, assignment.frame_of
+    links = tuple((l, frame_of[l], tuple(sorted(q for q in imap.interferers[l]
+                                                if q in used and frame_of[q] == frame_of[l]
+                                                and channel_of[q] == channel_of[l])))
+                  for l in sorted(used))
+    return SimInput(tuple(routed), len(profile.flows) - len(routed), links,
+                    max(1, assignment.n_frames))
 
 
 class Simulator:
     """Single deterministic run; step() advances one slot."""
 
-    def __init__(self, topology: Topology, imap: InterferenceMap,
-                 profile: TrafficProfile, routes: RouteTable,
-                 assignment: ChannelAssignment, config: SimConfig,
+    def __init__(self, inp: SimInput, config: SimConfig,
                  audit: ServiceAudit | None = None):
+        packets = sum(config.horizon_s / (f.packet_bits / f.rate_bps) + 1 for f, _ in inp.flows)
+        if packets > MAX_PACKETS:
+            raise ConfigurationError(
+                f"sim.horizon_s: {config.horizon_s} s at the flows' rates would inject "
+                f"about {packets:.3g} packets; one run may inject at most {MAX_PACKETS:.0e}")
+        slots = config.horizon_s / config.slot_s
+        if slots > MAX_SLOTS:
+            raise ConfigurationError(
+                f"sim.slot_s: {config.slot_s} s slots over {config.horizon_s} s make "
+                f"about {slots:.3g} slots; one run may span at most {MAX_SLOTS:.0e}")
         self.config = config
         self.audit = audit
-        routed, self._frame_of, self._co_ch = _run_inputs(
-            imap, profile, routes, assignment, config.horizon_s)
+        self._frame_of = {l: frame for l, frame, _ in inp.links}
+        self._co_ch = {l: co_ch for l, _, co_ch in inp.links}
         self._flows = [_FlowRun(f.pair, links, f.packet_bits, f.rate_bps)
-                       for f, links in routed]
-        self.blocked_flows = len(profile.flows) - len(routed)
-        self.n_frames = max(1, assignment.n_frames)
+                       for f, links in inp.flows]
+        self.blocked_flows = inp.blocked_flows
+        self.n_frames = inp.n_frames
         self._queues: dict[int, deque[_Packet]] = {l: deque() for l in self._frame_of}
         # Per frame, the links with a non-empty queue.
         self._backlog: list[set[int]] = [set() for _ in range(self.n_frames)]
@@ -345,25 +358,15 @@ class Simulator:
         )
 
 
-def run_simulation(topology: Topology, imap: InterferenceMap, profile: TrafficProfile,
-                   routes: RouteTable, assignment: ChannelAssignment,
-                   config: SimConfig, audit: ServiceAudit | None = None) -> SimMetrics:
-    sim = Simulator(topology, imap, profile, routes, assignment, config, audit)
+def run_simulation(inp: SimInput, config: SimConfig,
+                   audit: ServiceAudit | None = None) -> SimMetrics:
+    sim = Simulator(inp, config, audit)
     sim.run()
     return sim.metrics()
 
 
-def sim_key(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTable,
-            assignment: ChannelAssignment, config: SimConfig) -> tuple:
+def sim_key(inp: SimInput, config: SimConfig) -> tuple:
     """Everything ``run_simulation`` reads, as a hashable key: runs with equal
     keys return equal metrics. The simulator draws no random numbers, so the
-    seed drops out, and so do channel labels and links on no route. Building
-    the key runs every check that precedes a run's first slot."""
-    routed, frame_of, co_ch = _run_inputs(imap, profile, routes, assignment,
-                                          config.horizon_s)
-    return (profile,
-            tuple((f.pair, links) for f, links in routed),
-            routes.blocked,
-            tuple((l, frame_of[l], co_ch[l]) for l in frame_of),
-            max(1, assignment.n_frames),
-            tuple(getattr(config, f.name) for f in fields(config) if f.name != "seed"))
+    seed drops out."""
+    return (inp, *(getattr(config, f.name) for f in fields(config) if f.name != "seed"))

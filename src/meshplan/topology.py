@@ -90,7 +90,9 @@ def link_gain(distance: float, d0: float = DEFAULT_GAIN_REF,
         raise ValueError("d0 must be positive")
     if alpha < 2:
         raise ValueError("alpha must be >= 2")
-    return min(1.0, (d0 / distance) ** alpha)
+    if distance <= d0:  # the power could overflow here
+        return 1.0
+    return (d0 / distance) ** alpha
 
 
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:

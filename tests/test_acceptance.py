@@ -12,7 +12,8 @@ from meshplan import (Flow, TrafficProfile, acceptable_paths_for_profile,
                       build_interference_map, build_topology,
                       expected_link_load, load_scenario, order_links,
                       render_report, run_pipeline, run_simulation,
-                      scenario_from_dict, schedule_all_frames, sweep_channels)
+                      scenario_from_dict, schedule_all_frames, sim_input,
+                      sweep_channels)
 from meshplan.report import result_row, rows_to_csv
 
 from conftest import cbr, generator_topologies_upto_8, profile, random_topology, replay_schedule
@@ -209,7 +210,7 @@ def test_acceptance_7_saturated_queue_oracle(capsys):
     asg = ChannelAssignment(1, (0,), (0,))
     cfg = SimConfig(horizon_s=10.0, channel_capacity_bps=1e6, slot_s=1e-3)
     assert cfg.n_slots >= 10_000
-    metrics = run_simulation(topo, imap, prof, routes, asg, cfg)
+    metrics = run_simulation(sim_input(imap, prof, routes, asg), cfg)
     assert metrics.pdr == pytest.approx(0.5, abs=0.02)
     elapsed = time.time() - start
     assert elapsed < 5.0

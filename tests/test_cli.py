@@ -23,6 +23,15 @@ def scenario_file(tmp_path, doc=MINI):
     return str(p)
 
 
+# two nodes 1 m apart
+NODES_CLOSE = {
+    "name": "close",
+    "topology": {"nodes": [{"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 0.0}]},
+    "traffic": {"flows": [{"src": 0, "dst": 1, "kind": "voip"}]},
+    "sim": {"horizon_s": 2.0},
+}
+
+
 def test_run_preset_to_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     preset = scenario_file(tmp_path, {"preset": "paper-ring-4",
@@ -85,6 +94,25 @@ def test_assign_runs_no_simulation(tmp_path, capsys):
         assert main(["assign", "--scenario", scenario_file(tmp_path, doc)]) == 0
         tables.append(capsys.readouterr().out)
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("command", ["run", "assign"])
+def test_unwritable_out_is_io_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "report.csv"
+    assert main([command, "--scenario", scenario_file(tmp_path), "--out", str(out)]) == 5
+    assert f"cannot write report to {out}" in capsys.readouterr().err
+
+
+GAIN_EXTREMES = {
+    "d0-huge": {"preset": "paper-ring-4", "algorithm": {"d0": 1e308}},
+    "alpha-huge": {**NODES_CLOSE, "algorithm": {"alpha": 1000.0}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAIN_EXTREMES))
+def test_gain_extremes_run(tmp_path, capsys, case):
+    # every link is within the reference distance, so every gain is 1
+    assert main(["run", "--scenario", scenario_file(tmp_path, GAIN_EXTREMES[case])]) == 0
 
 
 def test_exit_code_io_missing_file(tmp_path, capsys):
@@ -169,6 +197,12 @@ MALFORMED = {
     "preset-sim-unknown": ({"preset": "paper-ring-4", "sim": {"slots": 5}}, "sim"),
     "preset-traffic-list": ({"preset": "paper-ring-4", "traffic": []}, "traffic"),
     "preset-algorithm-null": ({"preset": "paper-ring-4", "algorithm": None}, "algorithm"),
+    # more slots than one run may span: 2e9, and with every flow blocked
+    # (a threshold no load meets, one routing pass) a ratio past the float range
+    "slot-tiny": (edited(MINI, ("sim", "slot_s"), 1e-9), "sim.slot_s"),
+    "slot-overflow": ({**MINI, "algorithm": {"threshold_fraction": 1e-6, "max_iters": 1},
+                       "sim": {"horizon_s": 1e300, "slot_s": 1e-300}}, "sim.slot_s"),
+    "cap-huge": (edited(MINI, ("algorithm", "cap"), 10 ** 9), "algorithm.cap"),
 }
 
 

@@ -298,3 +298,19 @@ def test_sweep_shares_simulations_within_one_call(monkeypatch):
     # Nothing outlives a call: the same sweep again simulates as often.
     assert sweep_channels(scenario, [1, 2, 3, 4, 5], seeds=[1, 2, 3]) == rows
     assert len(calls) == 2 * first
+
+
+def test_run_pipeline_builds_one_simulator_input(monkeypatch):
+    calls = []
+    build = pipeline.sim_input
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "sim_input", counted)
+    scenario = ring_scenario()
+    run_pipeline(scenario, "ccmca")
+    assert len(calls) == 1
+    rows = sweep_channels(scenario, [1, 2], seeds=[1, 2])
+    assert len(calls) == 1 + sum(r.seed != "mean" for r in rows)

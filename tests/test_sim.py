@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       ServiceAudit, SimConfig, Simulator, TrafficProfile,
                       build_interference_map, build_topology, run_pipeline,
-                      run_simulation, scenario_from_dict, sweep_channels,
-                      sweep_time)
+                      run_simulation, scenario_from_dict, sim_input,
+                      sweep_channels, sweep_time)
 
 from meshplan.sim import _TIME_EPS, _FlowRun, sim_key
 
@@ -16,26 +16,25 @@ from conftest import cbr, profile
 
 
 def chain2():
-    t = build_topology("chain", 2, 100.0)
-    return t, build_interference_map(t)
+    return build_interference_map(build_topology("chain", 2, 100.0))
 
 
 def single_link_setup(rate_bps, packet_bytes, capacity_bps, horizon_s,
                       queue_packets=64, slot_s=1e-3):
-    t, imap = chain2()
+    imap = chain2()
     prof = profile(cbr(0, 1, rate_bps, packet_bytes))
     routes = RouteTable({(0, 1): Route((0,), 1.0)})
     asg = ChannelAssignment(1, (0,), (0,))
     cfg = SimConfig(horizon_s=horizon_s, channel_capacity_bps=capacity_bps,
                     slot_s=slot_s, queue_packets=queue_packets)
-    return t, imap, prof, routes, asg, cfg
+    return sim_input(imap, prof, routes, asg), cfg
 
 
 def test_zero_flows_all_counters_zero():
-    t, imap = chain2()
+    imap = chain2()
     prof = TrafficProfile(())
     asg = ChannelAssignment(1, (0,), (0,))
-    m = run_simulation(t, imap, prof, RouteTable(), asg,
+    m = run_simulation(sim_input(imap, prof, RouteTable(), asg),
                        SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
     assert (m.generated, m.delivered, m.dropped, m.in_flight) == (0, 0, 0, 0)
     assert m.avg_delay_s == 0.0 and m.pdr == 0.0 and m.throughput_bps == 0.0
@@ -62,7 +61,7 @@ def test_two_hop_tandem_exact_delay():
     prof = profile(cbr(0, 2, 2.5e6, 1250))  # one 10000-bit packet every 4 slots
     routes = RouteTable({(0, 2): Route((0, 1), 2.0)})
     asg = ChannelAssignment(2, (0, 1), (0, 1))
-    m = run_simulation(t, imap, prof, routes, asg,
+    m = run_simulation(sim_input(imap, prof, routes, asg),
                        SimConfig(horizon_s=1.0, channel_capacity_bps=10e6))
     assert m.pdr == 1.0 and m.dropped == 0
     assert m.avg_delay_s == pytest.approx(2e-3, abs=1e-9)
@@ -96,30 +95,28 @@ def test_queue_headroom_means_no_drops():
 
 
 def test_missing_route_is_contract_error():
-    t, imap = chain2()
+    imap = chain2()
     prof = profile(cbr(0, 1, 1000.0, 125))
     asg = ChannelAssignment(1, (0,), (0,))
     with pytest.raises(ContractError):
-        run_simulation(t, imap, prof, RouteTable(), asg,
-                       SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
+        sim_input(imap, prof, RouteTable(), asg)
 
 
 def test_unassigned_route_link_is_contract_error():
     # an assignment that covers fewer links than the topology has
-    t, imap = chain2()
+    imap = chain2()
     prof = profile(cbr(0, 1, 1000.0, 125))
     routes = RouteTable({(0, 1): Route((0,), 1.0)})
     with pytest.raises(ContractError, match="covers 0 links, the topology has 1"):
-        run_simulation(t, imap, prof, routes, ChannelAssignment(1, (), ()),
-                       SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
+        sim_input(imap, prof, routes, ChannelAssignment(1, (), ()))
 
 
 def test_blocked_flow_skipped_with_counter():
-    t, imap = chain2()
+    imap = chain2()
     prof = profile(cbr(0, 1, 1000.0, 125))
     routes = RouteTable({}, blocked=frozenset({(0, 1)}))
     asg = ChannelAssignment(1, (0,), (0,))
-    m = run_simulation(t, imap, prof, routes, asg,
+    m = run_simulation(sim_input(imap, prof, routes, asg),
                        SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
     assert m.blocked_flows == 1
     assert m.generated == 0
@@ -136,8 +133,8 @@ def test_sim_key_holds_what_a_run_reads(ring4, ring4_imap):
         return ChannelAssignment(2, tuple(channels), tuple(frames))
 
     def outcome(asg, cfg=config):
-        return (sim_key(ring4_imap, prof, routes, asg, cfg),
-                run_simulation(ring4, ring4_imap, prof, routes, asg, cfg))
+        inp = sim_input(ring4_imap, prof, routes, asg)
+        return sim_key(inp, cfg), run_simulation(inp, cfg)
 
     base = outcome(assignment([0, 0, 0, 0], [0, 1, 1, 0]))
     # Channel labels, the channels of links on no route and the seed drop out.
@@ -177,13 +174,12 @@ def test_ring_pipeline_delay_at_least_two_slots():
 
 def test_capacity_respected_per_slot_per_channel():
     scenario = fast_ring()
-    topo = scenario.build_topology()
-    imap = build_interference_map(topo)
+    imap = build_interference_map(scenario.build_topology())
     result = run_pipeline(scenario, "ccmca", n_channels=1)
     audit = ServiceAudit()
     cfg = result.config
-    run_simulation(topo, imap, scenario.traffic, result.routes,
-                   result.assignment, cfg, audit=audit)
+    run_simulation(sim_input(imap, scenario.traffic, result.routes, result.assignment),
+                   cfg, audit=audit)
     assert audit.grants, "expected some service activity"
     slot_bits = cfg.channel_capacity_bps * cfg.slot_s
     by_slot: dict[int, float] = {}
@@ -198,13 +194,12 @@ def test_capacity_respected_per_slot_per_channel():
 
 def test_prefix_property_and_monotone_injection():
     scenario = fast_ring(horizon_s=10.0)
-    topo = scenario.build_topology()
-    imap = build_interference_map(topo)
+    imap = build_interference_map(scenario.build_topology())
     short = run_pipeline(fast_ring(horizon_s=5.0), "ccmca")
     long_result = run_pipeline(scenario, "ccmca")
 
-    sim = Simulator(topo, imap, scenario.traffic, long_result.routes,
-                    long_result.assignment, long_result.config)
+    sim = Simulator(sim_input(imap, scenario.traffic, long_result.routes,
+                              long_result.assignment), long_result.config)
     sim.run(until_slot=SimConfig(horizon_s=5.0,
                                  channel_capacity_bps=1e6).n_slots)
     assert sim.generated == short.metrics.generated
@@ -219,13 +214,12 @@ def run_both_ways(scenario, protocol, **overrides):
     """metrics() and audit grants from run(), which jumps over idle slots,
     and from a loop that steps every slot."""
     result = run_pipeline(scenario, protocol, **overrides)
-    topo = scenario.build_topology()
-    imap = build_interference_map(topo)
+    inp = sim_input(build_interference_map(scenario.build_topology()),
+                    scenario.traffic, result.routes, result.assignment)
     outcomes = []
     for jump in (True, False):
         audit = ServiceAudit()
-        sim = Simulator(topo, imap, scenario.traffic, result.routes,
-                        result.assignment, result.config, audit)
+        sim = Simulator(inp, result.config, audit)
         if jump:
             sim.run()
         else:
@@ -326,9 +320,9 @@ def test_run_steps_only_slots_that_can_change_state():
 
     scenario = scenario_from_dict({"preset": "paper-table1", "sim": {"horizon_s": 20.0}})
     result = run_pipeline(scenario, "ccmca", n_channels=3)
-    topo = scenario.build_topology()
-    sim = CountingSimulator(topo, build_interference_map(topo), scenario.traffic,
-                            result.routes, result.assignment, result.config)
+    sim = CountingSimulator(sim_input(build_interference_map(scenario.build_topology()),
+                                      scenario.traffic, result.routes, result.assignment),
+                            result.config)
     sim.run()
     assert sim.metrics() == result.metrics
     assert sim.steps < 0.65 * result.config.n_slots

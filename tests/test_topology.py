@@ -69,6 +69,11 @@ def test_link_gain_reference_and_decay():
     assert link_gain(10.0, 10.0, 3.0) == 1.0
     assert link_gain(20.0, 10.0, 3.0) == pytest.approx(0.125)
     assert link_gain(5.0, 10.0, 3.0) == 1.0  # clamped below reference
+    # at or below the reference the power is never taken, so it cannot overflow
+    assert link_gain(250.0, 1e308, 3.0) == 1.0
+    assert link_gain(1.0, 10.0, 1000.0) == 1.0
+    assert link_gain(1.0, 1.0, 1e300) == 1.0
+    assert link_gain(20.0, 10.0, 1000.0) == 0.5 ** 1000
     with pytest.raises(ValueError):
         link_gain(0.0, 10.0, 3.0)
     with pytest.raises(ValueError):
