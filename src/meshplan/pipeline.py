@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 from statistics import fmean
 
 from .channels import ChannelAssignment, baseline_assign, order_links, schedule_all_frames
-from .errors import PipelineError
+from .errors import ConfigurationError, PipelineError
 from .loads import GoodputReport, LoadEstimate, goodput
 from .routing import LinkCost, RouteTable, cost_table, fixed_point_route, routed_link_loads
 from .scenario import Scenario
@@ -55,8 +55,13 @@ def _stage(name: str):
     return _Ctx()
 
 
-def _given(**overrides) -> dict:
-    return {k: v for k, v in overrides.items() if v is not None}
+def _override(section: str, params, **overrides):
+    """params with the overrides that are not None; a bad value names its
+    field as a scenario document's would."""
+    try:
+        return replace(params, **{k: v for k, v in overrides.items() if v is not None})
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{section}.{e}") from e
 
 
 def plan(scenario: Scenario, protocol: str):
@@ -103,8 +108,8 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     so goodput is exactly the demand when delivery is total.
     """
     scenario = replace(
-        scenario, algorithm=replace(scenario.algorithm, **_given(n_channels=n_channels)),
-        sim=replace(scenario.sim, **_given(horizon_s=horizon_s, seed=seed)))
+        scenario, algorithm=_override("algorithm", scenario.algorithm, n_channels=n_channels),
+        sim=_override("sim", scenario.sim, horizon_s=horizon_s, seed=seed))
     _, imap, loads, costs, routes, assignment = plan(scenario, protocol)
     sims = {} if _sims is None else _sims
     with _stage("simulation"):

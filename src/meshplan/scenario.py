@@ -54,7 +54,7 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class AlgorithmParams:
-    n_channels: int = param(3, ge=1)
+    n_channels: int = param(3, ge=1, le=256)
     threshold_fraction: float = param(DEFAULT_THRESHOLD_FRACTION, gt=0, le=1)
     slack: int = param(DEFAULT_SLACK, ge=0)
     cap: int = param(DEFAULT_PATH_CAP, ge=1, le=1024)

@@ -5,6 +5,16 @@ A virtual link exists between every node pair within transmission range
 with chord == tx_range are kept). Two links interfere when the distance
 between their midpoints is at most the interference range; every link
 interferes with itself.
+
+Both rules are found by a cell-list neighbour search (Allen & Tildesley,
+*Computer Simulation of Liquids*, 1987) instead of testing every pair.
+Points are binned into square cells a little wider than the largest
+distance that passes the range test, so two points that pass it lie in the
+same or adjacent cells, and each point is tested only against the points of
+its 3x3 cells. Every candidate gets the same quantized ``_distance(...) <=
+limit`` test an all-pairs scan applies, and the pairs come out in ascending
+(i, j) order, so the links, their order and every interferer set equal the
+all-pairs result.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .schema import check
+from .schema import check, invalid
 
 # Relative slack applied to range comparisons so that constructions placing
 # nodes at exactly tx_range apart survive floating-point rounding.
@@ -102,16 +112,44 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return round(math.hypot(a[0] - b[0], a[1] - b[1]), 9)
 
 
+def _pairs_within(points: list[tuple[float, float]],
+                  limit: float) -> list[tuple[int, int, float]]:
+    """Every (i, j, d) with i < j and d = _distance(points[i], points[j]) <= limit,
+    in ascending (i, j) order, found by the cell list of the module docstring."""
+    if not points:
+        return []
+    # Coordinates are halved so that no difference of two finite ones overflows.
+    xs, ys = zip(*points)
+    x0, y0 = min(xs) / 2, min(ys) / 2
+    half_spread = max(max(xs) / 2 - x0, max(ys) / 2 - y0)
+    # A passing pair can be 5e-10 beyond the limit, since _distance rounds to
+    # 1e-9, and the cell arithmetic rounds too: the slack covers both. A cell
+    # at least 2**-20 of the spread wide keeps every index within 2**20.
+    half_side = max((limit + 1e-9) * (1 + 1e-6) / 2, half_spread * 2.0 ** -20)
+    keys = [(math.floor((x / 2 - x0) / half_side), math.floor((y / 2 - y0) / half_side))
+            for x, y in points]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    pairs = []
+    for i, (cx, cy) in enumerate(keys):
+        near = sorted(j for gx in (cx - 1, cx, cx + 1) for gy in (cy - 1, cy, cy + 1)
+                      for j in cells.get((gx, gy), ()) if j > i)
+        for j in near:
+            d = _distance(points[i], points[j])
+            if d <= limit:
+                pairs.append((i, j, d))
+    return pairs
+
+
 def _links_from_positions(nodes: tuple[MeshNode, ...], tx_range: float,
                           d0: float, alpha: float) -> tuple[VirtualLink, ...]:
     """All node pairs within tx_range become links, in (u, v) order."""
-    limit = tx_range * (1.0 + _RANGE_TOL)
     links: list[VirtualLink] = []
-    for u in range(len(nodes)):
-        for v in range(u + 1, len(nodes)):
-            d = _distance((nodes[u].x, nodes[u].y), (nodes[v].x, nodes[v].y))
-            if d <= limit:
-                links.append(VirtualLink(u, v, d, link_gain(d, d0, alpha)))
+    for u, v, d in _pairs_within([(n.x, n.y) for n in nodes], tx_range * (1.0 + _RANGE_TOL)):
+        if d == 0:
+            raise invalid(f"topology.nodes[{v}]", f"coincides with node {u}")
+        links.append(VirtualLink(u, v, d, link_gain(d, d0, alpha)))
     return tuple(links)
 
 
@@ -225,17 +263,27 @@ class InterferenceMap:
 
 
 def build_interference_map(topology: Topology) -> InterferenceMap:
-    links = topology.links
-    mids = [((topology.nodes[l.u].x + topology.nodes[l.v].x) / 2.0,
-             (topology.nodes[l.u].y + topology.nodes[l.v].y) / 2.0)
-            for l in links]
-    limit = topology.interference_range * (1.0 + _RANGE_TOL)
+    """The interferer and node-adjacent sets of every link.
 
-    interferers = []
-    for i, mi in enumerate(mids):
-        within = {j for j, mj in enumerate(mids) if _distance(mi, mj) <= limit}
-        within.add(i)
-        interferers.append(frozenset(within))
+    Link j interferes with link i when their midpoints are within the
+    interference range. The pairs come from the cell-list search of the
+    module docstring, which gives every pair that can pass the all-pairs
+    scan's quantized distance test that same test. Each set is filled in
+    ascending id order, as the scan filled it, so it equals the scan's set
+    and iterates in the same order.
+    """
+    links, nodes = topology.links, topology.nodes
+    # Halved before the sum: the same midpoint as halving the sum, except at
+    # subnormal scale, and it cannot overflow.
+    mids = [(nodes[l.u].x / 2 + nodes[l.v].x / 2, nodes[l.u].y / 2 + nodes[l.v].y / 2)
+            for l in links]
+    near = [[i] for i in range(len(links))]
+    for i, j, _ in _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL)):
+        near[i].append(j)
+        near[j].append(i)
+    # Through a set filled in ascending order: a frozenset's iteration order
+    # depends on how it was filled, and gain sums over interferers follow it.
+    interferers = [frozenset(set(sorted(ids))) for ids in near]
     # A link's node-adjacent links are the links at either endpoint, added
     # in ascending id order.
     adj = topology.adjacency()

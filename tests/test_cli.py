@@ -203,6 +203,9 @@ MALFORMED = {
     "slot-overflow": ({**MINI, "algorithm": {"threshold_fraction": 1e-6, "max_iters": 1},
                        "sim": {"horizon_s": 1e300, "slot_s": 1e-300}}, "sim.slot_s"),
     "cap-huge": (edited(MINI, ("algorithm", "cap"), 10 ** 9), "algorithm.cap"),
+    "channels-huge": (edited(MINI, ("algorithm", "n_channels"), 257), "algorithm.n_channels"),
+    "nodes-coincident": (edited(NODES, ("topology", "nodes", 1), {"x": 0.0, "y": 0.0}),
+                         "topology.nodes[1]"),
 }
 
 
@@ -222,6 +225,13 @@ def test_exit_code_validation_error(tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_document_exit_code(tmp_path, capsys, case):
     assert_validation_error(tmp_path, capsys, *MALFORMED[case])
+
+
+def test_sweep_channel_count_out_of_bounds(tmp_path, capsys):
+    assert main(["sweep-channels", "--scenario", scenario_file(tmp_path),
+                 "--channels", "2,257"]) == 3
+    err = capsys.readouterr().err
+    assert err == "meshplan: error: algorithm.n_channels: must be <= 256, got 257\n"
 
 
 def test_integral_float_field_reports_as_float(tmp_path, capsys):

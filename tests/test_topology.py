@@ -1,11 +1,14 @@
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshplan import (ConfigurationError, MeshNode, build_interference_map,
-                      build_topology, link_gain, topology_from_nodes)
+                      build_topology, link_gain, scenario_from_dict, topology_from_nodes)
+from meshplan import topology
+from meshplan.pipeline import plan, run_pipeline
 
 from conftest import generator_topologies_upto_8, random_topology
 
@@ -167,3 +170,132 @@ def test_topology_from_nodes_uses_range_rule():
     t = topology_from_nodes(nodes, tx_range=250.0)
     assert [(l.u, l.v) for l in t.links] == [(0, 1)]
     assert t.interference_range == 500.0
+
+
+# All-pairs oracles: the scans the cell-list search replaced, with link
+# midpoints halved before the sum as build_interference_map takes them.
+
+def all_pairs_links(nodes, tx_range):
+    limit = tx_range * (1.0 + topology._RANGE_TOL)
+    pairs = []
+    for u in range(len(nodes)):
+        for v in range(u + 1, len(nodes)):
+            d = topology._distance((nodes[u].x, nodes[u].y), (nodes[v].x, nodes[v].y))
+            if d <= limit:
+                pairs.append((u, v, d))
+    return pairs
+
+
+def all_pairs_interferers(topo):
+    nodes = topo.nodes
+    mids = [(nodes[l.u].x / 2 + nodes[l.v].x / 2, nodes[l.u].y / 2 + nodes[l.v].y / 2)
+            for l in topo.links]
+    limit = topo.interference_range * (1.0 + topology._RANGE_TOL)
+    interferers = []
+    for i, mi in enumerate(mids):
+        within = {j for j, mj in enumerate(mids) if topology._distance(mi, mj) <= limit}
+        within.add(i)
+        interferers.append(frozenset(within))
+    return tuple(interferers)
+
+
+RANGES = st.sampled_from([250.0, 1.0, 0.3, 1e10, 1e-9, 1e-300])
+COORDS = st.one_of(st.floats(-2000.0, 2000.0),
+                   st.sampled_from([0.0, -0.0, 5e-324, 1e10, -1e10, 1.7e308, -1.7e308]))
+DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+              (math.sqrt(0.5), math.sqrt(0.5)), (-math.sqrt(0.5), math.sqrt(0.5)),
+              (math.sqrt(0.5), -math.sqrt(0.5)), (-math.sqrt(0.5), -math.sqrt(0.5))]
+
+
+@st.composite
+def placements(draw):
+    """Random nodes, then walks from them along the axes and diagonals in
+    steps of exactly the transmission or interference range, just past
+    them, or half the first: a chain with step tx_range puts its link
+    midpoints tx_range apart, so both range tests meet their boundary, and
+    so do the cell edges, which lie just past each range."""
+    tx = draw(RANGES)
+    interference = tx * draw(st.sampled_from([1.0, 1.5, 2.0]))
+    points = [(draw(COORDS), draw(COORDS)) for _ in range(draw(st.integers(1, 5)))]
+    # tx + 4e-10 is past the range but within it once _distance rounds
+    steps = st.sampled_from([tx, interference, tx * (1 + 1e-9), interference * (1 + 1e-9),
+                             tx + 4e-10, tx * (1 + 1e-9) + 1e-9, tx / 2])
+    for _ in range(draw(st.integers(0, 16))):
+        x, y = draw(st.sampled_from(points))
+        ux, uy = draw(st.sampled_from(DIRECTIONS))
+        r = draw(steps)
+        points.append((x + r * ux, y + r * uy))
+    # walks that step back reach their start again; keep each point once
+    nodes = tuple(MeshNode(x, y) for x, y in dict.fromkeys(points)
+                  if math.isfinite(x) and math.isfinite(y))
+    return nodes, tx, interference
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_cell_list_equals_all_pairs(case):
+    nodes, tx, interference = case
+    expected = all_pairs_links(nodes, tx)
+    coincident = [(u, v) for u, v, d in expected if d == 0]
+    if coincident:
+        u, v = coincident[0]
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"topology.nodes[{v}]: coincides with node {u}")):
+            topology_from_nodes(nodes, tx_range=tx, interference_range=interference)
+        return
+    topo = topology_from_nodes(nodes, tx_range=tx, interference_range=interference)
+    assert [(l.u, l.v, l.distance) for l in topo.links] == expected
+    want = all_pairs_interferers(topo)
+    got = build_interference_map(topo).interferers
+    assert got == want
+    # iteration order is pinned too: gain sums over interferers follow it
+    assert [list(s) for s in got] == [list(s) for s in want]
+
+
+def test_cell_list_extreme_placements():
+    # cell indices stay finite where coordinate / range overflows a float
+    cases = [((0.0, 0.0), (1e10, 0.0), 1e-300, []),
+             ((-1.7e308, 0.0), (1.7e308, 0.0), 250.0, []),
+             ((1.7e308, 0.0), (1.7e308, 100.0), 250.0, [(0, 1, 100.0)]),
+             ((0.0, 0.0), (1e10, 0.0), 1e10, [(0, 1, 1e10)])]
+    for a, b, tx, links in cases:
+        nodes = (MeshNode(*a), MeshNode(*b))
+        topo = topology_from_nodes(nodes, tx_range=tx)
+        assert [(l.u, l.v, l.distance) for l in topo.links] == links
+        assert build_interference_map(topo).interferers == all_pairs_interferers(topo)
+
+
+@pytest.fixture
+def distance_calls(monkeypatch):
+    calls = [0]
+    real = topology._distance
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(topology, "_distance", counted)
+    return calls
+
+
+def test_chain_run_distance_work(distance_calls):
+    # all-pairs scans make 2,157,001 calls here: 1200*1199/2 node pairs
+    # plus 1199**2 link pairs
+    scenario = scenario_from_dict({
+        "topology": {"kind": "chain", "n": 1200, "spacing": 200.0},
+        "traffic": {"flows": [{"src": 0, "dst": 1199, "kind": "voip"}]},
+        "sim": {"horizon_s": 2.0}})
+    run_pipeline(scenario)
+    assert distance_calls[0] < 50_000
+
+
+def test_grid_plan_distance_work(distance_calls):
+    # a 40x50 grid with 20 flows of 4+4 hops; all-pairs scans make 17.3 M calls
+    flows = [{"src": 50 * r + c, "dst": 50 * (r + 4) + c + 4, "kind": "voip"}
+             for r in (0, 9, 18, 27) for c in (0, 10, 20, 30, 40)]
+    scenario = scenario_from_dict({
+        "topology": {"kind": "grid", "n": 2000, "spacing": 200.0},
+        "traffic": {"flows": flows}, "sim": {"horizon_s": 1.0}})
+    topo, *_ = plan(scenario, "ccmca")
+    assert (topo.n_nodes, topo.n_links) == (2000, 40 * 49 + 50 * 39)
+    assert distance_calls[0] < 1_000_000
