@@ -9,6 +9,16 @@ larger than one slot's share span several active slots. Queues are FIFO
 with a fixed packet capacity; overflow drops. Everything is deterministic
 for a given scenario and seed.
 
+A queue holds runs: consecutive packets of one flow at one hop, kept as
+their inject times. Service takes packets off the head runs while the
+link's credit covers the next one, testing and charging credit one packet
+at a time. Forwarding appends each served batch to the next hop's queue,
+into the tail run when that holds the same flow at the same hop, as far
+as the queue has room, and drops the rest. Delivery adds up delays one
+packet at a time in service order. The results equal moving packets one
+by one, bit for bit, and the work of a slot follows the packets it moves,
+not the packets queued.
+
 ``run()`` steps only the slots that can change state: those whose frame
 has a backlogged link and those at which a flow's next packet is due. It
 jumps over every other slot. A skipped slot serves no link and admits no
@@ -92,16 +102,6 @@ class ServiceAudit:
 
     def record(self, slot: int, link: int, bits: float, divisor: int) -> None:
         self.grants.append((slot, link, bits, divisor))
-
-
-class _Packet:
-    __slots__ = ("flow", "size_bits", "inject_t", "hop")
-
-    def __init__(self, flow: _FlowRun, inject_t: float):
-        self.flow = flow
-        self.size_bits = flow.size_bits
-        self.inject_t = inject_t
-        self.hop = 0
 
 
 class _FlowRun:
@@ -209,12 +209,18 @@ class Simulator:
         self.config = config
         self.audit = audit
         self._frame_of = {l: frame for l, frame, _ in inp.links}
-        self._co_ch = {l: co_ch for l, _, co_ch in inp.links}
+        # Per link, its co-channel links other than itself. A served link's
+        # divisor is 1 plus those of them backlogged; with none, it is 1.
+        self._others = {l: tuple(q for q in co_ch if q != l) for l, _, co_ch in inp.links}
         self._flows = [_FlowRun(f.pair, links, f.packet_bits, f.rate_bps)
                        for f, links in inp.flows]
         self.blocked_flows = inp.blocked_flows
         self.n_frames = inp.n_frames
-        self._queues: dict[int, deque[_Packet]] = {l: deque() for l in self._frame_of}
+        # Per link, a FIFO of runs [flow, hop, inject times, head]: the
+        # packets times[head:] of one flow at one hop. ``_counts`` holds the
+        # packets each queue holds.
+        self._queues: dict[int, deque[list]] = {l: deque() for l in self._frame_of}
+        self._counts: dict[int, int] = {l: 0 for l in self._frame_of}
         # Per frame, the links with a non-empty queue.
         self._backlog: list[set[int]] = [set() for _ in range(self.n_frames)]
         self._credit: dict[int, float] = {l: 0.0 for l in self._frame_of}
@@ -231,87 +237,142 @@ class Simulator:
     # -- slot mechanics -------------------------------------------------
 
     def _inject(self) -> None:
-        if self.slot < self._min_due:
-            return
+        """Inject every packet due at this slot's start, flow by flow. A
+        flow's packets arrive at its first link as if forwarded there."""
         cfg = self.config
-        now = self.slot * cfg.slot_s
         tol = cfg.slot_s * _TIME_EPS
-        qcap = cfg.queue_packets
+        limit = self.slot * cfg.slot_s + tol
+        arrivals = []
         for fr in self._flows:
             if fr.due > self.slot:
                 continue
-            first = fr.route[0]
-            q = self._queues[first]
-            while fr.next_t <= now + tol:
-                self.generated += 1
-                fr.stats.generated += 1
-                if len(q) >= qcap:
-                    self.dropped += 1
-                    fr.stats.dropped += 1
-                else:
-                    if not q:
-                        self._backlog[self._frame_of[first]].add(first)
-                    q.append(_Packet(fr, fr.next_t))
-                    self.in_flight += 1
-                fr.next_idx += 1
+            # The packet at next_idx is due from slot ``due`` on; so is each
+            # next one whose time, next_t at its index, is at most limit.
+            times = [fr.next_t]
+            idx, interval = fr.next_idx + 1, fr.interval_s
+            t = idx * interval
+            while t <= limit:
+                times.append(t)
+                idx += 1
+                t = idx * interval
+            self.generated += len(times)
+            self.in_flight += len(times)
+            fr.stats.generated += len(times)
+            arrivals.append([fr, -1, times, 0])
+            fr.next_idx = idx
             fr.set_due(cfg.slot_s, tol)
         self._min_due = min(fr.due for fr in self._flows)
+        self._forward(arrivals)
+
+    def _forward(self, moved: list[list]) -> None:
+        """Move each run [flow, hop, inject times, 0], in order, off hop
+        ``hop`` of its flow's route (-1 for packets just injected): delivered
+        at the end of the slot past the last hop, else appended to the next
+        hop's queue as far as it has room, the rest dropped."""
+        queues, counts = self._queues, self._counts
+        qcap = self.config.queue_packets
+        for run in moved:
+            fr, hop, times, _ = run
+            k = len(times)
+            st = fr.stats
+            route = fr.route
+            hop += 1
+            if hop == len(route):
+                self.in_flight -= k
+                self.delivered += k
+                self.delivered_bits += k * fr.size_bits
+                st.delivered += k
+                st.delivered_bits += k * fr.size_bits
+                # Delays add up one packet at a time, in service order.
+                end_t = (self.slot + 1) * self.config.slot_s
+                total, flow_total = self.delay_sum_s, st.delay_sum_s
+                for t in times:
+                    total += end_t - t
+                    flow_total += end_t - t
+                self.delay_sum_s, st.delay_sum_s = total, flow_total
+                continue
+            link = route[hop]
+            room = qcap - counts[link]
+            if k > room:
+                self.in_flight -= k - room
+                self.dropped += k - room
+                st.dropped += k - room
+                del times[room:]
+                k = room
+                if not k:
+                    continue
+            q = queues[link]
+            counts[link] += k
+            if q and q[-1][0] is fr and q[-1][1] == hop:
+                q[-1][2].extend(times)
+                continue
+            if not q:
+                self._backlog[self._frame_of[link]].add(link)
+            run[1] = hop
+            q.append(run)
 
     def step(self) -> None:
         cfg = self.config
-        self._inject()
+        if self.slot >= self._min_due:
+            self._inject()
 
-        # Serve the links backlogged at slot start in link order; packets
-        # forwarded in this slot wait in the outbox until service ends.
+        # Serve the links backlogged at slot start in link order; they stay
+        # in the backlog, which sets each one's divisor, until service ends.
+        # Packets served in this slot wait in the outbox until then too.
         backlog = self._backlog[self.slot % self.n_frames]
         served = sorted(backlog)
-        divisors = [sum(1 for q in self._co_ch[l] if q in backlog) for l in served]
-        queues, credit, audit = self._queues, self._credit, self.audit
+        queues, counts, credit, others = self._queues, self._counts, self._credit, self._others
+        audit = self.audit
 
-        outbox: list[_Packet] = []
+        outbox: list[list] = []
         slot_bits = cfg.channel_capacity_bps * cfg.slot_s
-        for l, divisor in zip(served, divisors):
+        eps = _CREDIT_EPS
+        for l in served:
+            co_ch = others[l]
+            divisor = 1 + sum(1 for q in co_ch if q in backlog) if co_ch else 1
             share = slot_bits / divisor
             c = credit[l] + share
             if audit is not None:
                 audit.record(self.slot, l, share, divisor)
             q = queues[l]
-            while q and q[0].size_bits <= c + _CREDIT_EPS:
-                pkt = q.popleft()
-                c -= pkt.size_bits
-                outbox.append(pkt)
+            while q:
+                run = q[0]
+                size = run[0].size_bits
+                if size > c + eps:
+                    break
+                fr, hop, times, head = run
+                c -= size
+                i, end = head + 1, len(times)
+                while i < end and size <= c + eps:
+                    c -= size
+                    i += 1
+                counts[l] -= i - head
+                # A run served to its end moves on itself; a run served in
+                # part stays, and a new run takes the packets served.
+                if i == end:
+                    q.popleft()
+                    if head:
+                        run[2], run[3] = times[head:], 0
+                    outbox.append(run)
+                    continue
+                outbox.append([fr, hop, times[head:i], 0])
+                # Drop the served prefix once it outgrows the rest, so
+                # serving costs the packets served, amortized.
+                if 2 * i >= end:
+                    del times[:i]
+                    i = 0
+                run[3] = i
+                break
             credit[l] = c
-            if not q:
-                backlog.discard(l)
 
-        end_t = (self.slot + 1) * cfg.slot_s
-        for pkt in outbox:
-            route = pkt.flow.route
-            st = pkt.flow.stats
-            if pkt.hop == len(route) - 1:
-                self.in_flight -= 1
-                self.delivered += 1
-                self.delivered_bits += pkt.size_bits
-                self.delay_sum_s += end_t - pkt.inject_t
-                st.delivered += 1
-                st.delivered_bits += pkt.size_bits
-                st.delay_sum_s += end_t - pkt.inject_t
-            else:
-                pkt.hop += 1
-                link = route[pkt.hop]
-                q = queues[link]
-                if len(q) >= cfg.queue_packets:
-                    self.in_flight -= 1
-                    self.dropped += 1
-                    st.dropped += 1
-                else:
-                    if not q:
-                        self._backlog[self._frame_of[link]].add(link)
-                    q.append(pkt)
+        if outbox:
+            self._forward(outbox)
 
-        # Only a served link can hold credit with an empty queue.
+        # A served link left empty leaves the backlog with no credit; only a
+        # served link can hold credit with an empty queue.
         for l in served:
             if not queues[l]:
+                backlog.discard(l)
                 credit[l] = 0.0
 
         if self.generated != self.delivered + self.dropped + self.in_flight:

@@ -142,13 +142,24 @@ def _pairs_within(points: list[tuple[float, float]],
     return pairs
 
 
+def _coincident(u: int, v: int, spacing: float | None) -> ConfigurationError:
+    """The error for nodes u < v at one point: it names the generator's
+    spacing, or the second of two explicit nodes when ``spacing`` is None."""
+    if spacing is None:
+        return invalid(f"topology.nodes[{v}]", f"coincides with node {u}")
+    return invalid("topology.spacing",
+                   f"{spacing} m puts nodes {u} and {v} at one point (distances round to 1 nm)")
+
+
 def _links_from_positions(nodes: tuple[MeshNode, ...], tx_range: float,
-                          d0: float, alpha: float) -> tuple[VirtualLink, ...]:
-    """All node pairs within tx_range become links, in (u, v) order."""
+                          d0: float, alpha: float,
+                          spacing: float | None = None) -> tuple[VirtualLink, ...]:
+    """All node pairs within tx_range become links, in (u, v) order. Nodes at
+    one point are within range of each other, so the search meets them."""
     links: list[VirtualLink] = []
     for u, v, d in _pairs_within([(n.x, n.y) for n in nodes], tx_range * (1.0 + _RANGE_TOL)):
         if d == 0:
-            raise invalid(f"topology.nodes[{v}]", f"coincides with node {u}")
+            raise _coincident(u, v, spacing)
         links.append(VirtualLink(u, v, d, link_gain(d, d0, alpha)))
     return tuple(links)
 
@@ -241,6 +252,11 @@ def build_topology(kind: str, n: int, spacing: float, *,
     nodes = tuple(MeshNode(x, y) for x, y in positions)
 
     if kind == "binary-tree":
+        # The links are the parent-child edges, not a range search, so look
+        # for nodes at one point separately.
+        coincident = _pairs_within(positions, 0.0)
+        if coincident:
+            raise _coincident(coincident[0][0], coincident[0][1], spacing)
         links: list[VirtualLink] = []
         for child in range(1, n):
             parent = (child - 1) // 2
@@ -248,7 +264,7 @@ def build_topology(kind: str, n: int, spacing: float, *,
             links.append(VirtualLink(parent, child, d, link_gain(d, d0, alpha)))
         link_tuple = tuple(links)
     else:
-        link_tuple = _links_from_positions(nodes, tx_range, d0, alpha)
+        link_tuple = _links_from_positions(nodes, tx_range, d0, alpha, spacing)
 
     return Topology(nodes, link_tuple, tx_range, interference_range)
 

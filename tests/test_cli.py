@@ -227,6 +227,13 @@ def test_malformed_document_exit_code(tmp_path, capsys, case):
     assert_validation_error(tmp_path, capsys, *MALFORMED[case])
 
 
+@pytest.mark.parametrize("kind", ["ring", "grid", "star", "binary-tree"])
+def test_generated_nodes_at_one_point_name_spacing(tmp_path, capsys, kind):
+    # 1e-12 m is below the 1 nm to which distances round
+    doc = edited(edited(MINI, ("topology", "spacing"), 1e-12), ("topology", "kind"), kind)
+    assert_validation_error(tmp_path, capsys, doc, "topology.spacing")
+
+
 def test_sweep_channel_count_out_of_bounds(tmp_path, capsys):
     assert main(["sweep-channels", "--scenario", scenario_file(tmp_path),
                  "--channels", "2,257"]) == 3

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       run_simulation, scenario_from_dict, sim_input,
                       sweep_channels, sweep_time)
 
-from meshplan.sim import _TIME_EPS, _FlowRun, sim_key
+from meshplan.sim import _CREDIT_EPS, _TIME_EPS, _FlowRun, sim_key
 
 from conftest import cbr, profile
 
@@ -210,12 +211,16 @@ def test_prefix_property_and_monotone_injection():
     assert sim.metrics() == long_result.metrics
 
 
+def planned_input(scenario, protocol, **overrides):
+    result = run_pipeline(scenario, protocol, **overrides)
+    return result, sim_input(build_interference_map(scenario.build_topology()),
+                             scenario.traffic, result.routes, result.assignment)
+
+
 def run_both_ways(scenario, protocol, **overrides):
     """metrics() and audit grants from run(), which jumps over idle slots,
     and from a loop that steps every slot."""
-    result = run_pipeline(scenario, protocol, **overrides)
-    inp = sim_input(build_interference_map(scenario.build_topology()),
-                    scenario.traffic, result.routes, result.assignment)
+    result, inp = planned_input(scenario, protocol, **overrides)
     outcomes = []
     for jump in (True, False):
         audit = ServiceAudit()
@@ -237,15 +242,19 @@ def small_doc(n, flows, horizon_s, seed=1, spacing=200.0, kind="chain"):
             "sim": {"horizon_s": horizon_s, "seed": seed}}
 
 
+def saturated_chain(horizon_s, queue_packets=64):
+    doc = small_doc(8, [{"src": 0, "dst": 7, "rate_bps": 5.3e6, "packet_bytes": 64}], horizon_s)
+    doc["sim"]["queue_packets"] = queue_packets
+    return scenario_from_dict(doc)
+
+
 @pytest.mark.parametrize("protocol", ["ccmca", "baseline"])
 def test_run_equals_stepping_every_slot(protocol):
     table1 = scenario_from_dict({"preset": "paper-table1", "sim": {"horizon_s": 20.0}})
     jumped, stepped = run_both_ways(table1, protocol, n_channels=3)
     assert jumped == stepped
 
-    saturated = scenario_from_dict(small_doc(8, [{"src": 0, "dst": 7, "rate_bps": 5.3e6,
-                                                  "packet_bytes": 64}], 1.0))
-    jumped, stepped = run_both_ways(saturated, protocol)
+    jumped, stepped = run_both_ways(saturated_chain(1.0), protocol)
     assert jumped == stepped
     assert jumped[0].dropped > 0
 
@@ -387,3 +396,176 @@ def test_sweep_rejects_bad_inputs():
         sweep_channels(scenario, [0])
     with pytest.raises(ValueError):
         sweep_time(scenario, [-1.0])
+
+
+class _Packet:
+    __slots__ = ("flow", "size_bits", "inject_t", "hop")
+
+    def __init__(self, flow, inject_t):
+        self.flow = flow
+        self.size_bits = flow.size_bits
+        self.inject_t = inject_t
+        self.hop = 0
+
+
+class PacketSimulator(Simulator):
+    """Reference: the simulator with a deque of packet objects per link,
+    each packet injected, served and forwarded on its own. The run-length
+    queues must give the same metrics and service grants."""
+
+    def __init__(self, inp, config, audit=None):
+        super().__init__(inp, config, audit)
+        self._co_ch = {l: co_ch for l, _, co_ch in inp.links}
+        self._queues = {l: deque() for l in self._frame_of}
+
+    def _inject(self):
+        if self.slot < self._min_due:
+            return
+        cfg = self.config
+        now = self.slot * cfg.slot_s
+        tol = cfg.slot_s * _TIME_EPS
+        for fr in self._flows:
+            if fr.due > self.slot:
+                continue
+            first = fr.route[0]
+            q = self._queues[first]
+            while fr.next_t <= now + tol:
+                self.generated += 1
+                fr.stats.generated += 1
+                if len(q) >= cfg.queue_packets:
+                    self.dropped += 1
+                    fr.stats.dropped += 1
+                else:
+                    if not q:
+                        self._backlog[self._frame_of[first]].add(first)
+                    q.append(_Packet(fr, fr.next_t))
+                    self.in_flight += 1
+                fr.next_idx += 1
+            fr.set_due(cfg.slot_s, tol)
+        self._min_due = min(fr.due for fr in self._flows)
+
+    def step(self):
+        cfg = self.config
+        self._inject()
+        backlog = self._backlog[self.slot % self.n_frames]
+        served = sorted(backlog)
+        divisors = [sum(1 for q in self._co_ch[l] if q in backlog) for l in served]
+        outbox = []
+        slot_bits = cfg.channel_capacity_bps * cfg.slot_s
+        for l, divisor in zip(served, divisors):
+            share = slot_bits / divisor
+            c = self._credit[l] + share
+            if self.audit is not None:
+                self.audit.record(self.slot, l, share, divisor)
+            q = self._queues[l]
+            while q and q[0].size_bits <= c + _CREDIT_EPS:
+                pkt = q.popleft()
+                c -= pkt.size_bits
+                outbox.append(pkt)
+            self._credit[l] = c
+            if not q:
+                backlog.discard(l)
+        end_t = (self.slot + 1) * cfg.slot_s
+        for pkt in outbox:
+            route, st = pkt.flow.route, pkt.flow.stats
+            if pkt.hop == len(route) - 1:
+                self.in_flight -= 1
+                self.delivered += 1
+                self.delivered_bits += pkt.size_bits
+                self.delay_sum_s += end_t - pkt.inject_t
+                st.delivered += 1
+                st.delivered_bits += pkt.size_bits
+                st.delay_sum_s += end_t - pkt.inject_t
+            else:
+                pkt.hop += 1
+                link = route[pkt.hop]
+                q = self._queues[link]
+                if len(q) >= cfg.queue_packets:
+                    self.in_flight -= 1
+                    self.dropped += 1
+                    st.dropped += 1
+                else:
+                    if not q:
+                        self._backlog[self._frame_of[link]].add(link)
+                    q.append(pkt)
+        for l in served:
+            if not self._queues[l]:
+                self._credit[l] = 0.0
+        self.slot += 1
+
+
+def assert_equals_packet_oracle(scenario, protocol, **overrides):
+    """run() gives the metrics and grants of the per-packet reference stepped
+    through every slot; returns those metrics."""
+    result, inp = planned_input(scenario, protocol, **overrides)
+    audit, oracle_audit = ServiceAudit(), ServiceAudit()
+    sim = Simulator(inp, result.config, audit)
+    sim.run()
+    oracle = PacketSimulator(inp, result.config, oracle_audit)
+    while oracle.slot < result.config.n_slots:
+        oracle.step()
+    assert sim.metrics() == oracle.metrics() == result.metrics
+    assert audit.grants == oracle_audit.grants
+    return result.metrics
+
+
+@pytest.mark.parametrize("protocol", ["ccmca", "baseline"])
+def test_run_length_queues_equal_packet_oracle_on_presets(protocol):
+    table1 = scenario_from_dict({"preset": "paper-table1", "sim": {"horizon_s": 5.0}})
+    assert assert_equals_packet_oracle(table1, protocol, n_channels=3).delivered > 0
+    m = assert_equals_packet_oracle(saturated_chain(1.0), protocol)
+    assert m.dropped > 0 and m.delivered > 1000
+    # One channel: the ring's 64 KiB vod packets need many slots of credit.
+    ring = fast_ring(horizon_s=10.0)
+    assert assert_equals_packet_oracle(ring, protocol, n_channels=1).delivered > 0
+
+
+@pytest.mark.parametrize("protocol", ["ccmca", "baseline"])
+def test_run_length_queues_deep_queue_equal_packet_oracle(protocol):
+    # A queue that never fills holds one long run at the first hop; serving
+    # from its head must neither drop nor reorder packets.
+    scenario = saturated_chain(1.0, queue_packets=100_000)
+    m = assert_equals_packet_oracle(scenario, protocol)
+    assert m.dropped == 0 and m.in_flight > 500
+    # The head run drops its served prefix once that outgrows the rest, so
+    # the lists a queue holds never reach twice its packets.
+    result, inp = planned_input(scenario, protocol)
+    sim = Simulator(inp, result.config)
+    for until in range(50, result.config.n_slots + 1, 50):
+        sim.run(until_slot=until)
+        for link, q in sim._queues.items():
+            assert sum(len(times) for _, _, times, _ in q) <= 2 * sim._counts[link]
+
+
+@st.composite
+def shared_link_scenarios(draw):
+    """2-4 flows on a chain or ring, each from one side of link (j, j+1) to
+    the other, in either direction, so their routes share links and their
+    runs interleave in one queue; mixed packet sizes, the largest needing
+    several slots of credit; queues as short as one packet."""
+    kind = draw(st.sampled_from(["chain", "ring"]))
+    n = draw(st.integers(min_value=3, max_value=7))
+    j = draw(st.integers(min_value=0, max_value=n - 2))
+    flows = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        src = draw(st.integers(min_value=0, max_value=j))
+        dst = draw(st.integers(min_value=j + 1, max_value=n - 1))
+        if draw(st.booleans()):
+            src, dst = dst, src
+        flows.append({"src": src, "dst": dst, "kind": "cbr",
+                      "rate_bps": draw(st.floats(min_value=1e4, max_value=6e6)),
+                      "packet_bytes": draw(st.sampled_from([40, 64, 125, 1500, 4000]))})
+    pairs = [(f["src"], f["dst"]) for f in flows]
+    flows = [f for i, f in enumerate(flows) if (f["src"], f["dst"]) not in pairs[:i]]
+    doc = small_doc(n, flows, draw(st.sampled_from([0.05, 0.1, 0.3])),
+                    seed=draw(st.integers(1, 1000)), spacing=250.0, kind=kind)
+    doc["sim"]["queue_packets"] = draw(st.sampled_from([1, 4, 64]))
+    return (scenario_from_dict(doc), draw(st.sampled_from(["ccmca", "baseline"])),
+            draw(st.integers(min_value=1, max_value=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_link_scenarios())
+def test_run_length_queues_equal_packet_oracle_random(case):
+    scenario, protocol, n_channels = case
+    assert_equals_packet_oracle(scenario, protocol, n_channels=n_channels)
