@@ -9,7 +9,7 @@ seeded random-assignment baseline.
 """
 
 from .channels import (ChannelAssignment, assign_frame, baseline_assign,
-                       channel_gain_sum, eligible, order_links,
+                       channel_gain_sums, eligible, order_links,
                        schedule_all_frames)
 from .errors import (ConfigurationError, ContractError, MeshPlanError,
                      PipelineError, ScenarioParseError,

@@ -59,11 +59,18 @@ def eligible(link: int, frame_of: Sequence[int | None],
     return all(frame_of[e] != frame for e in n1[link])
 
 
-def channel_gain_sum(link: int, channel: int, channel_of: Sequence[int | None],
-                     imap: InterferenceMap, gains: Sequence[float]) -> float:
-    """Summed gain of assigned co-channel links that interfere with `link`."""
-    # sorted so the float summation order never depends on set internals
-    return sum(gains[q] for q in sorted(imap.interferers[link]) if channel_of[q] == channel)
+def channel_gain_sums(link: int, n_channels: int, channel_of: Sequence[int | None],
+                      imap: InterferenceMap, gains: Sequence[float]) -> list[float]:
+    """Per channel, the summed gain of the assigned links on it that
+    interfere with `link`."""
+    sums = [0.0] * n_channels
+    # sorted so that each channel's float sum runs in ascending link order,
+    # never in an order that depends on set internals
+    for q in sorted(imap.interferers[link]):
+        c = channel_of[q]
+        if c is not None:
+            sums[c] += gains[q]
+    return sums
 
 
 def assign_frame(order: Sequence[int], channel_of: list[int | None],
@@ -76,8 +83,8 @@ def assign_frame(order: Sequence[int], channel_of: list[int | None],
     for link in order:
         if channel_of[link] is not None or not eligible(link, frame_of, imap.n1, frame):
             continue
-        d = [channel_gain_sum(link, c, channel_of, imap, gains) for c in range(n_channels)]
-        channel_of[link] = min(range(n_channels), key=lambda c: (d[c], c))
+        d = channel_gain_sums(link, n_channels, channel_of, imap, gains)
+        channel_of[link] = d.index(min(d))  # ties to the smallest channel
         frame_of[link] = frame
         placed.append(link)
     return placed

@@ -77,13 +77,16 @@ def _hop_distances(adj, n_nodes: int, target: int) -> list[int]:
 
 def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
                                slack: int = DEFAULT_SLACK,
-                               cap: int = DEFAULT_PATH_CAP) -> tuple[Path, ...]:
+                               cap: int = DEFAULT_PATH_CAP, *,
+                               adjacency: list[list[tuple[int, int]]] | None = None
+                               ) -> tuple[Path, ...]:
     """Simple paths from s to d within (shortest hops + slack), as link-id
     sequences in lexicographic order, truncated to at most cap paths.
 
     The DFS explores incident links in ascending id order, which emits
     paths directly in lexicographic order, so truncation equals
-    sort-then-cut. Disconnected pairs yield the empty tuple.
+    sort-then-cut. Disconnected pairs yield the empty tuple. ``adjacency``
+    is ``topology.adjacency()``, built here when not given.
     """
     if s == d:
         raise ValueError("source and destination must differ")
@@ -94,7 +97,7 @@ def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
     if cap < 1:
         raise ValueError("cap must be >= 1")
 
-    adj = topology.adjacency()
+    adj = topology.adjacency() if adjacency is None else adjacency
     dist_to_d = _hop_distances(adj, topology.n_nodes, d)
     if dist_to_d[s] < 0:
         return ()
@@ -133,7 +136,9 @@ def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
 def acceptable_paths_for_profile(topology: Topology, profile: TrafficProfile,
                                  slack: int = DEFAULT_SLACK,
                                  cap: int = DEFAULT_PATH_CAP) -> dict[Pair, tuple[Path, ...]]:
-    return {pair: enumerate_acceptable_paths(topology, pair[0], pair[1], slack, cap)
+    adj = topology.adjacency()
+    return {pair: enumerate_acceptable_paths(topology, pair[0], pair[1], slack, cap,
+                                             adjacency=adj)
             for pair in profile.pairs()}
 
 

@@ -123,15 +123,20 @@ class _FlowRun:
     def set_due(self, slot_s: float, tol: float) -> None:
         """Set ``due`` to the first slot s with next_t <= s * slot_s + tol,
         the test by which ``Simulator._inject`` admits a packet. The test is
-        monotone in s, so a gallop out from next_t / slot_s and a bisection
-        find its first slot with that very comparison and never disagree
+        monotone in s, so a slot that passes it while the slot before does
+        not is the first. That is nearly always ceil(next_t / slot_s), so it
+        is tried first; otherwise a gallop out from there and a bisection
+        find the first slot with that very comparison and never disagree
         with it."""
         t = self.next_t
+        s = math.ceil(t / slot_s)
+        if t <= s * slot_s + tol and not t <= (s - 1) * slot_s + tol:
+            self.due = s
+            return
 
         def admits(s: int) -> bool:
             return t <= s * slot_s + tol
 
-        s = math.ceil(t / slot_s)
         gap = 1
         if admits(s):
             lo, hi = s - 1, s

@@ -10,16 +10,22 @@ Both rules are found by a cell-list neighbour search (Allen & Tildesley,
 *Computer Simulation of Liquids*, 1987) instead of testing every pair.
 Points are binned into square cells a little wider than the largest
 distance that passes the range test, so two points that pass it lie in the
-same or adjacent cells, and each point is tested only against the points of
-its 3x3 cells. Every candidate gets the same quantized ``_distance(...) <=
-limit`` test an all-pairs scan applies, and the pairs come out in ascending
-(i, j) order, so the links, their order and every interferer set equal the
-all-pairs result.
+same or adjacent cells. A half stencil visits each unordered pair of such
+cells once: every cell with itself and with its 4 forward neighbours. Each
+candidate pair is decided by its squared distance ``dx*dx + dy*dy`` when
+that lies clearly inside or clearly outside the limit; the thresholds are
+widened by the 1e-9 quantum to which ``_distance`` rounds and by a relative
+float slack. Only a pair in the narrow band between them, or whose squares
+overflow or underflow, gets the quantized ``_distance(...) <= limit`` test
+an all-pairs scan applies, so every pair passes exactly when it passes that
+scan. The pairs are sorted once into ascending (i, j) order, so the links,
+their order and every interferer set equal the all-pairs result.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -112,10 +118,9 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return round(math.hypot(a[0] - b[0], a[1] - b[1]), 9)
 
 
-def _pairs_within(points: list[tuple[float, float]],
-                  limit: float) -> list[tuple[int, int, float]]:
-    """Every (i, j, d) with i < j and d = _distance(points[i], points[j]) <= limit,
-    in ascending (i, j) order, found by the cell list of the module docstring."""
+def _pairs_within(points: list[tuple[float, float]], limit: float) -> list[tuple[int, int]]:
+    """Every (i, j) with i < j and _distance(points[i], points[j]) <= limit,
+    in ascending order, found by the cell list of the module docstring."""
     if not points:
         return []
     # Coordinates are halved so that no difference of two finite ones overflows.
@@ -126,19 +131,34 @@ def _pairs_within(points: list[tuple[float, float]],
     # 1e-9, and the cell arithmetic rounds too: the slack covers both. A cell
     # at least 2**-20 of the spread wide keeps every index within 2**20.
     half_side = max((limit + 1e-9) * (1 + 1e-6) / 2, half_spread * 2.0 ** -20)
-    keys = [(math.floor((x / 2 - x0) / half_side), math.floor((y / 2 - y0) / half_side))
-            for x, y in points]
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(keys):
-        cells.setdefault(key, []).append(i)
-    pairs = []
-    for i, (cx, cy) in enumerate(keys):
-        near = sorted(j for gx in (cx - 1, cx, cx + 1) for gy in (cy - 1, cy, cy + 1)
-                      for j in cells.get((gx, gy), ()) if j > i)
-        for j in near:
-            d = _distance(points[i], points[j])
-            if d <= limit:
-                pairs.append((i, j, d))
+    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
+    for i, (x, y) in enumerate(points):
+        key = (math.floor((x / 2 - x0) / half_side), math.floor((y / 2 - y0) / half_side))
+        cells.setdefault(key, []).append((i, x, y))
+    # A pair whose squared distance lies in [tiny, inside] has a _distance of
+    # at most the limit, and one above `outside` has more: each bound lies a
+    # rounding quantum from the limit, and the relative slack outweighs the
+    # float error of the squares, of hypot and of the rounding. An `inside`
+    # that overflows is capped. A pair whose squares underflow or overflow,
+    # or that lies between the bounds, gets the exact test.
+    lo, hi = limit - 1e-9, limit + 1e-9
+    tiny, inf = sys.float_info.min, math.inf
+    inside = min(lo * lo * (1 - 1e-12), sys.float_info.max) if lo > 0 else -1.0
+    outside = hi * hi * (1 + 1e-12)
+    pairs: list[tuple[int, int]] = []
+    for (cx, cy), here in cells.items():
+        ahead = [cells[key] for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
+                                        (cx, cy + 1)) if key in cells]
+        for k, (i, xi, yi) in enumerate(here):
+            for others in (here[k + 1:], *ahead):
+                for j, xj, yj in others:
+                    dx, dy = xi - xj, yi - yj
+                    s = dx * dx + dy * dy
+                    if (s <= inside and s >= tiny
+                            or (s <= outside or s == inf)
+                            and _distance((xi, yi), (xj, yj)) <= limit):
+                        pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
     return pairs
 
 
@@ -157,7 +177,9 @@ def _links_from_positions(nodes: tuple[MeshNode, ...], tx_range: float,
     """All node pairs within tx_range become links, in (u, v) order. Nodes at
     one point are within range of each other, so the search meets them."""
     links: list[VirtualLink] = []
-    for u, v, d in _pairs_within([(n.x, n.y) for n in nodes], tx_range * (1.0 + _RANGE_TOL)):
+    points = [(n.x, n.y) for n in nodes]
+    for u, v in _pairs_within(points, tx_range * (1.0 + _RANGE_TOL)):
+        d = _distance(points[u], points[v])
         if d == 0:
             raise _coincident(u, v, spacing)
         links.append(VirtualLink(u, v, d, link_gain(d, d0, alpha)))
@@ -283,10 +305,10 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
 
     Link j interferes with link i when their midpoints are within the
     interference range. The pairs come from the cell-list search of the
-    module docstring, which gives every pair that can pass the all-pairs
-    scan's quantized distance test that same test. Each set is filled in
-    ascending id order, as the scan filled it, so it equals the scan's set
-    and iterates in the same order.
+    module docstring, which decides every pair as the all-pairs scan's
+    quantized distance test does. Each set is filled in ascending id order,
+    as the scan filled it, so it equals the scan's set and iterates in the
+    same order.
     """
     links, nodes = topology.links, topology.nodes
     # Halved before the sum: the same midpoint as halving the sum, except at
@@ -294,7 +316,7 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
     mids = [(nodes[l.u].x / 2 + nodes[l.v].x / 2, nodes[l.u].y / 2 + nodes[l.v].y / 2)
             for l in links]
     near = [[i] for i in range(len(links))]
-    for i, j, _ in _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL)):
+    for i, j in _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL)):
         near[i].append(j)
         near[j].append(i)
     # Through a set filled in ascending order: a frozenset's iteration order

@@ -4,7 +4,7 @@ import pytest
 
 from meshplan import (ChannelAssignment, ConfigurationError, assign_frame,
                       baseline_assign, build_interference_map, build_topology,
-                      channel_gain_sum, eligible, order_links,
+                      channel_gain_sums, eligible, order_links,
                       schedule_all_frames)
 from meshplan.schema import from_json, to_json
 
@@ -48,10 +48,9 @@ def test_eligible_semantics(ring4, ring4_imap):
 def test_channel_gain_sum(ring4_imap):
     gains = [0.1, 0.2, 0.3, 0.05]
     channel_of = [None] * 4
-    assert channel_gain_sum(0, 0, channel_of, ring4_imap, gains) == 0.0
+    assert channel_gain_sums(0, 2, channel_of, ring4_imap, gains) == [0.0, 0.0]
     channel_of[1] = channel_of[3] = 0
-    assert channel_gain_sum(0, 0, channel_of, ring4_imap, gains) == pytest.approx(0.25)
-    assert channel_gain_sum(0, 1, channel_of, ring4_imap, gains) == 0.0
+    assert channel_gain_sums(0, 2, channel_of, ring4_imap, gains) == [pytest.approx(0.25), 0.0]
 
 
 def test_channel_gain_sum_counts_only_interferers(grid9):
@@ -60,13 +59,18 @@ def test_channel_gain_sum_counts_only_interferers(grid9):
     imap = build_interference_map(topo)
     gains = [l.gain for l in topo.links]
     channel_of = [None] * topo.n_links
-    for l in (0, 5, 11):
-        channel_of[l] = 0
+    assigned = {0: 0, 5: 0, 11: 0, 2: 1, 7: 1, 9: 2}
+    for l, c in assigned.items():
+        channel_of[l] = c
     for probe in range(topo.n_links):
         if channel_of[probe] is not None:
             continue
-        expect = sum(gains[q] for q in (0, 5, 11) if q in imap.interferers[probe])
-        assert channel_gain_sum(probe, 0, channel_of, imap, gains) == pytest.approx(expect)
+        # each channel's entry, summed by hand in ascending link order
+        expect = [0.0] * 4
+        for q in sorted(assigned):
+            if q in imap.interferers[probe]:
+                expect[assigned[q]] += gains[q]
+        assert channel_gain_sums(probe, 4, channel_of, imap, gains) == expect
 
 
 def test_assign_frame_single_link():
@@ -98,7 +102,7 @@ def test_assign_frame_ring4_matching_and_argmin(ring4, ring4_imap):
     assert channel_of[0] == 0
     assert channel_of[3] == 1  # channel 0 already carries an interferer
     # exhaustive argmin replay for the second placed link
-    d = [channel_gain_sum(3, c, [None] * 4, ring4_imap, gains) for c in range(2)]
+    d = channel_gain_sums(3, 2, [None] * 4, ring4_imap, gains)
     assert d == [0.0, 0.0]  # before link 0: ties; after: gain on channel 0 only
 
 

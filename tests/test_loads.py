@@ -109,6 +109,22 @@ def test_expected_load_ring4_even_split(ring4):
     assert delta == (50.0, 50.0, 50.0, 50.0)
 
 
+def test_profile_paths_build_adjacency_once(grid9, monkeypatch):
+    prof = profile(cbr(0, 8, 10.0), cbr(2, 6, 10.0), cbr(1, 7, 10.0))
+    alone = {f.pair: enumerate_acceptable_paths(grid9, f.src, f.dst, 1, 10)
+             for f in prof.flows}
+    calls = [0]
+    real = type(grid9).adjacency
+
+    def counted(topo):
+        calls[0] += 1
+        return real(topo)
+
+    monkeypatch.setattr(type(grid9), "adjacency", counted)
+    assert acceptable_paths_for_profile(grid9, prof, slack=1, cap=10) == alone
+    assert calls[0] == 1
+
+
 def test_expected_load_single_path():
     t = build_topology("chain", 4, 100.0, tx_range=100.0)
     prof = profile(cbr(0, 3, 100.0))

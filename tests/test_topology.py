@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -175,15 +176,18 @@ def test_topology_from_nodes_uses_range_rule():
 # All-pairs oracles: the scans the cell-list search replaced, with link
 # midpoints halved before the sum as build_interference_map takes them.
 
-def all_pairs_links(nodes, tx_range):
-    limit = tx_range * (1.0 + topology._RANGE_TOL)
+def all_pairs_within(points, limit):
     pairs = []
-    for u in range(len(nodes)):
-        for v in range(u + 1, len(nodes)):
-            d = topology._distance((nodes[u].x, nodes[u].y), (nodes[v].x, nodes[v].y))
+    for u in range(len(points)):
+        for v in range(u + 1, len(points)):
+            d = topology._distance(points[u], points[v])
             if d <= limit:
                 pairs.append((u, v, d))
     return pairs
+
+
+def all_pairs_links(nodes, tx_range):
+    return all_pairs_within([(n.x, n.y) for n in nodes], tx_range * (1.0 + topology._RANGE_TOL))
 
 
 def all_pairs_interferers(topo):
@@ -265,6 +269,39 @@ def test_cell_list_extreme_placements():
         assert build_interference_map(topo).interferers == all_pairs_interferers(topo)
 
 
+def band_distances(limit):
+    """Distances on both sides of where _distance's rounding can flip the
+    test (half a 1e-9 quantum from the limit) and of where the squared-
+    distance pre-test hands a pair to it (a quantum from the limit, widened
+    by a relative slack): each such edge, a few ulps and a relative 1e-15,
+    1e-13 and 1e-12 to either side, plus distances whose squares underflow."""
+    q = 1e-9
+    out = [1e-200, 1e-160, 3e-10, 7e-10]
+    for edge in (limit - q, limit - q / 2, limit, limit + q / 2, limit + q):
+        out += [edge * (1 + r) for r in (-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12)]
+        out += [math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    return [d for d in out if d >= 0]
+
+
+@pytest.mark.parametrize("limit", [1e-300, 1.0, 500.0, 1e10, 1e160])
+def test_pairs_within_rounding_band(limit):
+    # Pairs placed by direction and distance from two bases, one of which
+    # makes the coordinate differences round; and pairs whose coordinate
+    # differences are 1.3e154 or more, so that their squares overflow.
+    directions = [(1.0, 0.0), (0.0, -1.0), (math.sqrt(0.5), math.sqrt(0.5)), (-0.6, 0.8)]
+    bases = [(0.0, 0.0), (-3.3 * limit, 7.1 * limit)]
+    cases = [[(bx, by), (bx + d * ux, by + d * uy)]
+             for bx, by in bases for ux, uy in directions for d in band_distances(limit)]
+    cases += [[(0.0, 0.0), (1.3e154, 0.0)], [(0.0, 0.0), (-2e154, 3e154)],
+              [(1e160, -1e160), (1e160 - 1.4e154, -1e160)], [(-1e308, 0.0), (1e308, 0.0)]]
+    outcomes = set()
+    for points in cases:
+        expected = [(i, j) for i, j, _ in all_pairs_within(points, limit)]
+        assert topology._pairs_within(points, limit) == expected, points
+        outcomes.add(bool(expected))
+    assert outcomes == {True, False}
+
+
 @pytest.fixture
 def distance_calls(monkeypatch):
     calls = [0]
@@ -299,3 +336,22 @@ def test_grid_plan_distance_work(distance_calls):
     topo, *_ = plan(scenario, "ccmca")
     assert (topo.n_nodes, topo.n_links) == (2000, 40 * 49 + 50 * 39)
     assert distance_calls[0] < 1_000_000
+
+
+def test_grid_distance_calls_only_for_links_and_band(distance_calls):
+    # Only a link's own distance and a pair within a nanometre or so of the
+    # range need _distance; the squared distance decides every other pair.
+    # A 3x3-cell scan calling it for every candidate makes 2,392 calls for
+    # the links and 35,371 for the interferer pairs.
+    topo = build_topology("grid", 400, 200.0)
+    limit = topo.tx_range * (1.0 + topology._RANGE_TOL)
+    points = [(n.x, n.y) for n in topo.nodes]
+    band = sum(1 for a, b in itertools.combinations(points, 2)
+               if abs(math.dist(a, b) - limit) <= 1e-6)
+    assert topo.n_links == 760
+    assert distance_calls[0] <= topo.n_links + band
+    distance_calls[0] = 0
+    imap = build_interference_map(topo)
+    pairs = sum(len(s) - 1 for s in imap.interferers) // 2
+    assert pairs == 12_238
+    assert distance_calls[0] < pairs
