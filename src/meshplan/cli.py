@@ -111,7 +111,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_assign(args) -> int:
     scenario = load_scenario(args.scenario)
     *_, assignment = plan(scenario, args.protocol)
-    _emit(AssignmentReport(scenario.name, args.protocol, assignment), args.format, args.out)
+    _emit(AssignmentReport(scenario, args.protocol, assignment), args.format, args.out)
     return EXIT_OK
 
 

@@ -24,16 +24,19 @@ PROTOCOLS = ("ccmca", "baseline")
 
 @dataclass(frozen=True)
 class PipelineResult:
-    scenario_name: str
+    """One run: the resolved scenario it ran and what each stage made of it."""
+    scenario: Scenario
     protocol: str
-    n_channels: int
-    config: SimConfig
     loads: LoadEstimate
     costs: LinkCost
     routes: RouteTable
     assignment: ChannelAssignment
     metrics: SimMetrics
     goodput: GoodputReport
+
+    @property
+    def config(self) -> SimConfig:
+        return self.scenario.sim
 
     def to_dict(self) -> dict:
         return to_json(self)
@@ -102,8 +105,9 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     """Run every stage for one scenario/protocol and return the bundle.
 
     The keyword overrides exist for sweeps; they leave the scenario object
-    untouched. ``_sims`` is a sweep's map from ``sim_key`` to the metrics
-    already simulated in that sweep; a run whose key is there reuses them.
+    untouched, and the bundle carries it with them applied. ``_sims`` is a
+    sweep's map from ``sim_key`` to the metrics already simulated in that
+    sweep; a run whose key is there reuses them.
     Assigned per-pair bandwidth is the delivered share of the pair's demand,
     so goodput is exactly the demand when delivery is total.
     """
@@ -120,17 +124,15 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
         metrics = sims[key]
     with _stage("goodput"):
         assigned = {}
-        for pair in scenario.traffic.pairs():
+        for pair, flow in sorted(scenario.traffic.by_pair().items()):
             stats = metrics.per_flow.get(pair)
-            rate = scenario.traffic.by_pair()[pair].rate_bps
             if stats is not None and stats.generated > 0:
-                assigned[pair] = rate * (stats.delivered / stats.generated)
+                assigned[pair] = flow.rate_bps * (stats.delivered / stats.generated)
             else:
                 assigned[pair] = 0.0
         report = goodput(assigned, scenario.traffic)
 
-    return PipelineResult(scenario.name, protocol, scenario.algorithm.n_channels,
-                          scenario.sim, loads, costs, routes, assignment, metrics, report)
+    return PipelineResult(scenario, protocol, loads, costs, routes, assignment, metrics, report)
 
 
 @dataclass(frozen=True)
@@ -156,10 +158,10 @@ _METRICS = tuple(f.name for f in fields(SweepRow))[5:]
 
 
 def result_row(result: PipelineResult) -> SweepRow:
-    m = result.metrics
-    return SweepRow(result.scenario_name, result.protocol, result.n_channels,
-                    result.config.horizon_s, result.config.seed, m.generated,
-                    m.delivered, m.dropped, m.avg_delay_s, m.pdr, m.throughput_pkts)
+    m, s = result.metrics, result.scenario
+    return SweepRow(s.name, result.protocol, s.algorithm.n_channels, s.sim.horizon_s,
+                    s.sim.seed, m.generated, m.delivered, m.dropped, m.avg_delay_s,
+                    m.pdr, m.throughput_pkts)
 
 
 def _mean_row(rows: list[SweepRow]) -> SweepRow:

@@ -14,6 +14,7 @@ from pathlib import Path as FsPath
 
 from .channels import ChannelAssignment
 from .pipeline import PipelineResult, SweepRow, result_row
+from .scenario import Scenario
 from .schema import to_json
 
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
@@ -23,8 +24,8 @@ ASSIGNMENT_COLUMNS = ("link", "channel", "frame")
 
 @dataclass(frozen=True)
 class AssignmentReport:
-    """What ``meshplan assign`` writes: a plan's channel assignment."""
-    scenario: str
+    """What ``meshplan assign`` writes: a plan and the scenario it planned."""
+    scenario: Scenario
     protocol: str
     assignment: ChannelAssignment
 

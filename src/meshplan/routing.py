@@ -26,10 +26,6 @@ DEFAULT_MAX_ITERS = 10
 @dataclass(frozen=True)
 class LinkCost:
     values: tuple[float, ...]
-    threshold_fraction: float = param(gt=0, le=1)
-
-    def __post_init__(self):
-        check(self)
 
     def path_cost(self, links: Path) -> float:
         return sum(self.values[l] for l in links)
@@ -56,7 +52,7 @@ def cost_table(load, capacity, threshold_fraction: float = DEFAULT_THRESHOLD_FRA
     if len(load) != len(capacity):
         raise ContractError("load and capacity vectors differ in length")
     return LinkCost(tuple(link_cost(d, c, threshold_fraction)
-                          for d, c in zip(load, capacity)), threshold_fraction)
+                          for d, c in zip(load, capacity)))
 
 
 @dataclass(frozen=True)

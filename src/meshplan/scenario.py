@@ -2,10 +2,11 @@
 sections, strict key and type validation, defaults, and the named presets.
 
 Every section is decoded by ``schema.from_json`` against the dataclass that
-declares its fields, so a failure names the section and the field. This
-module adds only what no field declares: the allowed top-level keys, preset
-merging, per-kind flow defaults, a non-empty flow list and flow nodes that
-exist. A document may be just {"preset": "<name>"}; any sections given
+declares its fields, so a failure names the section and the field. A
+``Scenario`` also requires a non-empty flow list and flow nodes that exist,
+so one decoded from a result bundle obeys the same rules. This module's
+parser adds only the allowed top-level keys, preset merging and per-kind
+flow defaults. A document may be just {"preset": "<name>"}; any sections given
 alongside the preset override the preset's values key by key.
 """
 
@@ -25,18 +26,24 @@ from .topology import (DEFAULT_GAIN_EXP, DEFAULT_GAIN_REF, DEFAULT_TX_RANGE,
                        topology_from_nodes)
 from .traffic import TrafficProfile, vod_flow, voip_flow
 
+# Bound on the nodes of one topology, generated or listed: ten times the
+# 10,000-node grid planned in CI.
+MAX_NODES = 100_000
+
 
 @dataclass(frozen=True)
 class TopologySpec:
     """Either a generator (kind/n/spacing) or explicit node placements."""
     kind: str | None = param(None, choices=TOPOLOGY_KINDS)
-    n: int | None = param(None, ge=2)
+    n: int | None = param(None, ge=2, le=MAX_NODES)
     spacing: float | None = param(None, gt=0)
     tx_range: float = param(DEFAULT_TX_RANGE, gt=0)
     nodes: tuple[MeshNode, ...] = ()
 
     def __post_init__(self):
         check(self)
+        if len(self.nodes) > MAX_NODES:
+            raise invalid("nodes", f"must list at most {MAX_NODES} nodes, got {len(self.nodes)}")
         generator = {"kind": self.kind, "n": self.n, "spacing": self.spacing}
         if self.nodes:
             given = [k for k, v in generator.items() if v is not None]
@@ -77,6 +84,15 @@ class Scenario:
 
     def __post_init__(self):
         check(self)
+        if not self.traffic.flows:
+            raise invalid("traffic.flows", "must not be empty")
+        n = self.topology.n_nodes
+        for i, flow in enumerate(self.traffic.flows):
+            for end in ("src", "dst"):
+                node = getattr(flow, end)
+                if not 0 <= node < n:
+                    raise invalid(f"traffic.flows[{i}].{end}",
+                                  f"node {node} not in topology (0..{n - 1})")
 
     def build_topology(self) -> Topology:
         spec, alg = self.topology, self.algorithm
@@ -157,23 +173,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise invalid(f"scenario.{section}", "required")
         topology = from_json(TopologySpec, doc["topology"], "topology")
         traffic = from_json(TrafficProfile, _with_kind_defaults(doc["traffic"]), "traffic")
-        if not traffic.flows:
-            raise invalid("traffic.flows", "must not be empty")
-        n = topology.n_nodes
-        for i, flow in enumerate(traffic.flows):
-            for end in ("src", "dst"):
-                node = getattr(flow, end)
-                if not 0 <= node < n:
-                    raise invalid(f"traffic.flows[{i}].{end}",
-                                  f"node {node} not in topology (0..{n - 1})")
         algorithm = from_json(AlgorithmParams, doc.get("algorithm", {}), "algorithm")
         sim = from_json(SimConfig, doc.get("sim", {}), "sim")
-    except ConfigurationError as e:
-        raise ScenarioValidationError(str(e)) from e
-    try:
         return Scenario(doc.get("name", "scenario"), topology, traffic, algorithm, sim)
     except ConfigurationError as e:
-        raise ScenarioValidationError(f"scenario.{e}") from e
+        # The name is the document's own field; every other check names its section.
+        raise ScenarioValidationError(
+            f"scenario.{e}" if str(e).startswith("name:") else str(e)) from e
 
 
 def parse_scenario(path: str | FsPath) -> Scenario:

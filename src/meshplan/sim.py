@@ -83,7 +83,6 @@ class SimMetrics:
     delivered: int = param(0, ge=0)
     dropped: int = param(0, ge=0)
     in_flight: int = param(0, ge=0)
-    blocked_flows: int = param(0, ge=0)
     avg_delay_s: float = param(0.0, ge=0)
     pdr: float = param(0.0, ge=0, le=1)
     throughput_pkts: int = param(0, ge=0)
@@ -164,7 +163,6 @@ class SimInput:
     it on its own frame and channel, itself included, in ascending order.
     Channel labels and links on no route drop out."""
     flows: tuple[tuple[Flow, tuple[int, ...]], ...]
-    blocked_flows: int
     links: tuple[tuple[int, int, tuple[int, ...]], ...]
     n_frames: int
 
@@ -192,8 +190,7 @@ def sim_input(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTable
                                                 if q in used and frame_of[q] == frame_of[l]
                                                 and channel_of[q] == channel_of[l])))
                   for l in sorted(used))
-    return SimInput(tuple(routed), len(profile.flows) - len(routed), links,
-                    max(1, assignment.n_frames))
+    return SimInput(tuple(routed), links, max(1, assignment.n_frames))
 
 
 class Simulator:
@@ -219,7 +216,6 @@ class Simulator:
         self._others = {l: tuple(q for q in co_ch if q != l) for l, _, co_ch in inp.links}
         self._flows = [_FlowRun(f.pair, links, f.packet_bits, f.rate_bps)
                        for f, links in inp.flows]
-        self.blocked_flows = inp.blocked_flows
         self.n_frames = inp.n_frames
         # Per link, a FIFO of runs [flow, hop, inject times, head]: the
         # packets times[head:] of one flow at one hop. ``_counts`` holds the
@@ -415,7 +411,6 @@ class Simulator:
             delivered=self.delivered,
             dropped=self.dropped,
             in_flight=self.in_flight,
-            blocked_flows=self.blocked_flows,
             avg_delay_s=self.delay_sum_s / self.delivered if self.delivered else 0.0,
             pdr=self.delivered / self.generated if self.generated else 0.0,
             throughput_pkts=self.delivered,

@@ -128,9 +128,15 @@ def _pairs_within(points: list[tuple[float, float]], limit: float) -> list[tuple
     x0, y0 = min(xs) / 2, min(ys) / 2
     half_spread = max(max(xs) / 2 - x0, max(ys) / 2 - y0)
     # A passing pair can be 5e-10 beyond the limit, since _distance rounds to
-    # 1e-9, and the cell arithmetic rounds too: the slack covers both. A cell
-    # at least 2**-20 of the spread wide keeps every index within 2**20.
-    half_side = max((limit + 1e-9) * (1 + 1e-6) / 2, half_spread * 2.0 ** -20)
+    # 1e-9: the first term covers that. Computing a cell index rounds twice,
+    # each time by at most 2**-53 of the index, so two points' indices move
+    # apart by at most 2**-51 of the larger; the second term widens the cell
+    # by 2**-49 of the index bound it sets (the spread over the side, at most
+    # 2**49), which outweighs that, so two points that pass the limit lie in
+    # the same or adjacent cells. It adds less than the first term's 1e-6
+    # slack unless the points span over 2**29 limits, and one far point no
+    # longer puts all the others into one cell.
+    half_side = (limit + 1e-9) * (1 + 1e-6) / 2 + half_spread * 2.0 ** -49
     cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
     for i, (x, y) in enumerate(points):
         key = (math.floor((x / 2 - x0) / half_side), math.floor((y / 2 - y0) / half_side))

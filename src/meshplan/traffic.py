@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .schema import check, invalid, param
@@ -28,6 +29,15 @@ class Flow:
         check(self)
         if self.src == self.dst:
             raise invalid("dst", f"must differ from src, got ({self.src}, {self.dst})")
+        # The simulator spaces packets packet_bits / rate_bps seconds apart.
+        try:
+            interval = self.packet_bits / self.rate_bps
+        except OverflowError:  # packet_bits is past the float range
+            raise invalid("packet_bytes", f"must fit a float as bits, got an integer of "
+                                          f"{self.packet_bytes.bit_length()} bits") from None
+        if not math.isfinite(interval):
+            raise invalid("rate_bps", f"must space packets a finite time apart, "
+                                      f"got {self.rate_bps!r}")
 
     @property
     def pair(self) -> tuple[int, int]:

@@ -145,7 +145,7 @@ def test_acceptance_4_threshold_exclusion(bundle_battery, capsys):
     start = time.time()
     routes_checked = 0
     for _, result in bundle_battery:
-        thr = result.costs.threshold_fraction
+        thr = result.scenario.algorithm.threshold_fraction
         for pair, route in result.routes.routes.items():
             for l in route.links:
                 assert result.loads.normalized(l) <= thr, \

@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from meshplan import ChannelAssignment, load_scenario
+from meshplan import load_scenario
 from meshplan.cli import main
 from meshplan.pipeline import plan
-from meshplan.report import CSV_COLUMNS
+from meshplan.report import CSV_COLUMNS, AssignmentReport
 from meshplan.schema import from_json
 
 MINI = {
@@ -47,7 +47,7 @@ def test_run_to_stdout_json(tmp_path, capsys):
                  "--protocol", "baseline", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["protocol"] == "baseline"
-    assert doc["scenario_name"] == "mini"
+    assert doc["scenario"]["name"] == "mini"
     assert len(doc["assignment"]["channel_of"]) == 4
 
 
@@ -83,7 +83,11 @@ def test_assign_json_decodes_to_planned_assignment(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert sorted(doc) == ["assignment", "protocol", "scenario"]
     *_, assignment = plan(load_scenario(path), "ccmca")
-    assert from_json(ChannelAssignment, doc["assignment"], "assignment") == assignment
+    report = from_json(AssignmentReport, doc, "report")
+    assert report.assignment == assignment
+    # the report names its input: planning that scenario again gives it
+    assert report.scenario == load_scenario(path)
+    assert plan(report.scenario, report.protocol)[-1] == assignment
 
 
 def test_assign_runs_no_simulation(tmp_path, capsys):
@@ -206,6 +210,13 @@ MALFORMED = {
     "channels-huge": (edited(MINI, ("algorithm", "n_channels"), 257), "algorithm.n_channels"),
     "nodes-coincident": (edited(NODES, ("topology", "nodes", 1), {"x": 0.0, "y": 0.0}),
                          "topology.nodes[1]"),
+    # a packet interval past the float range, from either side of the ratio
+    "rate-subnormal": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), 1e-310),
+                       "traffic.flows[0].rate_bps"),
+    "packet-bytes-huge": (edited(MINI, ("traffic", "flows", 0, "packet_bytes"), 10 ** 400),
+                          "traffic.flows[0].packet_bytes"),
+    # rejected before any node is placed
+    "nodes-huge": (edited(MINI, ("topology", "n"), 10 ** 10), "topology.n"),
 }
 
 

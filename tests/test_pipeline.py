@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshplan import (ConfigurationError, GoodputReport, PipelineError,
+from meshplan import (PRESETS, ConfigurationError, GoodputReport, PipelineError,
                       PipelineResult, UnroutableFlowError, emit_report,
                       load_scenario, pipeline, render_report, run_pipeline,
                       scenario_from_dict, sweep_channels, sweep_time)
@@ -19,7 +19,7 @@ def ring_scenario(horizon_s=5.0, seed=1):
 
 def test_ring4_bundle_complete():
     result = run_pipeline(ring_scenario(), "ccmca", n_channels=3)
-    assert result.n_channels == 3
+    assert result.assignment.n_channels == 3
     assert len(result.assignment.channel_of) == len(result.assignment.frame_of) == 4
     assert len(result.routes.routes) == 3 and not result.routes.blocked
     assert len(result.loads.capacity) == 4
@@ -98,12 +98,11 @@ BLOCKED = {
 
 
 def test_blocked_flows_flow_through_pipeline():
-    # The run still completes, flows are skipped with a counter, and
-    # goodput is zero.
+    # The run still completes, the blocked flow is skipped, and goodput is
+    # zero.
     result = run_pipeline(scenario_from_dict(BLOCKED), "ccmca")
     assert result.routes.blocked == frozenset({(0, 1)})
     assert not result.routes.converged  # blocked/routed tables alternate
-    assert result.metrics.blocked_flows == 1
     assert result.metrics.generated == 0
     assert result.goodput.total == 0.0
 
@@ -115,6 +114,38 @@ def test_blocked_bundle_roundtrip_through_json():
     assert doc["costs"]["values"] == ["inf"]
     assert doc["routes"]["blocked"] == ["0->1"]
     assert PipelineResult.from_dict(doc) == result
+
+
+# Explicit placements: a 200 m square with one diagonal flow each way.
+SQUARE = {
+    "name": "square",
+    "topology": {"nodes": [{"x": 0.0, "y": 0.0}, {"x": 200.0, "y": 0.0},
+                           {"x": 200.0, "y": 200.0}, {"x": 0.0, "y": 200.0}]},
+    "traffic": {"flows": [{"src": 0, "dst": 2, "kind": "voip"},
+                          {"src": 3, "dst": 1, "rate_bps": 2e5, "packet_bytes": 500}]},
+    "algorithm": {"n_channels": 2},
+    "sim": {"horizon_s": 3.0, "seed": 7},
+}
+
+
+def test_bundle_replays_from_its_scenario():
+    # The bundle carries the scenario its run resolved, overrides applied, so
+    # running that scenario again renders the same bytes.
+    ring = load_scenario("paper-ring-4")
+    results = [run_pipeline(scenario_from_dict({"preset": preset, "sim": {"horizon_s": 5.0}}),
+                            protocol)
+               for preset in PRESETS for protocol in pipeline.PROTOCOLS]
+    results += [run_pipeline(scenario_from_dict(BLOCKED), "ccmca"),
+                run_pipeline(scenario_from_dict(SQUARE), "baseline")]
+    # the direct runs behind the rows of sweep_channels(ring, [1, 2, 3], seeds=[1, 2])
+    results += [run_pipeline(ring, protocol, n_channels=channels, seed=seed)
+                for channels in (1, 2, 3) for protocol in pipeline.PROTOCOLS
+                for seed in (1, 2)]
+    for result in results:
+        text = render_report(result, "json")
+        doc = json.loads(text)
+        again = run_pipeline(PipelineResult.from_dict(doc).scenario, doc["protocol"])
+        assert render_report(again, "json") == text
 
 
 def test_codec_orders_pairs_numerically():
@@ -156,8 +187,8 @@ def test_bundle_missing_field_names_it():
     (("metrics", "pdr"), 1.5, r"^bundle\.metrics\.pdr: must be <= 1, got 1\.5$"),
     (("metrics", "per_flow", "0->2", "delivered"), -1,
      r"^bundle\.metrics\.per_flow\.0->2\.delivered: must be >= 0, got -1$"),
-    (("costs", "threshold_fraction"), "x",
-     r"^bundle\.costs\.threshold_fraction: must be a number, got 'x'$"),
+    (("scenario", "algorithm", "threshold_fraction"), "x",
+     r"^bundle\.scenario\.algorithm\.threshold_fraction: must be a number, got 'x'$"),
     (("goodput", "total"), -1.0, r"^bundle\.goodput\.total: must be >= 0, got -1\.0$"),
     (("assignment", "channel_of"), [0, 1, None, 1],
      r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got None$"),
@@ -166,6 +197,8 @@ def test_bundle_missing_field_names_it():
     (("loads", "load", 0), "x", r"^bundle\.loads\.load\[0\]: must be a number, got 'x'$"),
     (("routes", "routes", "0->2", "links"), ["x"],
      r"^bundle\.routes\.routes\.0->2\.links\[0\]: must be an integer, got 'x'$"),
+    (("scenario", "traffic", "flows", 0, "dst"), 99,
+     r"^bundle\.scenario\.traffic\.flows\[0\]\.dst: node 99 not in topology \(0\.\.3\)$"),
 ])
 def test_bundle_impossible_value_names_it(path, value, error):
     doc = run_pipeline(ring_scenario(), "ccmca").to_dict()

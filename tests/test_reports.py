@@ -19,19 +19,19 @@ RUN_DIGESTS = {
     ("paper-ring-4", "ccmca", "csv"):
         "ab12950cbda1b558379b6850f4630872eaa59facdb4753443b2ade3ea58b0179",
     ("paper-ring-4", "ccmca", "json"):
-        "441212a663a00af8977a4955e6655b376d53b0c57fda970a3e44171a3a0dad86",
+        "e606308d341ed9bb16d06c20e047f535ddd4098dc32cc981394daafe434ee7f6",
     ("paper-ring-4", "baseline", "csv"):
         "502fc2284c2ae615b2801cb293b4c6e36b4697bd82baf837d13e46e63c25def3",
     ("paper-ring-4", "baseline", "json"):
-        "686b20359ee5570394ad6571f2a6c11084208f436f5b9b14b2a92c90f73ba223",
+        "32ede0adfe6321651d82c1a098148402ee4e3fc21a3eeade4f9332ef3ffbefe0",
     ("paper-table1", "ccmca", "csv"):
         "95e94989d9314dd8d967b71cfec2055f8a9414f0161e64bd7d8bc7d487eefd4d",
     ("paper-table1", "ccmca", "json"):
-        "f38bbe2063bce66f708cf370f70279876f2db7f458fe05cde2b1b0ecdd6c7609",
+        "8f49664992d288579fe839570d1463dd6f5bc84823121b76de79f184e0bf0a0d",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
-        "44bd1b3880632f8c6d486b10a12848e1da049003715978668af9f92543738491",
+        "31aef6a2821895f151221fef5a951be8b1f9ac0137d87ebbc6afa39d1212d61a",
 }
 
 ASSIGN_DIGESTS = {

@@ -44,7 +44,7 @@ def test_link_cost_monotone_on_finite_branch(a, b):
 def test_select_routes_all_unit_costs(ring4):
     prof = profile(cbr(0, 2, 10.0))
     paths = acceptable_paths_for_profile(ring4, prof)
-    costs = LinkCost((1.0,) * 4, 0.9)
+    costs = LinkCost((1.0,) * 4)
     table = select_routes(paths, costs)
     assert table.routes[(0, 2)].links == (0, 2)  # lexicographic tie-break
     assert table.routes[(0, 2)].cost == 2.0
@@ -53,7 +53,7 @@ def test_select_routes_all_unit_costs(ring4):
 def test_select_routes_avoids_infinite_side(ring4):
     prof = profile(cbr(0, 2, 10.0))
     paths = acceptable_paths_for_profile(ring4, prof)
-    costs = LinkCost((math.inf, 1.0, 1.0, 1.0), 0.9)
+    costs = LinkCost((math.inf, 1.0, 1.0, 1.0))
     table = select_routes(paths, costs)
     assert table.routes[(0, 2)].links == (1, 3)
     assert not table.blocked
@@ -62,7 +62,7 @@ def test_select_routes_avoids_infinite_side(ring4):
 def test_select_routes_blocked_when_everything_infinite(ring4):
     prof = profile(cbr(0, 2, 10.0))
     paths = acceptable_paths_for_profile(ring4, prof)
-    costs = LinkCost((math.inf, math.inf, 1.0, 1.0), 0.9)
+    costs = LinkCost((math.inf, math.inf, 1.0, 1.0))
     table = select_routes(paths, costs)
     assert table.blocked == frozenset({(0, 2)})
     assert (0, 2) not in table.routes
@@ -76,7 +76,7 @@ def test_select_routes_matches_bruteforce(grid9):
     for trial in range(25):
         values = tuple(math.inf if rng.random() < 0.1 else rng.uniform(1.0, 2.0)
                        for _ in range(grid9.n_links))
-        costs = LinkCost(values, 0.9)
+        costs = LinkCost(values)
         table = select_routes(paths, costs)
         for pair in pairs:
             finite = [(sum(values[l] for l in p), p) for p in paths[pair]

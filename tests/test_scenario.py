@@ -1,14 +1,15 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from meshplan import (PRESETS, ConfigurationError, Flow, MeshNode,
                       ScenarioParseError, ScenarioValidationError, SimConfig,
-                      load_scenario, parse_scenario, run_pipeline,
-                      scenario_from_dict)
+                      TopologySpec, TrafficProfile, load_scenario,
+                      parse_scenario, run_pipeline, scenario_from_dict)
 
 
 def write(tmp_path, doc):
@@ -179,6 +180,14 @@ def test_library_objects_follow_field_rules():
         MeshNode(math.nan, 0.0)
     with pytest.raises(ConfigurationError, match="kind"):
         Flow(0, 1, 1e3, 125, "ftp")
+    with pytest.raises(ConfigurationError, match=r"^nodes: must list at most 100000 nodes"):
+        TopologySpec(nodes=(MeshNode(0.0, 0.0),) * 100_001)
+    ring = load_scenario("paper-ring-4")
+    with pytest.raises(ConfigurationError,
+                       match=r"^traffic\.flows\[0\]\.dst: node 9 not in topology \(0\.\.3\)$"):
+        replace(ring, traffic=TrafficProfile((Flow(0, 9, 1e3, 125),)))
+    with pytest.raises(ConfigurationError, match=r"^traffic\.flows: must not be empty$"):
+        replace(ring, traffic=TrafficProfile(()))
 
 
 def test_readme_example_runs():
@@ -186,4 +195,4 @@ def test_readme_example_runs():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     example, = re.findall(r"```json\n(.*?)```", readme, re.S)
     result = run_pipeline(scenario_from_dict(json.loads(example)), horizon_s=2.0)
-    assert result.scenario_name == "my-experiment" and result.metrics.generated > 0
+    assert result.scenario.name == "my-experiment" and result.metrics.generated > 0

@@ -117,10 +117,10 @@ def test_blocked_flow_skipped_with_counter():
     prof = profile(cbr(0, 1, 1000.0, 125))
     routes = RouteTable({}, blocked=frozenset({(0, 1)}))
     asg = ChannelAssignment(1, (0,), (0,))
-    m = run_simulation(sim_input(imap, prof, routes, asg),
-                       SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
-    assert m.blocked_flows == 1
-    assert m.generated == 0
+    inp = sim_input(imap, prof, routes, asg)
+    assert inp.flows == ()
+    m = run_simulation(inp, SimConfig(horizon_s=1.0, channel_capacity_bps=1e6))
+    assert m.generated == 0 and m.per_flow == {}
 
 
 def test_sim_key_holds_what_a_run_reads(ring4, ring4_imap):

@@ -206,6 +206,9 @@ def all_pairs_interferers(topo):
 RANGES = st.sampled_from([250.0, 1.0, 0.3, 1e10, 1e-9, 1e-300])
 COORDS = st.one_of(st.floats(-2000.0, 2000.0),
                    st.sampled_from([0.0, -0.0, 5e-324, 1e10, -1e10, 1.7e308, -1.7e308]))
+# Nothing, or one point far from the rest: with a small range it sets the
+# cell size, and the cell indices of the other points run up to 2**49.
+OUTLIERS = st.sampled_from([None, (1e12, 0.0), (0.0, -1e15), (3e17, 3e17), (-1e6, 1e6)])
 DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
               (math.sqrt(0.5), math.sqrt(0.5)), (-math.sqrt(0.5), math.sqrt(0.5)),
               (math.sqrt(0.5), -math.sqrt(0.5)), (-math.sqrt(0.5), -math.sqrt(0.5))]
@@ -217,7 +220,8 @@ def placements(draw):
     steps of exactly the transmission or interference range, just past
     them, or half the first: a chain with step tx_range puts its link
     midpoints tx_range apart, so both range tests meet their boundary, and
-    so do the cell edges, which lie just past each range."""
+    so do the cell edges, which lie just past each range. Some placements
+    add a far outlier."""
     tx = draw(RANGES)
     interference = tx * draw(st.sampled_from([1.0, 1.5, 2.0]))
     points = [(draw(COORDS), draw(COORDS)) for _ in range(draw(st.integers(1, 5)))]
@@ -229,6 +233,9 @@ def placements(draw):
         ux, uy = draw(st.sampled_from(DIRECTIONS))
         r = draw(steps)
         points.append((x + r * ux, y + r * uy))
+    outlier = draw(OUTLIERS)
+    if outlier is not None:
+        points.append(outlier)
     # walks that step back reach their start again; keep each point once
     nodes = tuple(MeshNode(x, y) for x, y in dict.fromkeys(points)
                   if math.isfinite(x) and math.isfinite(y))
@@ -258,12 +265,19 @@ def test_cell_list_equals_all_pairs(case):
 
 def test_cell_list_extreme_placements():
     # cell indices stay finite where coordinate / range overflows a float
-    cases = [((0.0, 0.0), (1e10, 0.0), 1e-300, []),
-             ((-1.7e308, 0.0), (1.7e308, 0.0), 250.0, []),
-             ((1.7e308, 0.0), (1.7e308, 100.0), 250.0, [(0, 1, 100.0)]),
-             ((0.0, 0.0), (1e10, 0.0), 1e10, [(0, 1, 1e10)])]
-    for a, b, tx, links in cases:
-        nodes = (MeshNode(*a), MeshNode(*b))
+    cases = [([(0.0, 0.0), (1e10, 0.0)], 1e-300, []),
+             ([(-1.7e308, 0.0), (1.7e308, 0.0)], 250.0, []),
+             ([(1.7e308, 0.0), (1.7e308, 100.0)], 250.0, [(0, 1, 100.0)]),
+             ([(0.0, 0.0), (1e10, 0.0)], 1e10, [(0, 1, 1e10)]),
+             # cell indices near 2**50, where the rounding of the index
+             # arithmetic alone would put nodes 2 and 3 two cells apart
+             ([(1964075116579467.5, 0.0), (9387931901222268.0, 0.0),
+               (7225610246189830.0, 0.0), (7225610246189837.0, 0.0)], 7.0, [(2, 3, 7.0)]),
+             ([(-176073743384268.06, 0.0), (160604953218862.44, 0.0),
+               (131887843818522.25, 0.0), (131887843818522.55, 0.0)], 0.3,
+              [(2, 3, 0.296875)])]
+    for points, tx, links in cases:
+        nodes = tuple(MeshNode(*p) for p in points)
         topo = topology_from_nodes(nodes, tx_range=tx)
         assert [(l.u, l.v, l.distance) for l in topo.links] == links
         assert build_interference_map(topo).interferers == all_pairs_interferers(topo)
