@@ -8,9 +8,8 @@ simulator producing delay / delivery-ratio / throughput metrics against a
 seeded random-assignment baseline.
 """
 
-from .channels import (ChannelAssignment, assign_frame, baseline_assign,
-                       channel_gain_sums, eligible, order_links,
-                       schedule_all_frames)
+from .channels import (ChannelAssignment, baseline_assign, channel_gain_sums,
+                       first_fit_frames, order_links, schedule_all_frames)
 from .errors import (ConfigurationError, ContractError, MeshPlanError,
                      PipelineError, ScenarioParseError,
                      ScenarioValidationError, UnroutableFlowError)

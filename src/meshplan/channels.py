@@ -1,21 +1,21 @@
 """Greedy load-ordered channel assignment with TDMA-like activation frames.
 
-Links are visited in descending expected-load order. A link may join the
-frame under construction only if none of its node-adjacent neighbours is
-already in that frame (self-interference); among channels it takes the one
-with the smallest summed gain of already-assigned co-channel interferers.
-Repeating the pass over leftover links builds successive frames until
-every link holds exactly one channel and one frame. A seeded random
-assigner provides the comparison baseline.
+Frames are a first-fit colouring of the links: each link takes the
+smallest frame that no node-adjacent link before it already holds, so no
+two links of a frame share a node (self-interference). Links go in
+descending expected-load order for ccmca and in id order for the seeded
+random baseline. ccmca then gives each link, frame by frame and in load
+order within a frame, the channel with the smallest summed gain of
+already-assigned co-channel interferers. Every link holds exactly one
+channel and one frame.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import ContractError
 from .schema import check, invalid, param
 from .topology import InterferenceMap
 
@@ -53,71 +53,50 @@ def order_links(delta: Sequence[float]) -> list[int]:
     return sorted(range(len(delta)), key=lambda l: (-delta[l], l))
 
 
-def eligible(link: int, frame_of: Sequence[int | None],
-             n1: Sequence[frozenset[int]], frame: int) -> bool:
-    """A link can join a frame only if no node-adjacent neighbour is in it."""
-    return all(frame_of[e] != frame for e in n1[link])
-
-
 def channel_gain_sums(link: int, n_channels: int, channel_of: Sequence[int | None],
                       imap: InterferenceMap, gains: Sequence[float]) -> list[float]:
     """Per channel, the summed gain of the assigned links on it that
     interfere with `link`."""
     sums = [0.0] * n_channels
-    # sorted so that each channel's float sum runs in ascending link order,
-    # never in an order that depends on set internals
-    for q in sorted(imap.interferers[link]):
+    for q in imap.interferers[link]:
         c = channel_of[q]
         if c is not None:
             sums[c] += gains[q]
     return sums
 
 
-def assign_frame(order: Sequence[int], channel_of: list[int | None],
-                 frame_of: list[int | None], n_channels: int,
-                 imap: InterferenceMap, gains: Sequence[float], frame: int) -> list[int]:
-    """One pass over unassigned links (channel None) in priority order; fills
-    their entries in channel_of and frame_of and returns the links placed
-    into this frame."""
-    placed: list[int] = []
+def first_fit_frames(order: Iterable[int], n1: Sequence[Sequence[int]]) -> list[int]:
+    """Per link, the smallest frame that no node-adjacent link earlier in
+    `order` holds: first-fit colouring of the shared-endpoint conflict.
+    `order` lists every link id once."""
+    frame_of = [-1] * len(n1)
     for link in order:
-        if channel_of[link] is not None or not eligible(link, frame_of, imap.n1, frame):
-            continue
-        d = channel_gain_sums(link, n_channels, channel_of, imap, gains)
-        channel_of[link] = d.index(min(d))  # ties to the smallest channel
+        taken = {frame_of[e] for e in n1[link]}
+        frame = 0
+        while frame in taken:
+            frame += 1
         frame_of[link] = frame
-        placed.append(link)
-    return placed
+    return frame_of
 
 
 def schedule_all_frames(order: Sequence[int], imap: InterferenceMap,
                         gains: Sequence[float], n_channels: int) -> ChannelAssignment:
-    """Repeat the greedy pass with a fresh frame until every link is
-    assigned. Channel choice keeps seeing the cumulative co-channel state;
-    frame eligibility resets per pass. Each pass places at least the first
-    leftover link, so at most len(order) frames are built."""
-    channel_of: list[int | None] = [None] * len(order)
-    frame_of: list[int | None] = [None] * len(order)
-    frame = 0
-    while None in channel_of:
-        if not assign_frame(order, channel_of, frame_of, n_channels, imap, gains, frame):
-            raise ContractError("assignment made no progress; inconsistent neighbour sets")
-        frame += 1
+    """Frames by first fit in `order`; then channels link by link in (frame,
+    order) sequence, each the one with the smallest summed gain of the
+    co-channel interferers already assigned, ties to the smallest channel."""
+    frame_of = first_fit_frames(order, imap.n1)
+    channel_of: list[int | None] = [None] * len(frame_of)
+    for link in sorted(order, key=frame_of.__getitem__):
+        d = channel_gain_sums(link, n_channels, channel_of, imap, gains)
+        channel_of[link] = d.index(min(d))  # ties to the smallest channel
     return ChannelAssignment(n_channels, tuple(channel_of), tuple(frame_of))
 
 
 def baseline_assign(n_links: int, n_channels: int, seed: int,
-                    n1: Sequence[frozenset[int]]) -> ChannelAssignment:
+                    n1: Sequence[Sequence[int]]) -> ChannelAssignment:
     """Comparison baseline: seeded uniform-random channel per link, frames
-    by greedy colouring of the shared-endpoint conflict in link-id order."""
+    by first fit in link-id order."""
     rng = random.Random(seed)
-    channel_of: list[int] = []
-    frame_of: list[int] = []
-    for link in range(n_links):
-        channel_of.append(rng.randrange(n_channels))
-        taken = {frame_of[e] for e in n1[link] if e < link}
-        frame = 0
-        while frame in taken:
-            frame += 1
-        frame_of.append(frame)
-    return ChannelAssignment(n_channels, tuple(channel_of), tuple(frame_of))
+    channel_of = tuple(rng.randrange(n_channels) for _ in range(n_links))
+    return ChannelAssignment(n_channels, channel_of,
+                             tuple(first_fit_frames(range(n_links), n1)))

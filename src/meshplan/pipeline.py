@@ -175,6 +175,8 @@ def _sweep(scenario: Scenario, points: list, seeds: list[int] | None,
         raise ValueError("sweep needs at least one point")
     if seeds is None:
         seeds = [scenario.sim.seed]
+    elif not seeds:
+        raise ValueError("sweep needs at least one seed")
     # The metrics of each distinct simulator input met in this call; the
     # dict dies with the call, so every sweep does the same work.
     sims: dict = {}

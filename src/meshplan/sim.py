@@ -186,9 +186,9 @@ def sim_input(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTable
                             f"the topology has {len(imap.interferers)}")
     used = {l for _, links in routed for l in links}
     channel_of, frame_of = assignment.channel_of, assignment.frame_of
-    links = tuple((l, frame_of[l], tuple(sorted(q for q in imap.interferers[l]
-                                                if q in used and frame_of[q] == frame_of[l]
-                                                and channel_of[q] == channel_of[l])))
+    links = tuple((l, frame_of[l], tuple(q for q in imap.interferers[l]
+                                         if q in used and frame_of[q] == frame_of[l]
+                                         and channel_of[q] == channel_of[l]))
                   for l in sorted(used))
     return SimInput(tuple(routed), links, max(1, assignment.n_frames))
 

@@ -300,10 +300,11 @@ def build_topology(kind: str, n: int, spacing: float, *,
 @dataclass(frozen=True)
 class InterferenceMap:
     """Per link: interfering link ids (midpoint rule, includes self) and the
-    node-adjacent neighbour set n1 (links sharing an endpoint, excluding self).
+    node-adjacent neighbours n1 (links sharing an endpoint, excluding self),
+    each in ascending id order.
     """
-    interferers: tuple[frozenset[int], ...]
-    n1: tuple[frozenset[int], ...]
+    interferers: tuple[tuple[int, ...], ...]
+    n1: tuple[tuple[int, ...], ...]
 
 
 def build_interference_map(topology: Topology) -> InterferenceMap:
@@ -312,9 +313,7 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
     Link j interferes with link i when their midpoints are within the
     interference range. The pairs come from the cell-list search of the
     module docstring, which decides every pair as the all-pairs scan's
-    quantized distance test does. Each set is filled in ascending id order,
-    as the scan filled it, so it equals the scan's set and iterates in the
-    same order.
+    quantized distance test does, so each set equals the scan's.
     """
     links, nodes = topology.links, topology.nodes
     # Halved before the sum: the same midpoint as halving the sum, except at
@@ -325,12 +324,9 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
     for i, j in _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL)):
         near[i].append(j)
         near[j].append(i)
-    # Through a set filled in ascending order: a frozenset's iteration order
-    # depends on how it was filled, and gain sums over interferers follow it.
-    interferers = [frozenset(set(sorted(ids))) for ids in near]
-    # A link's node-adjacent links are the links at either endpoint, added
-    # in ascending id order.
+    interferers = tuple(tuple(sorted(ids)) for ids in near)
+    # A link's node-adjacent links are the links at either endpoint.
     adj = topology.adjacency()
-    n1 = tuple(frozenset(sorted(j for j, _ in adj[l.u] + adj[l.v] if j != i))
+    n1 = tuple(tuple(sorted({j for j, _ in adj[l.u] + adj[l.v]} - {i}))
                for i, l in enumerate(links))
-    return InterferenceMap(tuple(interferers), n1)
+    return InterferenceMap(interferers, n1)

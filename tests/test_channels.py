@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meshplan import (ChannelAssignment, ConfigurationError, assign_frame,
-                      baseline_assign, build_interference_map, build_topology,
-                      channel_gain_sums, eligible, order_links,
-                      schedule_all_frames)
+from meshplan import (ChannelAssignment, ConfigurationError, baseline_assign,
+                      build_interference_map, build_topology, channel_gain_sums,
+                      channels, first_fit_frames, order_links, schedule_all_frames)
 from meshplan.schema import from_json, to_json
 
 from conftest import random_topology, replay_schedule
@@ -33,16 +34,13 @@ def test_order_links_matches_selection_sort_oracle():
         assert order_links(delta) == expect
 
 
-def test_eligible_semantics(ring4, ring4_imap):
-    frame_of = [None] * 4
-    assert all(eligible(l, frame_of, ring4_imap.n1, frame=0) for l in range(4))
-    frame_of[0] = 0
-    # links sharing an endpoint with link 0 are blocked, the opposite one is not
-    assert not eligible(1, frame_of, ring4_imap.n1, frame=0)
-    assert not eligible(2, frame_of, ring4_imap.n1, frame=0)
-    assert eligible(3, frame_of, ring4_imap.n1, frame=0)
-    # in the next frame everyone is eligible again
-    assert all(eligible(l, frame_of, ring4_imap.n1, frame=1) for l in range(4))
+def test_first_fit_frames_semantics(ring4_imap):
+    # links 1 and 2 share an endpoint with link 0 and are kept out of its
+    # frame; the opposite link 3 joins it, and 1 and 2 share the next frame
+    assert first_fit_frames([0, 1, 2, 3], ring4_imap.n1) == [0, 1, 1, 0]
+    # only links earlier in the order hold frames a link must avoid
+    assert first_fit_frames([1, 0, 3, 2], ring4_imap.n1) == [1, 0, 0, 1]
+    assert first_fit_frames([], ()) == []
 
 
 def test_channel_gain_sum(ring4_imap):
@@ -73,37 +71,30 @@ def test_channel_gain_sum_counts_only_interferers(grid9):
         assert channel_gain_sums(probe, 4, channel_of, imap, gains) == expect
 
 
-def test_assign_frame_single_link():
+def test_schedule_single_link():
     t = build_topology("chain", 2, 100.0)
     imap = build_interference_map(t)
-    channel_of, frame_of = [None], [None]
-    placed = assign_frame([0], channel_of, frame_of, 3, imap, t.link_gains(), frame=0)
-    assert placed == [0]
-    assert channel_of == [0]  # all gain sums zero: smallest index wins
-    assert frame_of == [0]
+    asg = schedule_all_frames([0], imap, t.link_gains(), 3)
+    # all gain sums zero: smallest index wins
+    assert asg == ChannelAssignment(3, (0,), (0,))
 
 
-def test_assign_frame_adjacent_links_defer_lower_priority():
+def test_first_fit_adjacent_links_defer_lower_priority():
     t = build_topology("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
     order = order_links([1.0, 5.0])  # link 1 first
-    channel_of, frame_of = [None, None], [None, None]
-    placed = assign_frame(order, channel_of, frame_of, 2, imap, t.link_gains(), frame=0)
-    assert placed == [1]
-    assert channel_of[0] is None and frame_of[0] is None
+    assert first_fit_frames(order, imap.n1) == [1, 0]
 
 
-def test_assign_frame_ring4_matching_and_argmin(ring4, ring4_imap):
+def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
     gains = ring4.link_gains()
-    order = order_links([4.0, 3.0, 2.0, 1.0])
-    channel_of, frame_of = [None] * 4, [None] * 4
-    placed = assign_frame(order, channel_of, frame_of, 2, ring4_imap, gains, frame=0)
-    assert placed == [0, 3]  # a maximal matching: opposite links
-    assert channel_of[0] == 0
-    assert channel_of[3] == 1  # channel 0 already carries an interferer
+    asg = schedule_all_frames(order_links([4.0, 3.0, 2.0, 1.0]), ring4_imap, gains, 2)
+    assert asg.links_in_frame(0) == [0, 3]  # a maximal matching: opposite links
+    assert asg.channel_of[0] == 0
+    assert asg.channel_of[3] == 1  # channel 0 already carries an interferer
     # exhaustive argmin replay for the second placed link
-    d = channel_gain_sums(3, 2, [None] * 4, ring4_imap, gains)
-    assert d == [0.0, 0.0]  # before link 0: ties; after: gain on channel 0 only
+    assert channel_gain_sums(3, 2, [None] * 4, ring4_imap, gains) == [0.0, 0.0]
+    assert channel_gain_sums(3, 2, [0, None, None, None], ring4_imap, gains) == [gains[0], 0.0]
 
 
 def test_schedule_two_adjacent_links():
@@ -182,20 +173,51 @@ def test_per_step_argmin_small_topologies_exhaustive():
             assert asg.channel_of == channel and asg.frame_of == frame
 
 
-def test_frame_priority_respects_order():
+def test_frame_priority_respects_order(monkeypatch):
+    # channels are chosen frame by frame, in priority order within a frame
+    visited = []
+    gain_sums = channels.channel_gain_sums
+
+    def recorded(link, *args):
+        visited.append(link)
+        return gain_sums(link, *args)
+
+    monkeypatch.setattr(channels, "channel_gain_sums", recorded)
     for seed in range(10):
         topo = random_topology(seed)
         imap = build_interference_map(topo)
         delta = [random.Random(seed).uniform(0, 9) for _ in range(topo.n_links)]
         order = order_links(delta)
-        placed = assign_frame(order, [None] * topo.n_links, [None] * topo.n_links, 2,
-                              imap, topo.link_gains(), frame=0)
+        visited.clear()
+        asg = schedule_all_frames(order, imap, topo.link_gains(), 2)
         pos = {l: i for i, l in enumerate(order)}
-        assert placed == sorted(placed, key=pos.__getitem__)
+        assert visited == sorted(order, key=lambda l: (asg.frame_of[l], pos[l]))
+
+
+@st.composite
+def ordered_topologies(draw):
+    topo = random_topology(draw(st.integers(0, 10**6)))
+    return build_interference_map(topo).n1, draw(st.permutations(range(topo.n_links)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_topologies())
+def test_first_fit_frames_properties(case):
+    n1, order = case
+    frame_of = first_fit_frames(order, n1)
+    pos = {l: i for i, l in enumerate(order)}
+    for link in order:
+        # the smallest frame that no earlier node-adjacent link holds
+        taken = {frame_of[e] for e in n1[link] if pos[e] < pos[link]}
+        assert frame_of[link] not in taken
+        assert all(f in taken for f in range(frame_of[link]))
+    assert max(frame_of) + 1 <= max(len(s) for s in n1) + 1
+    n = len(n1)
+    assert baseline_assign(n, 3, 1, n1).frame_of == tuple(first_fit_frames(range(n), n1))
 
 
 def test_baseline_single_link_single_channel():
-    asg = baseline_assign(1, 1, 42, [frozenset()])
+    asg = baseline_assign(1, 1, 42, [()])
     assert asg == ChannelAssignment(1, (0,), (0,))
 
 
@@ -218,7 +240,7 @@ def test_baseline_frames_form_matchings(ring4, ring4_imap):
 
 
 def test_baseline_channel_histogram_uniformish():
-    n1 = [frozenset()] * 1000
+    n1 = [()] * 1000
     asg = baseline_assign(1000, 5, 2, n1)
     counts = [asg.channel_of.count(c) for c in range(5)]
     assert all(abs(n - 200) <= 20 for n in counts)  # within 10% of uniform

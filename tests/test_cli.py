@@ -252,6 +252,15 @@ def test_sweep_channel_count_out_of_bounds(tmp_path, capsys):
     assert err == "meshplan: error: algorithm.n_channels: must be <= 256, got 257\n"
 
 
+@pytest.mark.parametrize("command,option", [("sweep-channels", "--channels"),
+                                            ("sweep-time", "--horizons")])
+def test_sweep_empty_seed_list(capsys, command, option):
+    assert main([command, "--scenario", "paper-ring-4", option, "1,2", "--seeds", ","]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "meshplan: error: sweep needs at least one seed\n"
+
+
 def test_integral_float_field_reports_as_float(tmp_path, capsys):
     reports = []
     for horizon in (10, 10.0):

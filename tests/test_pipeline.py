@@ -314,6 +314,12 @@ def test_sweep_rows_equal_direct_runs(case):
         assert rows == direct
 
 
+@pytest.mark.parametrize("sweep,points", [(sweep_channels, [1]), (sweep_time, [1.0])])
+def test_sweep_rejects_empty_seed_list(sweep, points):
+    with pytest.raises(ValueError, match=r"^sweep needs at least one seed$"):
+        sweep(ring_scenario(), points, seeds=[])
+
+
 def test_sweep_shares_simulations_within_one_call(monkeypatch):
     calls = []
     simulate = pipeline.run_simulation
