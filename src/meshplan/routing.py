@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ContractError
-from .loads import (LoadEstimate, Pair, Path, acceptable_paths_for_profile,
-                    expected_link_load, link_capacities)
+from .loads import (DEFAULT_PATH_CAP, DEFAULT_SLACK, LoadEstimate, Pair, Path,
+                    acceptable_paths_for_profile, expected_link_load, link_capacities)
 from .schema import check, param
 from .topology import InterferenceMap, Topology
 from .traffic import TrafficProfile
@@ -110,7 +110,7 @@ def fixed_point_route(topology: Topology, imap: InterferenceMap,
                       profile: TrafficProfile, *, n_channels: int,
                       channel_capacity: float,
                       threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
-                      slack: int = 1, cap: int = 32,
+                      slack: int = DEFAULT_SLACK, cap: int = DEFAULT_PATH_CAP,
                       max_iters: int = DEFAULT_MAX_ITERS) -> tuple[RouteTable, LoadEstimate]:
     """Alternate load estimation and route selection to a fixed point.
 

@@ -21,14 +21,10 @@ from .loads import DEFAULT_PATH_CAP, DEFAULT_SLACK
 from .routing import DEFAULT_MAX_ITERS, DEFAULT_THRESHOLD_FRACTION
 from .schema import check, from_json, invalid, known_keys, param
 from .sim import SimConfig
-from .topology import (DEFAULT_GAIN_EXP, DEFAULT_GAIN_REF, DEFAULT_TX_RANGE,
+from .topology import (DEFAULT_GAIN_EXP, DEFAULT_GAIN_REF, DEFAULT_TX_RANGE, MAX_NODES,
                        TOPOLOGY_KINDS, MeshNode, Topology, build_topology,
                        topology_from_nodes)
 from .traffic import TrafficProfile, vod_flow, voip_flow
-
-# Bound on the nodes of one topology, generated or listed: ten times the
-# 10,000-node grid planned in CI.
-MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)

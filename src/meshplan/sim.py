@@ -25,6 +25,11 @@ jumps over every other slot. A skipped slot serves no link and admits no
 packet, so it changes no state, and the result equals stepping every slot.
 One run may inject at most ``MAX_PACKETS`` packets and span at most
 ``MAX_SLOTS`` slots.
+
+A flow's due slot is ceil(next_t / slot_s), moved at most one slot to
+agree with the admit test of ``_inject``. A flow whose next packet falls
+after the last slot is due at inf and never injected again; that is tested
+first, so no slot index is computed for it and none overflows.
 """
 
 from __future__ import annotations
@@ -112,47 +117,30 @@ class _FlowRun:
         self.size_bits = size_bits
         self.interval_s = size_bits / rate_bps
         self.next_idx = 0
-        self.due = 0  # first slot whose start admits the next packet
+        self.due = 0  # first slot whose start admits the next packet, or inf
         self.stats = FlowStats()
 
     @property
     def next_t(self) -> float:
         return self.next_idx * self.interval_s
 
-    def set_due(self, slot_s: float, tol: float) -> None:
+    def set_due(self, slot_s: float, tol: float, last_t: float) -> None:
         """Set ``due`` to the first slot s with next_t <= s * slot_s + tol,
-        the test by which ``Simulator._inject`` admits a packet. The test is
-        monotone in s, so a slot that passes it while the slot before does
-        not is the first. That is nearly always ceil(next_t / slot_s), so it
-        is tried first; otherwise a gallop out from there and a bisection
-        find the first slot with that very comparison and never disagree
-        with it."""
+        the test by which ``Simulator._inject`` admits a packet, or to inf
+        when next_t is past ``last_t``, the admit time of the run's last
+        slot. Below ``MAX_SLOTS`` slots, ceil(next_t / slot_s) is at most one
+        slot off the first one, so a step down or up with that very
+        comparison finds it."""
         t = self.next_t
-        s = math.ceil(t / slot_s)
-        if t <= s * slot_s + tol and not t <= (s - 1) * slot_s + tol:
-            self.due = s
+        if t > last_t:
+            self.due = math.inf
             return
-
-        def admits(s: int) -> bool:
-            return t <= s * slot_s + tol
-
-        gap = 1
-        if admits(s):
-            lo, hi = s - 1, s
-            while lo >= 0 and admits(lo):
-                lo, hi, gap = lo - gap, lo, 2 * gap
-            lo = max(lo, -1)
-        else:
-            lo, hi = s, s + 1
-            while not admits(hi):
-                lo, hi, gap = hi, hi + gap, 2 * gap
-        while hi - lo > 1:  # admits(hi); lo == -1 or not admits(lo)
-            mid = (lo + hi) // 2
-            if admits(mid):
-                hi = mid
-            else:
-                lo = mid
-        self.due = hi
+        s = math.ceil(t / slot_s)
+        while s > 0 and t <= (s - 1) * slot_s + tol:
+            s -= 1
+        while not t <= s * slot_s + tol:
+            s += 1
+        self.due = s
 
 
 @dataclass(frozen=True)
@@ -226,6 +214,8 @@ class Simulator:
         self._backlog: list[set[int]] = [set() for _ in range(self.n_frames)]
         self._credit: dict[int, float] = {l: 0.0 for l in self._frame_of}
         self._min_due: float = 0 if self._flows else math.inf
+        # The admit time of the last slot: a packet after it is never injected.
+        self._last_t = (config.n_slots - 1) * config.slot_s + config.slot_s * _TIME_EPS
 
         self.slot = 0
         self.generated = 0
@@ -261,7 +251,7 @@ class Simulator:
             fr.stats.generated += len(times)
             arrivals.append([fr, -1, times, 0])
             fr.next_idx = idx
-            fr.set_due(cfg.slot_s, tol)
+            fr.set_due(cfg.slot_s, tol, self._last_t)
         self._min_due = min(fr.due for fr in self._flows)
         self._forward(arrivals)
 

@@ -41,6 +41,14 @@ DEFAULT_GAIN_EXP = 3.0
 
 TOPOLOGY_KINDS = ("chain", "ring", "grid", "star", "binary-tree")
 
+# Bound on the nodes of one topology, generated or listed: ten times the
+# 10,000-node grid planned in CI.
+MAX_NODES = 100_000
+# Bound on the pairs one range search collects, node pairs in range or link
+# pairs that interfere: a 100,000-node grid at a 200 m pitch and the default
+# ranges has about 3.6 million interfering pairs.
+MAX_PAIRS = 4_000_000
+
 
 @dataclass(frozen=True)
 class MeshNode:
@@ -118,9 +126,11 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return round(math.hypot(a[0] - b[0], a[1] - b[1]), 9)
 
 
-def _pairs_within(points: list[tuple[float, float]], limit: float) -> list[tuple[int, int]]:
+def _pairs_within(points: list[tuple[float, float]], limit: float,
+                  name: str) -> list[tuple[int, int]]:
     """Every (i, j) with i < j and _distance(points[i], points[j]) <= limit,
-    in ascending order, found by the cell list of the module docstring."""
+    in ascending order, found by the cell list of the module docstring.
+    More than ``MAX_PAIRS`` of them is an error naming the field ``name``."""
     if not points:
         return []
     # Coordinates are halved so that no difference of two finite ones overflows.
@@ -164,6 +174,9 @@ def _pairs_within(points: list[tuple[float, float]], limit: float) -> list[tuple
                             or (s <= outside or s == inf)
                             and _distance((xi, yi), (xj, yj)) <= limit):
                         pairs.append((i, j) if i < j else (j, i))
+            if len(pairs) > MAX_PAIRS:
+                raise invalid(name, f"puts more than {MAX_PAIRS:.0e} pairs within "
+                                    f"{limit:.6g} m; one topology may have at most {MAX_PAIRS:.0e}")
     pairs.sort()
     return pairs
 
@@ -184,7 +197,7 @@ def _links_from_positions(nodes: tuple[MeshNode, ...], tx_range: float,
     one point are within range of each other, so the search meets them."""
     links: list[VirtualLink] = []
     points = [(n.x, n.y) for n in nodes]
-    for u, v in _pairs_within(points, tx_range * (1.0 + _RANGE_TOL)):
+    for u, v in _pairs_within(points, tx_range * (1.0 + _RANGE_TOL), "topology.tx_range"):
         d = _distance(points[u], points[v])
         if d == 0:
             raise _coincident(u, v, spacing)
@@ -277,12 +290,14 @@ def build_topology(kind: str, n: int, spacing: float, *,
         interference_range = 2.0 * tx_range
 
     positions = _place(kind, n, spacing, tx_range)
+    if not all(math.isfinite(c) for p in positions for c in p):
+        raise invalid("topology.spacing", f"{spacing} m places nodes past the float range")
     nodes = tuple(MeshNode(x, y) for x, y in positions)
 
     if kind == "binary-tree":
         # The links are the parent-child edges, not a range search, so look
         # for nodes at one point separately.
-        coincident = _pairs_within(positions, 0.0)
+        coincident = _pairs_within(positions, 0.0, "topology.spacing")
         if coincident:
             raise _coincident(coincident[0][0], coincident[0][1], spacing)
         links: list[VirtualLink] = []
@@ -321,7 +336,8 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
     mids = [(nodes[l.u].x / 2 + nodes[l.v].x / 2, nodes[l.u].y / 2 + nodes[l.v].y / 2)
             for l in links]
     near = [[i] for i in range(len(links))]
-    for i, j in _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL)):
+    for i, j in _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL),
+                              "algorithm.interference_multiplier"):
         near[i].append(j)
         near[j].append(i)
     interferers = tuple(tuple(sorted(ids)) for ids in near)

@@ -217,6 +217,15 @@ MALFORMED = {
                           "traffic.flows[0].packet_bytes"),
     # rejected before any node is placed
     "nodes-huge": (edited(MINI, ("topology", "n"), 10 ** 10), "topology.n"),
+    # finite spacings that place nodes at inf, or at nan through inf - inf
+    "chain-spacing-overflow": (edited(edited(MINI, ("topology", "kind"), "chain"),
+                                      ("topology", "spacing"), 1e308), "topology.spacing"),
+    "binary-tree-spacing-overflow": ({**MINI, "topology": {"kind": "binary-tree", "n": 7,
+                                                           "spacing": 1e308, "tx_range": 1e308}},
+                                     "topology.spacing"),
+    # 4950 links within 1 mm of each other: every pair of them interferes
+    "dense-ring": ({**MINI, "topology": {"kind": "ring", "n": 100, "spacing": 1e-6,
+                                         "tx_range": 1e-3}}, "algorithm.interference_multiplier"),
 }
 
 
@@ -243,6 +252,25 @@ def test_generated_nodes_at_one_point_name_spacing(tmp_path, capsys, kind):
     # 1e-12 m is below the 1 nm to which distances round
     doc = edited(edited(MINI, ("topology", "spacing"), 1e-12), ("topology", "kind"), kind)
     assert_validation_error(tmp_path, capsys, doc, "topology.spacing")
+
+
+PAST_HORIZON = {
+    # the second packet of flow (0, 2) is due some 1e305 s on, so far past the
+    # last slot that the slot index overflows a float
+    "rate-tiny": {"preset": "paper-ring-4", "traffic": {"flows": [
+        {"src": 0, "dst": 2, "rate_bps": 1e-300, "packet_bytes": 65536}]}},
+    "rate-tiny-slot-tiny": {"preset": "paper-ring-4", "traffic": {"flows": [
+        {"src": 0, "dst": 2, "rate_bps": 1e-300, "packet_bytes": 65536}]},
+        "sim": {"horizon_s": 1e-4, "slot_s": 1e-9}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_HORIZON))
+def test_flow_due_past_the_horizon_runs(tmp_path, capsys, case):
+    assert main(["run", "--scenario", scenario_file(tmp_path, PAST_HORIZON[case]),
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metrics"]["per_flow"]["0->2"]["generated"] == 1
 
 
 def test_sweep_channel_count_out_of_bounds(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import deque
 
 import pytest
@@ -11,7 +12,7 @@ from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       run_simulation, scenario_from_dict, sim_input,
                       sweep_channels, sweep_time)
 
-from meshplan.sim import _CREDIT_EPS, _TIME_EPS, _FlowRun, sim_key
+from meshplan.sim import MAX_SLOTS, _CREDIT_EPS, _TIME_EPS, _FlowRun, sim_key
 
 from conftest import cbr, profile
 
@@ -294,9 +295,15 @@ def test_run_equals_stepping_every_slot_random(case):
     assert jumped == stepped
 
 
-def assert_due_is_first_admitting_slot(flow, slot_s):
+def assert_due_is_first_admitting_slot(flow, slot_s, n_slots=int(MAX_SLOTS)):
+    """due is the first slot whose start admits the next packet, or inf when
+    that slot is past the last of n_slots."""
     tol = slot_s * _TIME_EPS
-    flow.set_due(slot_s, tol)
+    flow.set_due(slot_s, tol, (n_slots - 1) * slot_s + tol)
+    if flow.due == math.inf:
+        assert flow.next_t > (n_slots - 1) * slot_s + tol
+        return
+    assert flow.due < n_slots
     assert flow.next_t <= flow.due * slot_s + tol
     assert flow.due == 0 or flow.next_t > (flow.due - 1) * slot_s + tol
 
@@ -309,14 +316,17 @@ def test_flow_due_is_first_slot_inject_admits(rate_bps, packet_bytes):
     for idx in range(3000):
         flow.next_idx = idx
         assert_due_is_first_admitting_slot(flow, 1e-3)
+        assert flow.due != math.inf
 
 
 @given(st.floats(min_value=1e-12, max_value=1e12), st.integers(1, 65536),
-       st.integers(0, 10 ** 9), st.sampled_from([1e-4, 1e-3, 3e-3]))
-def test_flow_due_is_first_slot_inject_admits_random(rate_bps, packet_bytes, idx, slot_s):
+       st.integers(0, 10 ** 9), st.sampled_from([1e-4, 1e-3, 3e-3]),
+       st.integers(1, int(MAX_SLOTS)))
+def test_flow_due_is_first_slot_inject_admits_random(rate_bps, packet_bytes, idx, slot_s,
+                                                     n_slots):
     flow = _FlowRun((0, 1), (0,), packet_bytes * 8, rate_bps)
     flow.next_idx = idx
-    assert_due_is_first_admitting_slot(flow, slot_s)
+    assert_due_is_first_admitting_slot(flow, slot_s, n_slots)
 
 
 def test_run_steps_only_slots_that_can_change_state():
@@ -441,7 +451,7 @@ class PacketSimulator(Simulator):
                     q.append(_Packet(fr, fr.next_t))
                     self.in_flight += 1
                 fr.next_idx += 1
-            fr.set_due(cfg.slot_s, tol)
+            fr.set_due(cfg.slot_s, tol, self._last_t)
         self._min_due = min(fr.due for fr in self._flows)
 
     def step(self):

@@ -64,6 +64,19 @@ def test_configuration_errors():
         build_topology("binary-tree", 7, 300.0, tx_range=250.0)
 
 
+def test_pair_bound_names_the_range_field(monkeypatch):
+    # A 6-node ring 1 m apart has all 15 node pairs in range as links, and
+    # all 105 pairs of those links interfere.
+    monkeypatch.setattr(topology, "MAX_PAIRS", 14)
+    with pytest.raises(ConfigurationError, match="^topology.tx_range: "):
+        build_topology("ring", 6, 1.0)
+    monkeypatch.setattr(topology, "MAX_PAIRS", 15)
+    ring = build_topology("ring", 6, 1.0)
+    assert ring.n_links == 15
+    with pytest.raises(ConfigurationError, match="^algorithm.interference_multiplier: "):
+        build_interference_map(ring)
+
+
 def test_interference_range_must_cover_tx():
     with pytest.raises(ConfigurationError):
         build_topology("chain", 3, 100.0, tx_range=250.0, interference_range=100.0)
@@ -309,7 +322,7 @@ def test_pairs_within_rounding_band(limit):
     outcomes = set()
     for points in cases:
         expected = [(i, j) for i, j, _ in all_pairs_within(points, limit)]
-        assert topology._pairs_within(points, limit) == expected, points
+        assert topology._pairs_within(points, limit, "limit") == expected, points
         outcomes.add(bool(expected))
     assert outcomes == {True, False}
 
