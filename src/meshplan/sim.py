@@ -11,20 +11,36 @@ for a given scenario and seed.
 
 A queue holds runs: consecutive packets of one flow at one hop, kept as
 their inject times. Service takes packets off the head runs while the
-link's credit covers the next one, testing and charging credit one packet
-at a time. Forwarding appends each served batch to the next hop's queue,
-into the tail run when that holds the same flow at the same hop, as far
-as the queue has room, and drops the rest. Delivery adds up delays one
-packet at a time in service order. The results equal moving packets one
-by one, bit for bit, and the work of a slot follows the packets it moves,
-not the packets queued.
+link's credit covers the next one. Forwarding appends each served batch to
+the next hop's queue, into the tail run when that holds the same flow at
+the same hop, as far as the queue has room, and drops the rest. Delivery
+adds up delays one packet at a time in service order. The results equal
+moving packets one by one, bit for bit, and the work of a slot follows the
+runs it moves, not the packets queued.
 
-``run()`` steps only the slots that can change state: those whose frame
-has a backlogged link and those at which a flow's next packet is due. It
-jumps over every other slot. A skipped slot serves no link and admits no
-packet, so it changes no state, and the result equals stepping every slot.
-One run may inject at most ``MAX_PACKETS`` packets and span at most
-``MAX_SLOTS`` slots.
+A run's first packet is charged as a single packet is: it is served when
+``size <= c + eps`` and then ``c -= size``. ``_charge`` serves the rest of
+the run with one quotient, ``n = int(c / size)``, corrected by that same
+test on ``c - k * size``, and charges ``c - n * size`` once. This equals
+charging packet by packet: the size is an int, and while the credit c is
+below 2**52 its ulp is at most 1 and divides the size, and c >= size -
+eps > size / 2 whenever a packet is served, so each ``c - size`` is exact
+(by Sterbenz's lemma when c <= 2 * size, and because the result is a
+multiple of ulp(c) no larger than c otherwise). Hence ``c - k * size``
+is the credit after k single charges, every test sees the same float, and
+the test is monotone in k, so the correcting walk is a step or two. Credit
+of 2**52 or more, or inf, keeps the per-packet loop.
+
+``run()`` jumps over the slots that can change no state but credit. After
+a step that moved no packet, or when the next slot's frame has no
+backlogged link, it jumps to the first slot, at most the run's bound, at
+which a flow's next packet is due or some backlogged link's credit covers
+its head packet. Until that slot no packet moves, so the backlog sets and
+each link's divisor stay fixed: each waiting link gets its share added
+once per slot of its frame, the same float adds in the same order as
+stepping, and an audit records the jumped grants in (slot, link) order.
+The result equals stepping every slot. One run may inject at most
+``MAX_PACKETS`` packets and span at most ``MAX_SLOTS`` slots.
 
 A flow's due slot is ceil(next_t / slot_s), moved at most one slot to
 agree with the admit test of ``_inject``. A flow whose next packet falls
@@ -50,6 +66,7 @@ _CREDIT_EPS = 1e-6  # bits of slack on credit comparisons
 _TIME_EPS = 1e-9    # relative slack on slot-boundary comparisons
 MAX_PACKETS = 1e8   # bound on the packets one run may inject
 MAX_SLOTS = 1e8     # bound on the slots one run may span
+_EXACT = 2.0 ** 52  # below it, charging an int size to credit is exact
 
 
 @dataclass(frozen=True)
@@ -106,6 +123,28 @@ class ServiceAudit:
 
     def record(self, slot: int, link: int, bits: float, divisor: int) -> None:
         self.grants.append((slot, link, bits, divisor))
+
+
+def _charge(c: float, size: int, n_max: int) -> tuple[int, float]:
+    """Serve up to ``n_max`` packets of ``size`` bits from credit ``c``, each
+    while ``size <= c + eps``, and return how many and the credit left: what
+    charging them one at a time gives, bit for bit (see the module
+    docstring)."""
+    eps = _CREDIT_EPS
+    if c < _EXACT:
+        n = int(c / size)
+        if n > n_max:
+            n = n_max
+        while n and not size <= c - (n - 1) * size + eps:
+            n -= 1
+        while n < n_max and size <= c - n * size + eps:
+            n += 1
+        return n, c - n * size
+    n = 0
+    while n < n_max and size <= c + eps:
+        c -= size
+        n += 1
+    return n, c
 
 
 class _FlowRun:
@@ -214,6 +253,7 @@ class Simulator:
         self._backlog: list[set[int]] = [set() for _ in range(self.n_frames)]
         self._credit: dict[int, float] = {l: 0.0 for l in self._frame_of}
         self._min_due: float = 0 if self._flows else math.inf
+        self._still = -1  # the last slot whose step moved no packet
         # The admit time of the last slot: a packet after it is never injected.
         self._last_t = (config.n_slots - 1) * config.slot_s + config.slot_s * _TIME_EPS
 
@@ -320,7 +360,7 @@ class Simulator:
         eps = _CREDIT_EPS
         for l in served:
             co_ch = others[l]
-            divisor = 1 + sum(1 for q in co_ch if q in backlog) if co_ch else 1
+            divisor = 1 + len(backlog.intersection(co_ch)) if co_ch else 1
             share = slot_bits / divisor
             c = credit[l] + share
             if audit is not None:
@@ -332,11 +372,11 @@ class Simulator:
                 if size > c + eps:
                     break
                 fr, hop, times, head = run
-                c -= size
                 i, end = head + 1, len(times)
-                while i < end and size <= c + eps:
-                    c -= size
-                    i += 1
+                c -= size
+                if i < end:
+                    n, c = _charge(c, size, end - i)
+                    i += n
                 counts[l] -= i - head
                 # A run served to its end moves on itself; a run served in
                 # part stays, and a new run takes the packets served.
@@ -358,6 +398,8 @@ class Simulator:
 
         if outbox:
             self._forward(outbox)
+        else:
+            self._still = self.slot
 
         # A served link left empty leaves the backlog with no credit; only a
         # served link can hold credit with an empty queue.
@@ -377,20 +419,70 @@ class Simulator:
         backlog, n_frames = self._backlog, self.n_frames
         while self.slot < bound:
             self.step()
-            if not backlog[self.slot % n_frames]:
-                self._skip_idle(bound)
+            if self._still == self.slot - 1 or not backlog[self.slot % n_frames]:
+                self._jump(bound)
 
-    def _skip_idle(self, bound: int) -> None:
-        """Jump to the first slot, at most ``bound``, whose frame has backlog
-        or at which an injection is due. The slots jumped over serve no link
-        and admit no packet, so they change no state."""
+    def _jump(self, bound: int) -> None:
+        """Jump to the first slot, at most ``bound``, at which a flow's next
+        packet is due or a backlogged link's credit covers its head packet.
+        The slots jumped over move no packet, so each only adds every
+        backlogged link of its frame that link's share, as step() would."""
+        start = self.slot
         target = min(self._min_due, bound)
-        for slot in range(self.slot + 1, min(self.slot + self.n_frames, target)):
-            if self._backlog[slot % self.n_frames]:
-                target = slot
+        if target <= start:
+            return
+        cfg, n_frames = self.config, self.n_frames
+        queues, credit, others = self._queues, self._credit, self._others
+        slot_bits = cfg.channel_capacity_bps * cfg.slot_s
+        eps = _CREDIT_EPS
+        # Visit the frames in the order of their first slot, and stop at the
+        # first link whose credit covers its head there. The links before it
+        # wait: their share, divisor and head size, the size as a float where
+        # that is exact, which compares faster.
+        waiting = []
+        backlogs = self._backlog
+        for first in range(start, min(start + n_frames, target)):
+            backlog = backlogs[first % n_frames]
+            for l in backlog:
+                co_ch = others[l]
+                divisor = 1 + len(backlog.intersection(co_ch)) if co_ch else 1
+                share = slot_bits / divisor
+                size = queues[l][0][0].size_bits
+                if size <= credit[l] + share + eps:
+                    target = first
+                    break
+                waiting.append((l, first, share, divisor, float(size) if size < _EXACT else size))
+            if target == first:
                 break
-        if target > self.slot:
-            self.slot = target
+        # Add each waiting link's share slot by slot until its credit covers
+        # its head or the target then is reached; a link that covers first
+        # moves the target, and a link whose adds ran past it adds again.
+        added = []
+        for l, first, share, _, size in waiting:
+            c = credit[l]
+            slots = range(first, target, n_frames)
+            k = len(slots)
+            for s in slots:
+                total = c + share
+                if size <= total + eps:
+                    target = s
+                    k = (s - first) // n_frames
+                    break
+                c = total
+            added.append((l, first, share, k, c))
+        for l, first, share, k, c in added:
+            need = len(range(first, target, n_frames))
+            if k > need:
+                c = credit[l]
+                for _ in range(need):
+                    c += share
+            credit[l] = c
+        if self.audit is not None:
+            grants = {l: (share, divisor) for l, _, share, divisor, _ in waiting}
+            for slot in range(start, target):
+                for l in sorted(self._backlog[slot % n_frames]):
+                    self.audit.record(slot, l, *grants[l])
+        self.slot = target
 
     # -- results ---------------------------------------------------------
 

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import ConfigurationError
 from .schema import check, invalid
@@ -127,12 +130,13 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 def _pairs_within(points: list[tuple[float, float]], limit: float,
-                  name: str) -> list[tuple[int, int]]:
+                  name: str) -> Iterator[tuple[int, int]]:
     """Every (i, j) with i < j and _distance(points[i], points[j]) <= limit,
     in ascending order, found by the cell list of the module docstring.
-    More than ``MAX_PAIRS`` of them is an error naming the field ``name``."""
+    More than ``MAX_PAIRS`` of them is an error naming the field ``name``,
+    raised before the first pair is returned."""
     if not points:
-        return []
+        return iter(())
     # Coordinates are halved so that no difference of two finite ones overflows.
     xs, ys = zip(*points)
     x0, y0 = min(xs) / 2, min(ys) / 2
@@ -161,11 +165,16 @@ def _pairs_within(points: list[tuple[float, float]], limit: float,
     tiny, inf = sys.float_info.min, math.inf
     inside = min(lo * lo * (1 - 1e-12), sys.float_info.max) if lo > 0 else -1.0
     outside = hi * hi * (1 + 1e-12)
-    pairs: list[tuple[int, int]] = []
+    # Each pair is held as the code i * n + j in an array of 8-byte ints, an
+    # eighth of the room a 2-tuple in a list takes, and decoded one at a time
+    # as the caller iterates, once the search has stayed within the bound.
+    n = len(points)
+    codes = array("q")
     for (cx, cy), here in cells.items():
         ahead = [cells[key] for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
                                         (cx, cy + 1)) if key in cells]
         for k, (i, xi, yi) in enumerate(here):
+            ni = i * n
             for others in (here[k + 1:], *ahead):
                 for j, xj, yj in others:
                     dx, dy = xi - xj, yi - yj
@@ -173,12 +182,11 @@ def _pairs_within(points: list[tuple[float, float]], limit: float,
                     if (s <= inside and s >= tiny
                             or (s <= outside or s == inf)
                             and _distance((xi, yi), (xj, yj)) <= limit):
-                        pairs.append((i, j) if i < j else (j, i))
-            if len(pairs) > MAX_PAIRS:
+                        codes.append(ni + j if i < j else j * n + i)
+            if len(codes) > MAX_PAIRS:
                 raise invalid(name, f"puts more than {MAX_PAIRS:.0e} pairs within "
                                     f"{limit:.6g} m; one topology may have at most {MAX_PAIRS:.0e}")
-    pairs.sort()
-    return pairs
+    return map(divmod, sorted(codes), repeat(n))
 
 
 def _coincident(u: int, v: int, spacing: float | None) -> ConfigurationError:
@@ -297,9 +305,9 @@ def build_topology(kind: str, n: int, spacing: float, *,
     if kind == "binary-tree":
         # The links are the parent-child edges, not a range search, so look
         # for nodes at one point separately.
-        coincident = _pairs_within(positions, 0.0, "topology.spacing")
+        coincident = next(_pairs_within(positions, 0.0, "topology.spacing"), None)
         if coincident:
-            raise _coincident(coincident[0][0], coincident[0][1], spacing)
+            raise _coincident(*coincident, spacing)
         links: list[VirtualLink] = []
         for child in range(1, n):
             parent = (child - 1) // 2
@@ -335,9 +343,10 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
     # subnormal scale, and it cannot overflow.
     mids = [(nodes[l.u].x / 2 + nodes[l.v].x / 2, nodes[l.u].y / 2 + nodes[l.v].y / 2)
             for l in links]
+    pairs = _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL),
+                          "algorithm.interference_multiplier")
     near = [[i] for i in range(len(links))]
-    for i, j in _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL),
-                              "algorithm.interference_multiplier"):
+    for i, j in pairs:
         near[i].append(j)
         near[j].append(i)
     interferers = tuple(tuple(sorted(ids)) for ids in near)

@@ -261,7 +261,7 @@ PAST_HORIZON = {
         {"src": 0, "dst": 2, "rate_bps": 1e-300, "packet_bytes": 65536}]}},
     "rate-tiny-slot-tiny": {"preset": "paper-ring-4", "traffic": {"flows": [
         {"src": 0, "dst": 2, "rate_bps": 1e-300, "packet_bytes": 65536}]},
-        "sim": {"horizon_s": 1e-4, "slot_s": 1e-9}},
+        "sim": {"horizon_s": 0.01, "slot_s": 1e-9}},
 }
 
 

@@ -12,7 +12,7 @@ from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       run_simulation, scenario_from_dict, sim_input,
                       sweep_channels, sweep_time)
 
-from meshplan.sim import MAX_SLOTS, _CREDIT_EPS, _TIME_EPS, _FlowRun, sim_key
+from meshplan.sim import MAX_SLOTS, _CREDIT_EPS, _TIME_EPS, _FlowRun, _charge, sim_key
 
 from conftest import cbr, profile
 
@@ -219,8 +219,8 @@ def planned_input(scenario, protocol, **overrides):
 
 
 def run_both_ways(scenario, protocol, **overrides):
-    """metrics() and audit grants from run(), which jumps over idle slots,
-    and from a loop that steps every slot."""
+    """metrics() and audit grants from run(), which jumps over the slots that
+    only add credit, and from a loop that steps every slot."""
     result, inp = planned_input(scenario, protocol, **overrides)
     outcomes = []
     for jump in (True, False):
@@ -329,14 +329,15 @@ def test_flow_due_is_first_slot_inject_admits_random(rate_bps, packet_bytes, idx
     assert_due_is_first_admitting_slot(flow, slot_s, n_slots)
 
 
+class CountingSimulator(Simulator):
+    steps = 0
+
+    def step(self):
+        self.steps += 1
+        super().step()
+
+
 def test_run_steps_only_slots_that_can_change_state():
-    class CountingSimulator(Simulator):
-        steps = 0
-
-        def step(self):
-            self.steps += 1
-            super().step()
-
     scenario = scenario_from_dict({"preset": "paper-table1", "sim": {"horizon_s": 20.0}})
     result = run_pipeline(scenario, "ccmca", n_channels=3)
     sim = CountingSimulator(sim_input(build_interference_map(scenario.build_topology()),
@@ -345,6 +346,88 @@ def test_run_steps_only_slots_that_can_change_state():
     sim.run()
     assert sim.metrics() == result.metrics
     assert sim.steps < 0.65 * result.config.n_slots
+
+
+def assert_jumps_equal_stepping(inp, config):
+    """run() gives the metrics and grants of stepping every slot, and of the
+    per-packet reference stepped every slot; returns those metrics and the
+    slots run() stepped."""
+    outcomes = []
+    for cls, jump in ((CountingSimulator, True), (Simulator, False), (PacketSimulator, False)):
+        audit = ServiceAudit()
+        sim = cls(inp, config, audit)
+        if jump:
+            sim.run()
+            steps = sim.steps
+        else:
+            while sim.slot < config.n_slots:
+                sim.step()
+        outcomes.append((sim.metrics(), audit.grants))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    return outcomes[0], steps
+
+
+def test_jump_adds_shared_credit_as_stepping(ring4_imap):
+    # Links 0=(0,1) and 3=(2,3) share frame 0 and channel 0 and interfere, so
+    # while both wait each gets half a slot's share. The 64 KiB packets of
+    # (0, 1) wait some 105 active slots for credit and the 1500 B packets of
+    # (2, 3) wait 3, so a jump often stops for (2, 3) while (0, 1) waits on.
+    prof = profile(cbr(0, 1, 1e6, 65536), cbr(2, 3, 2e5, 1500))
+    routes = RouteTable({(0, 1): Route((0,), 1.0), (2, 3): Route((3,), 1.0)})
+    inp = sim_input(ring4_imap, prof, routes, ChannelAssignment(1, (0, 0, 0, 0), (0, 1, 1, 0)))
+    config = SimConfig(horizon_s=2.0)
+    (m, grants), steps = assert_jumps_equal_stepping(inp, config)
+    assert m.per_flow[(0, 1)].delivered >= 3 and m.per_flow[(2, 3)].delivered >= 30
+    assert {(link, divisor) for _, link, _, divisor in grants} == {(0, 1), (0, 2), (3, 1), (3, 2)}
+    assert steps < 0.1 * config.n_slots
+
+
+def test_jump_crosses_a_packet_too_large_for_the_run():
+    # One 64 KiB packet on 1 ns slots gains 0.01 bits of credit a slot, so it
+    # is never sent; run() steps the slot that injects it and jumps the rest.
+    doc = {"preset": "paper-ring-4", "traffic": {"flows": [
+        {"src": 0, "dst": 2, "rate_bps": 1e-300, "packet_bytes": 65536}]},
+        "sim": {"horizon_s": 1e-4, "slot_s": 1e-9}}
+    result, inp = planned_input(scenario_from_dict(doc), "ccmca")
+    (m, grants), steps = assert_jumps_equal_stepping(inp, result.config)
+    assert m == result.metrics
+    assert (m.generated, m.in_flight, m.delivered) == (1, 1, 0)
+    assert len(grants) >= result.config.n_slots // result.assignment.n_frames
+    assert steps == 1
+
+
+def charge_one_by_one(c, size, n_max):
+    n = 0
+    while n < n_max and size <= c + _CREDIT_EPS:
+        c -= size
+        n += 1
+    return n, c
+
+
+@st.composite
+def credits(draw):
+    """A packet size, a run length and the credit left after the run's first
+    packet: anywhere from -1e-6 to past 2**52, inf, or within a few eps of a
+    multiple of the size, where one quotient is a packet off."""
+    size = draw(st.one_of(st.integers(1, 2 ** 16), st.integers(1, 2 ** 60)))
+    n_max = draw(st.integers(0, 10 ** 4))
+    c = draw(st.one_of(
+        st.floats(min_value=-1e-6, max_value=2.0 ** 60),
+        st.floats(min_value=2.0 ** 51, max_value=2.0 ** 53),
+        st.just(math.inf),
+        st.builds(lambda k, d: max(k * size + d, -1e-6),
+                  st.integers(0, 10 ** 4 + 1), st.floats(-3e-6, 3e-6))))
+    return c, size, n_max
+
+
+@settings(max_examples=500, deadline=None)
+@given(credits())
+def test_charge_equals_charging_one_packet_at_a_time(case):
+    c, size, n_max = case
+    n, left = _charge(c, size, n_max)
+    want_n, want_left = charge_one_by_one(c, size, n_max)
+    assert n == want_n
+    assert left == want_left and math.copysign(1, left) == math.copysign(1, want_left)
 
 
 def test_determinism_identical_metrics():

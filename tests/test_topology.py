@@ -322,7 +322,7 @@ def test_pairs_within_rounding_band(limit):
     outcomes = set()
     for points in cases:
         expected = [(i, j) for i, j, _ in all_pairs_within(points, limit)]
-        assert topology._pairs_within(points, limit, "limit") == expected, points
+        assert list(topology._pairs_within(points, limit, "limit")) == expected, points
         outcomes.add(bool(expected))
     assert outcomes == {True, False}
 
