@@ -15,7 +15,7 @@ from .errors import (ConfigurationError, ContractError, MeshPlanError,
                      ScenarioValidationError, UnroutableFlowError)
 from .loads import (GoodputReport, LoadEstimate, acceptable_paths_for_profile,
                     enumerate_acceptable_paths, expected_link_load, goodput,
-                    link_capacities, path_nodes, virtual_link_capacity)
+                    link_capacities, virtual_link_capacity)
 from .pipeline import (PROTOCOLS, PipelineResult, SweepRow, run_pipeline,
                        sweep_channels, sweep_time)
 from .report import emit_report, render_report, result_row

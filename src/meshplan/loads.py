@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import ContractError, UnroutableFlowError
+from .errors import UnroutableFlowError
 from .schema import check, param
 from .topology import InterferenceMap, Topology
 from .traffic import TrafficProfile
@@ -35,7 +35,6 @@ class LoadEstimate:
 
 @dataclass(frozen=True)
 class GoodputReport:
-    assigned: dict[Pair, float]
     useful: dict[Pair, float]
     total: float = param(ge=0)
 
@@ -159,31 +158,13 @@ def expected_link_load(n_links: int, paths: dict[Pair, tuple[Path, ...]],
     return tuple(delta)
 
 
-def path_nodes(topology: Topology, s: int, links: Path) -> tuple[int, ...]:
-    """Expand a link-id sequence starting at s into the node sequence."""
-    nodes = [s]
-    at = s
-    for lid in links:
-        l = topology.links[lid]
-        if l.u == at:
-            at = l.v
-        elif l.v == at:
-            at = l.u
-        else:
-            raise ContractError(f"link {lid} does not continue path at node {at}")
-        nodes.append(at)
-    return tuple(nodes)
-
-
-def goodput(assigned: dict[Pair, float], profile: TrafficProfile) -> GoodputReport:
-    """Total useful bandwidth: per pair, assigned bandwidth counts only up
-    to the pair's demand."""
-    flows = profile.by_pair()
-    if set(assigned) != set(flows):
-        raise ContractError("assigned bandwidth pairs do not match the traffic profile")
-    for pair, b in assigned.items():
-        if b < 0:
-            raise ValueError(f"assigned bandwidth must be >= 0, got {b} for {pair}")
-    useful = {pair: min(assigned[pair], flows[pair].rate_bps)
-              for pair in sorted(assigned)}
-    return GoodputReport(dict(sorted(assigned.items())), useful, sum(useful.values()))
+def goodput(per_flow: dict, profile: TrafficProfile) -> GoodputReport:
+    """Total useful bandwidth: per pair, its rate times the share of its
+    generated packets delivered, or 0 when it generated none or did not
+    run. ``per_flow`` is ``SimMetrics.per_flow``, each pair's counts."""
+    useful = {}
+    for pair, flow in sorted(profile.by_pair().items()):
+        stats = per_flow.get(pair)
+        useful[pair] = (flow.rate_bps * (stats.delivered / stats.generated)
+                        if stats is not None and stats.generated > 0 else 0.0)
+    return GoodputReport(useful, sum(useful.values()))

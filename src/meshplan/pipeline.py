@@ -108,8 +108,6 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     untouched, and the bundle carries it with them applied. ``_sims`` is a
     sweep's map from ``sim_key`` to the metrics already simulated in that
     sweep; a run whose key is there reuses them.
-    Assigned per-pair bandwidth is the delivered share of the pair's demand,
-    so goodput is exactly the demand when delivery is total.
     """
     scenario = replace(
         scenario, algorithm=_override("algorithm", scenario.algorithm, n_channels=n_channels),
@@ -123,14 +121,7 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
             sims[key] = run_simulation(inp, scenario.sim)
         metrics = sims[key]
     with _stage("goodput"):
-        assigned = {}
-        for pair, flow in sorted(scenario.traffic.by_pair().items()):
-            stats = metrics.per_flow.get(pair)
-            if stats is not None and stats.generated > 0:
-                assigned[pair] = flow.rate_bps * (stats.delivered / stats.generated)
-            else:
-                assigned[pair] = 0.0
-        report = goodput(assigned, scenario.traffic)
+        report = goodput(metrics.per_flow, scenario.traffic)
 
     return PipelineResult(scenario, protocol, loads, costs, routes, assignment, metrics, report)
 

@@ -42,6 +42,12 @@ stepping, and an audit records the jumped grants in (slot, link) order.
 The result equals stepping every slot. One run may inject at most
 ``MAX_PACKETS`` packets and span at most ``MAX_SLOTS`` slots.
 
+Each flow counts its own packets generated, delivered and dropped and its
+delays; the run keeps one more sum, of every delay in service order, for
+the average delay. ``metrics()`` derives the totals from the flows' counts
+and the packets in flight from the queues' own counts, and raises
+ContractError unless generated equals delivered + dropped + queued.
+
 A flow's due slot is ceil(next_t / slot_s), moved at most one slot to
 agree with the admit test of ``_inject``. A flow whose next packet falls
 after the last slot is due at inf and never injected again; that is tested
@@ -87,19 +93,18 @@ class SimConfig:
         return int(self.horizon_s / self.slot_s + _TIME_EPS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowStats:
     generated: int = param(0, ge=0)
     delivered: int = param(0, ge=0)
     dropped: int = param(0, ge=0)
-    delivered_bits: int = param(0, ge=0)
     delay_sum_s: float = param(0.0, ge=0)
 
     def __post_init__(self):
         check(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimMetrics:
     generated: int = param(0, ge=0)
     delivered: int = param(0, ge=0)
@@ -148,7 +153,8 @@ def _charge(c: float, size: int, n_max: int) -> tuple[int, float]:
 
 
 class _FlowRun:
-    __slots__ = ("pair", "route", "size_bits", "interval_s", "next_idx", "due", "stats")
+    __slots__ = ("pair", "route", "size_bits", "interval_s", "next_idx", "due",
+                 "generated", "delivered", "dropped", "delay_sum_s")
 
     def __init__(self, pair: Pair, route: tuple[int, ...], size_bits: int, rate_bps: float):
         self.pair = pair
@@ -157,7 +163,9 @@ class _FlowRun:
         self.interval_s = size_bits / rate_bps
         self.next_idx = 0
         self.due = 0  # first slot whose start admits the next packet, or inf
-        self.stats = FlowStats()
+        # The flow's packet outcomes so far, the run's only outcome counters.
+        self.generated = self.delivered = self.dropped = 0
+        self.delay_sum_s = 0.0
 
     @property
     def next_t(self) -> float:
@@ -258,11 +266,7 @@ class Simulator:
         self._last_t = (config.n_slots - 1) * config.slot_s + config.slot_s * _TIME_EPS
 
         self.slot = 0
-        self.generated = 0
-        self.delivered = 0
-        self.dropped = 0
-        self.in_flight = 0
-        self.delivered_bits = 0
+        # Every delivery's delay, summed in service order for avg_delay_s.
         self.delay_sum_s = 0.0
 
     # -- slot mechanics -------------------------------------------------
@@ -286,9 +290,7 @@ class Simulator:
                 times.append(t)
                 idx += 1
                 t = idx * interval
-            self.generated += len(times)
-            self.in_flight += len(times)
-            fr.stats.generated += len(times)
+            fr.generated += len(times)
             arrivals.append([fr, -1, times, 0])
             fr.next_idx = idx
             fr.set_due(cfg.slot_s, tol, self._last_t)
@@ -305,29 +307,22 @@ class Simulator:
         for run in moved:
             fr, hop, times, _ = run
             k = len(times)
-            st = fr.stats
             route = fr.route
             hop += 1
             if hop == len(route):
-                self.in_flight -= k
-                self.delivered += k
-                self.delivered_bits += k * fr.size_bits
-                st.delivered += k
-                st.delivered_bits += k * fr.size_bits
+                fr.delivered += k
                 # Delays add up one packet at a time, in service order.
                 end_t = (self.slot + 1) * self.config.slot_s
-                total, flow_total = self.delay_sum_s, st.delay_sum_s
+                total, flow_total = self.delay_sum_s, fr.delay_sum_s
                 for t in times:
                     total += end_t - t
                     flow_total += end_t - t
-                self.delay_sum_s, st.delay_sum_s = total, flow_total
+                self.delay_sum_s, fr.delay_sum_s = total, flow_total
                 continue
             link = route[hop]
             room = qcap - counts[link]
             if k > room:
-                self.in_flight -= k - room
-                self.dropped += k - room
-                st.dropped += k - room
+                fr.dropped += k - room
                 del times[room:]
                 k = room
                 if not k:
@@ -407,11 +402,6 @@ class Simulator:
             if not queues[l]:
                 backlog.discard(l)
                 credit[l] = 0.0
-
-        if self.generated != self.delivered + self.dropped + self.in_flight:
-            raise ContractError(
-                f"packet conservation violated at slot {self.slot}: "
-                f"{self.generated} != {self.delivered} + {self.dropped} + {self.in_flight}")
         self.slot += 1
 
     def run(self, until_slot: int | None = None) -> None:
@@ -487,17 +477,31 @@ class Simulator:
     # -- results ---------------------------------------------------------
 
     def metrics(self) -> SimMetrics:
-        per_flow = {fr.pair: fr.stats for fr in self._flows}
+        """A snapshot of the run so far, totals summed over its flows. The
+        packets in flight are those the queues hold, which they count apart
+        from the flows, so a packet generated but neither delivered, dropped
+        nor queued raises ContractError."""
+        flows = self._flows
+        generated = sum(fr.generated for fr in flows)
+        delivered = sum(fr.delivered for fr in flows)
+        dropped = sum(fr.dropped for fr in flows)
+        in_flight = sum(self._counts.values())
+        if generated != delivered + dropped + in_flight:
+            raise ContractError(
+                f"packet conservation violated at slot {self.slot}: "
+                f"{generated} != {delivered} + {dropped} + {in_flight} queued")
+        delivered_bits = sum(fr.delivered * fr.size_bits for fr in flows)
         return SimMetrics(
-            generated=self.generated,
-            delivered=self.delivered,
-            dropped=self.dropped,
-            in_flight=self.in_flight,
-            avg_delay_s=self.delay_sum_s / self.delivered if self.delivered else 0.0,
-            pdr=self.delivered / self.generated if self.generated else 0.0,
-            throughput_pkts=self.delivered,
-            throughput_bps=self.delivered_bits / self.config.horizon_s,
-            per_flow=per_flow,
+            generated=generated,
+            delivered=delivered,
+            dropped=dropped,
+            in_flight=in_flight,
+            avg_delay_s=self.delay_sum_s / delivered if delivered else 0.0,
+            pdr=delivered / generated if generated else 0.0,
+            throughput_pkts=delivered,
+            throughput_bps=delivered_bits / self.config.horizon_s,
+            per_flow={fr.pair: FlowStats(fr.generated, fr.delivered, fr.dropped, fr.delay_sum_s)
+                      for fr in flows},
         )
 
 

@@ -62,7 +62,7 @@ class MeshNode:
         check(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VirtualLink:
     u: int
     v: int
@@ -251,9 +251,7 @@ def _place(kind: str, n: int, spacing: float, tx_range: float) -> list[tuple[flo
         pos += [(spacing * math.cos(2.0 * math.pi * k / leaves),
                  spacing * math.sin(2.0 * math.pi * k / leaves)) for k in range(leaves)]
         return pos
-    if kind == "binary-tree":
-        return _place_binary_tree(n, spacing, tx_range)
-    raise ConfigurationError(f"unsupported topology kind: {kind!r}")
+    return _place_binary_tree(n, spacing, tx_range)  # build_topology checked the kind
 
 
 def _place_binary_tree(n: int, spacing: float, tx_range: float) -> list[tuple[float, float]]:

@@ -182,8 +182,8 @@ def test_acceptance_5_trend_vs_baseline(capsys):
 
 def test_acceptance_6_conservation_and_determinism(bundle_battery, capsys):
     start = time.time()
-    # conservation: every bundle's counters add up (the engine additionally
-    # asserts the identity after every slot and would have raised)
+    # conservation: every bundle's counters add up (metrics() checks the
+    # flows' counts against the packets its queues hold and would have raised)
     for _, result in bundle_battery:
         m = result.metrics
         assert m.generated == m.delivered + m.dropped + m.in_flight

@@ -149,9 +149,9 @@ def test_bundle_replays_from_its_scenario():
 
 
 def test_codec_orders_pairs_numerically():
-    goodput = GoodputReport({(10, 1): 1.0, (2, 0): 2.0}, {(0, 5): 0.5}, 3.5)
+    goodput = GoodputReport({(10, 1): 1.0, (2, 0): 2.0}, 3.0)
     doc = to_json(goodput)
-    assert list(doc["assigned"]) == ["2->0", "10->1"]
+    assert list(doc["useful"]) == ["2->0", "10->1"]
     assert to_json(frozenset({(10, 1), (2, 0), (2, 11)})) == ["2->0", "2->11", "10->1"]
     assert from_json(GoodputReport, doc, "goodput") == goodput
 

@@ -19,19 +19,19 @@ RUN_DIGESTS = {
     ("paper-ring-4", "ccmca", "csv"):
         "ab12950cbda1b558379b6850f4630872eaa59facdb4753443b2ade3ea58b0179",
     ("paper-ring-4", "ccmca", "json"):
-        "e606308d341ed9bb16d06c20e047f535ddd4098dc32cc981394daafe434ee7f6",
+        "f6118cff431d3480202e6cfa5b0a61c29a44f8e86759b8bd1ec4e16b96db3e53",
     ("paper-ring-4", "baseline", "csv"):
         "502fc2284c2ae615b2801cb293b4c6e36b4697bd82baf837d13e46e63c25def3",
     ("paper-ring-4", "baseline", "json"):
-        "32ede0adfe6321651d82c1a098148402ee4e3fc21a3eeade4f9332ef3ffbefe0",
+        "70fa720188c39b6d9fc3b1e96e5238b2290b506feeb4abf82e25df52e100b701",
     ("paper-table1", "ccmca", "csv"):
         "95e94989d9314dd8d967b71cfec2055f8a9414f0161e64bd7d8bc7d487eefd4d",
     ("paper-table1", "ccmca", "json"):
-        "8f49664992d288579fe839570d1463dd6f5bc84823121b76de79f184e0bf0a0d",
+        "2433777537c9de8ccd8dd35a1d2b156af5683846340e4c042452ed01e3870cb2",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
-        "31aef6a2821895f151221fef5a951be8b1f9ac0137d87ebbc6afa39d1212d61a",
+        "7b6123d207502efb1c4415cf6dc4416f08623a61ea86929050a8d8c245683043",
 }
 
 ASSIGN_DIGESTS = {

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from collections import deque
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       ServiceAudit, SimConfig, Simulator, TrafficProfile,
-                      build_interference_map, build_topology, run_pipeline,
+                      build_interference_map, build_topology, load_scenario, run_pipeline,
                       run_simulation, scenario_from_dict, sim_input,
                       sweep_channels, sweep_time)
 
@@ -204,12 +205,54 @@ def test_prefix_property_and_monotone_injection():
                               long_result.assignment), long_result.config)
     sim.run(until_slot=SimConfig(horizon_s=5.0,
                                  channel_capacity_bps=1e6).n_slots)
-    assert sim.generated == short.metrics.generated
-    assert sim.delivered == short.metrics.delivered
-    assert sim.dropped == short.metrics.dropped
+    m = sim.metrics()
+    assert m.generated == short.metrics.generated
+    assert m.delivered == short.metrics.delivered
+    assert m.dropped == short.metrics.dropped
     sim.run()
-    assert sim.generated >= short.metrics.generated
+    assert sim.metrics().generated >= short.metrics.generated
     assert sim.metrics() == long_result.metrics
+
+
+def test_metrics_is_a_snapshot_of_flow_sums():
+    # A snapshot taken mid-run keeps its counts while the run goes on, and
+    # its totals are the sums of its per-flow counts.
+    scenario = load_scenario("paper-ring-4")
+    result, inp = planned_input(scenario, "ccmca")
+    sim = Simulator(inp, result.config)
+    sim.run(until_slot=1000)
+    snapshot = sim.metrics()
+    kept = copy.deepcopy(snapshot)
+    sim.run()
+    assert sim.metrics() == result.metrics != snapshot
+    assert snapshot == kept
+    flows = snapshot.per_flow.values()
+    assert snapshot.generated == sum(st.generated for st in flows) > 0
+    assert snapshot.delivered == sum(st.delivered for st in flows) > 0
+    assert snapshot.dropped == sum(st.dropped for st in flows)
+    assert snapshot.in_flight == snapshot.generated - snapshot.delivered - snapshot.dropped
+
+
+class LosingSimulator(Simulator):
+    """Throws away the first run it is given to forward."""
+
+    lost = False
+
+    def _forward(self, moved):
+        if not self.lost:
+            self.lost = True
+            moved = moved[1:]
+        super()._forward(moved)
+
+
+def test_metrics_raises_on_lost_packets():
+    # The packets of the lost run are neither delivered, dropped nor queued.
+    result, inp = planned_input(load_scenario("paper-ring-4"), "ccmca")
+    sim = LosingSimulator(inp, result.config)
+    sim.run()
+    assert sim.lost
+    with pytest.raises(ContractError, match="packet conservation violated"):
+        sim.metrics()
 
 
 def planned_input(scenario, protocol, **overrides):
@@ -523,16 +566,14 @@ class PacketSimulator(Simulator):
             first = fr.route[0]
             q = self._queues[first]
             while fr.next_t <= now + tol:
-                self.generated += 1
-                fr.stats.generated += 1
+                fr.generated += 1
                 if len(q) >= cfg.queue_packets:
-                    self.dropped += 1
-                    fr.stats.dropped += 1
+                    fr.dropped += 1
                 else:
                     if not q:
                         self._backlog[self._frame_of[first]].add(first)
                     q.append(_Packet(fr, fr.next_t))
-                    self.in_flight += 1
+                    self._counts[first] += 1
                 fr.next_idx += 1
             fr.set_due(cfg.slot_s, tol, self._last_t)
         self._min_due = min(fr.due for fr in self._flows)
@@ -553,6 +594,7 @@ class PacketSimulator(Simulator):
             q = self._queues[l]
             while q and q[0].size_bits <= c + _CREDIT_EPS:
                 pkt = q.popleft()
+                self._counts[l] -= 1
                 c -= pkt.size_bits
                 outbox.append(pkt)
             self._credit[l] = c
@@ -560,27 +602,23 @@ class PacketSimulator(Simulator):
                 backlog.discard(l)
         end_t = (self.slot + 1) * cfg.slot_s
         for pkt in outbox:
-            route, st = pkt.flow.route, pkt.flow.stats
+            fr = pkt.flow
+            route = fr.route
             if pkt.hop == len(route) - 1:
-                self.in_flight -= 1
-                self.delivered += 1
-                self.delivered_bits += pkt.size_bits
+                fr.delivered += 1
                 self.delay_sum_s += end_t - pkt.inject_t
-                st.delivered += 1
-                st.delivered_bits += pkt.size_bits
-                st.delay_sum_s += end_t - pkt.inject_t
+                fr.delay_sum_s += end_t - pkt.inject_t
             else:
                 pkt.hop += 1
                 link = route[pkt.hop]
                 q = self._queues[link]
                 if len(q) >= cfg.queue_packets:
-                    self.in_flight -= 1
-                    self.dropped += 1
-                    st.dropped += 1
+                    fr.dropped += 1
                 else:
                     if not q:
                         self._backlog[self._frame_of[link]].add(link)
                     q.append(pkt)
+                    self._counts[link] += 1
         for l in served:
             if not self._queues[l]:
                 self._credit[l] = 0.0
