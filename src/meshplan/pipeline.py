@@ -46,23 +46,32 @@ class PipelineResult:
         return from_json(cls, d, "bundle")
 
 
-def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
+class _Stage:
+    """Tags an error escaping the named stage as a PipelineError of that
+    stage, unless it is one already."""
+    __slots__ = ("name",)
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
-    return _Ctx()
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None and not isinstance(exc, PipelineError):
+            raise PipelineError(self.name, exc) from exc
+        return False
 
 
 def _override(section: str, params, **overrides):
-    """params with the overrides that are not None; a bad value names its
-    field as a scenario document's would."""
+    """params with the overrides that are not None, or params itself when
+    there are none; a bad value names its field as a scenario document's
+    would."""
+    changes = {k: v for k, v in overrides.items() if v is not None}
+    if not changes:
+        return params
     try:
-        return replace(params, **{k: v for k, v in overrides.items() if v is not None})
+        return replace(params, **changes)
     except ConfigurationError as e:
         raise ConfigurationError(f"{section}.{e}") from e
 
@@ -76,18 +85,18 @@ def plan(scenario: Scenario, protocol: str):
     alg, config = scenario.algorithm, scenario.sim
     channels = alg.n_channels
 
-    with _stage("topology"):
+    with _Stage("topology"):
         topology = scenario.build_topology()
-    with _stage("interference"):
+    with _Stage("interference"):
         imap = build_interference_map(topology)
-    with _stage("routing"):
+    with _Stage("routing"):
         routes, loads = fixed_point_route(
             topology, imap, scenario.traffic, n_channels=channels,
             channel_capacity=config.channel_capacity_bps,
             threshold_fraction=alg.threshold_fraction, slack=alg.slack,
             cap=alg.cap, max_iters=alg.max_iters)
         costs = cost_table(loads.load, loads.capacity, alg.threshold_fraction)
-    with _stage("assignment"):
+    with _Stage("assignment"):
         gains = topology.link_gains()
         if protocol == "ccmca":
             # Priorities follow the loads the committed routes will induce;
@@ -109,18 +118,19 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     sweep's map from ``sim_key`` to the metrics already simulated in that
     sweep; a run whose key is there reuses them.
     """
-    scenario = replace(
-        scenario, algorithm=_override("algorithm", scenario.algorithm, n_channels=n_channels),
-        sim=_override("sim", scenario.sim, horizon_s=horizon_s, seed=seed))
+    algorithm = _override("algorithm", scenario.algorithm, n_channels=n_channels)
+    sim = _override("sim", scenario.sim, horizon_s=horizon_s, seed=seed)
+    if algorithm is not scenario.algorithm or sim is not scenario.sim:
+        scenario = replace(scenario, algorithm=algorithm, sim=sim)
     _, imap, loads, costs, routes, assignment = plan(scenario, protocol)
     sims = {} if _sims is None else _sims
-    with _stage("simulation"):
+    with _Stage("simulation"):
         inp = sim_input(imap, scenario.traffic, routes, assignment)
         key = sim_key(inp, scenario.sim)
         if key not in sims:
             sims[key] = run_simulation(inp, scenario.sim)
         metrics = sims[key]
-    with _stage("goodput"):
+    with _Stage("goodput"):
         report = goodput(metrics.per_flow, scenario.traffic)
 
     return PipelineResult(scenario, protocol, loads, costs, routes, assignment, metrics, report)

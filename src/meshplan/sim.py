@@ -9,6 +9,14 @@ larger than one slot's share span several active slots. Queues are FIFO
 with a fixed packet capacity; overflow drops. Everything is deterministic
 for a given scenario and seed.
 
+Each routed link keeps its state on one record, a ``_Link``: its queue, the
+packets the queue holds, its credit, its frame's backlog set (the links of
+that frame with packets queued, one set shared by them all) and its
+co-channel links. A flow carries its route as a tuple of these records, so
+a slot's work reads attributes and looks up no table by link id. The run's
+constants (a slot's bits, the queue capacity, the slot length, the admit
+slack and the last admit time) are computed once, when the run is built.
+
 A queue holds runs: consecutive packets of one flow at one hop, kept as
 their inject times. Service takes packets off the head runs while the
 link's credit covers the next one. Forwarding appends each served batch to
@@ -59,6 +67,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .channels import ChannelAssignment
 from .errors import ConfigurationError, ContractError
@@ -152,13 +161,34 @@ def _charge(c: float, size: int, n_max: int) -> tuple[int, float]:
     return n, c
 
 
+class _Link:
+    """A routed link's state. ``queue``: a FIFO of runs [flow, hop, inject
+    times, head], each the packets times[head:] of one flow at one hop;
+    ``count``: the packets it holds. ``backlog``: the set of the links of
+    its frame whose queue is not empty, shared by them all. ``others``: its
+    co-channel links other than itself; served, its divisor is 1 plus those
+    of them backlogged."""
+    __slots__ = ("id", "queue", "count", "credit", "backlog", "others")
+
+    def __init__(self, link_id: int, backlog: set):
+        self.id = link_id
+        self.queue: deque[list] = deque()
+        self.count = 0
+        self.credit = 0.0
+        self.backlog = backlog
+        self.others: tuple[_Link, ...] = ()
+
+
+_by_id = attrgetter("id")
+
+
 class _FlowRun:
     __slots__ = ("pair", "route", "size_bits", "interval_s", "next_idx", "due",
                  "generated", "delivered", "dropped", "delay_sum_s")
 
-    def __init__(self, pair: Pair, route: tuple[int, ...], size_bits: int, rate_bps: float):
+    def __init__(self, pair: Pair, route: tuple, size_bits: int, rate_bps: float):
         self.pair = pair
-        self.route = route
+        self.route = route  # its links, first hop first: a run's _Link records
         self.size_bits = size_bits
         self.interval_s = size_bits / rate_bps
         self.next_idx = 0
@@ -245,25 +275,27 @@ class Simulator:
                 f"about {slots:.3g} slots; one run may span at most {MAX_SLOTS:.0e}")
         self.config = config
         self.audit = audit
-        self._frame_of = {l: frame for l, frame, _ in inp.links}
-        # Per link, its co-channel links other than itself. A served link's
-        # divisor is 1 plus those of them backlogged; with none, it is 1.
-        self._others = {l: tuple(q for q in co_ch if q != l) for l, _, co_ch in inp.links}
-        self._flows = [_FlowRun(f.pair, links, f.packet_bits, f.rate_bps)
-                       for f, links in inp.flows]
         self.n_frames = inp.n_frames
-        # Per link, a FIFO of runs [flow, hop, inject times, head]: the
-        # packets times[head:] of one flow at one hop. ``_counts`` holds the
-        # packets each queue holds.
-        self._queues: dict[int, deque[list]] = {l: deque() for l in self._frame_of}
-        self._counts: dict[int, int] = {l: 0 for l in self._frame_of}
-        # Per frame, the links with a non-empty queue.
-        self._backlog: list[set[int]] = [set() for _ in range(self.n_frames)]
-        self._credit: dict[int, float] = {l: 0.0 for l in self._frame_of}
+        # Per frame, its links with a non-empty queue.
+        self._backlogs: list[set[_Link]] = [set() for _ in range(self.n_frames)]
+        by_id = {l: _Link(l, self._backlogs[frame]) for l, frame, _ in inp.links}
+        for l, _, co_ch in inp.links:
+            by_id[l].others = tuple(by_id[q] for q in co_ch if q != l)
+        self._links = tuple(by_id.values())  # in link order
+        self._flows = [_FlowRun(f.pair, tuple(by_id[l] for l in links), f.packet_bits,
+                                f.rate_bps)
+                       for f, links in inp.flows]
         self._min_due: float = 0 if self._flows else math.inf
         self._still = -1  # the last slot whose step moved no packet
-        # The admit time of the last slot: a packet after it is never injected.
-        self._last_t = (config.n_slots - 1) * config.slot_s + config.slot_s * _TIME_EPS
+        # The config's values a slot reads, taken once: the slot length, a
+        # slot's bits of service, the queue capacity, the admit slack of a
+        # slot start, and the admit time of the last slot, after which a
+        # packet is never injected.
+        self._slot_s = config.slot_s
+        self._slot_bits = config.channel_capacity_bps * config.slot_s
+        self._queue_packets = config.queue_packets
+        self._tol = config.slot_s * _TIME_EPS
+        self._last_t = (config.n_slots - 1) * config.slot_s + self._tol
 
         self.slot = 0
         # Every delivery's delay, summed in service order for avg_delay_s.
@@ -274,12 +306,11 @@ class Simulator:
     def _inject(self) -> None:
         """Inject every packet due at this slot's start, flow by flow. A
         flow's packets arrive at its first link as if forwarded there."""
-        cfg = self.config
-        tol = cfg.slot_s * _TIME_EPS
-        limit = self.slot * cfg.slot_s + tol
+        slot, slot_s, tol, last_t = self.slot, self._slot_s, self._tol, self._last_t
+        limit = slot * slot_s + tol
         arrivals = []
         for fr in self._flows:
-            if fr.due > self.slot:
+            if fr.due > slot:
                 continue
             # The packet at next_idx is due from slot ``due`` on; so is each
             # next one whose time, next_t at its index, is at most limit.
@@ -293,7 +324,7 @@ class Simulator:
             fr.generated += len(times)
             arrivals.append([fr, -1, times, 0])
             fr.next_idx = idx
-            fr.set_due(cfg.slot_s, tol, self._last_t)
+            fr.set_due(slot_s, tol, last_t)
         self._min_due = min(fr.due for fr in self._flows)
         self._forward(arrivals)
 
@@ -302,8 +333,7 @@ class Simulator:
         ``hop`` of its flow's route (-1 for packets just injected): delivered
         at the end of the slot past the last hop, else appended to the next
         hop's queue as far as it has room, the rest dropped."""
-        queues, counts = self._queues, self._counts
-        qcap = self.config.queue_packets
+        qcap = self._queue_packets
         for run in moved:
             fr, hop, times, _ = run
             k = len(times)
@@ -312,67 +342,67 @@ class Simulator:
             if hop == len(route):
                 fr.delivered += k
                 # Delays add up one packet at a time, in service order.
-                end_t = (self.slot + 1) * self.config.slot_s
+                end_t = (self.slot + 1) * self._slot_s
                 total, flow_total = self.delay_sum_s, fr.delay_sum_s
                 for t in times:
-                    total += end_t - t
-                    flow_total += end_t - t
+                    delay = end_t - t
+                    total += delay
+                    flow_total += delay
                 self.delay_sum_s, fr.delay_sum_s = total, flow_total
                 continue
             link = route[hop]
-            room = qcap - counts[link]
+            room = qcap - link.count
             if k > room:
                 fr.dropped += k - room
                 del times[room:]
                 k = room
                 if not k:
                     continue
-            q = queues[link]
-            counts[link] += k
+            q = link.queue
+            link.count += k
             if q and q[-1][0] is fr and q[-1][1] == hop:
                 q[-1][2].extend(times)
                 continue
             if not q:
-                self._backlog[self._frame_of[link]].add(link)
+                link.backlog.add(link)
             run[1] = hop
             q.append(run)
 
     def step(self) -> None:
-        cfg = self.config
-        if self.slot >= self._min_due:
+        slot = self.slot
+        if slot >= self._min_due:
             self._inject()
 
         # Serve the links backlogged at slot start in link order; they stay
         # in the backlog, which sets each one's divisor, until service ends.
         # Packets served in this slot wait in the outbox until then too.
-        backlog = self._backlog[self.slot % self.n_frames]
-        served = sorted(backlog)
-        queues, counts, credit, others = self._queues, self._counts, self._credit, self._others
+        backlog = self._backlogs[slot % self.n_frames]
+        served = sorted(backlog, key=_by_id) if len(backlog) > 1 else tuple(backlog)
         audit = self.audit
 
         outbox: list[list] = []
-        slot_bits = cfg.channel_capacity_bps * cfg.slot_s
+        slot_bits = self._slot_bits
         eps = _CREDIT_EPS
-        for l in served:
-            co_ch = others[l]
-            divisor = 1 + len(backlog.intersection(co_ch)) if co_ch else 1
+        for link in served:
+            others = link.others
+            divisor = 1 + len(backlog.intersection(others)) if others else 1
             share = slot_bits / divisor
-            c = credit[l] + share
+            c = link.credit + share
             if audit is not None:
-                audit.record(self.slot, l, share, divisor)
-            q = queues[l]
+                audit.record(slot, link.id, share, divisor)
+            q = link.queue
             while q:
                 run = q[0]
-                size = run[0].size_bits
+                fr, hop, times, head = run
+                size = fr.size_bits
                 if size > c + eps:
                     break
-                fr, hop, times, head = run
                 i, end = head + 1, len(times)
                 c -= size
                 if i < end:
                     n, c = _charge(c, size, end - i)
                     i += n
-                counts[l] -= i - head
+                link.count -= i - head
                 # A run served to its end moves on itself; a run served in
                 # part stays, and a new run takes the packets served.
                 if i == end:
@@ -389,27 +419,27 @@ class Simulator:
                     i = 0
                 run[3] = i
                 break
-            credit[l] = c
+            link.credit = c
 
         if outbox:
             self._forward(outbox)
         else:
-            self._still = self.slot
+            self._still = slot
 
         # A served link left empty leaves the backlog with no credit; only a
         # served link can hold credit with an empty queue.
-        for l in served:
-            if not queues[l]:
-                backlog.discard(l)
-                credit[l] = 0.0
-        self.slot += 1
+        for link in served:
+            if not link.queue:
+                backlog.discard(link)
+                link.credit = 0.0
+        self.slot = slot + 1
 
     def run(self, until_slot: int | None = None) -> None:
         bound = self.config.n_slots if until_slot is None else min(until_slot, self.config.n_slots)
-        backlog, n_frames = self._backlog, self.n_frames
+        backlogs, n_frames = self._backlogs, self.n_frames
         while self.slot < bound:
             self.step()
-            if self._still == self.slot - 1 or not backlog[self.slot % n_frames]:
+            if self._still == self.slot - 1 or not backlogs[self.slot % n_frames]:
                 self._jump(bound)
 
     def _jump(self, bound: int) -> None:
@@ -421,35 +451,34 @@ class Simulator:
         target = min(self._min_due, bound)
         if target <= start:
             return
-        cfg, n_frames = self.config, self.n_frames
-        queues, credit, others = self._queues, self._credit, self._others
-        slot_bits = cfg.channel_capacity_bps * cfg.slot_s
+        n_frames, backlogs = self.n_frames, self._backlogs
+        slot_bits = self._slot_bits
         eps = _CREDIT_EPS
         # Visit the frames in the order of their first slot, and stop at the
         # first link whose credit covers its head there. The links before it
         # wait: their share, divisor and head size, the size as a float where
         # that is exact, which compares faster.
         waiting = []
-        backlogs = self._backlog
         for first in range(start, min(start + n_frames, target)):
             backlog = backlogs[first % n_frames]
-            for l in backlog:
-                co_ch = others[l]
-                divisor = 1 + len(backlog.intersection(co_ch)) if co_ch else 1
+            for link in backlog:
+                others = link.others
+                divisor = 1 + len(backlog.intersection(others)) if others else 1
                 share = slot_bits / divisor
-                size = queues[l][0][0].size_bits
-                if size <= credit[l] + share + eps:
+                size = link.queue[0][0].size_bits
+                if size <= link.credit + share + eps:
                     target = first
                     break
-                waiting.append((l, first, share, divisor, float(size) if size < _EXACT else size))
+                waiting.append((link, first, share, divisor,
+                                float(size) if size < _EXACT else size))
             if target == first:
                 break
         # Add each waiting link's share slot by slot until its credit covers
         # its head or the target then is reached; a link that covers first
         # moves the target, and a link whose adds ran past it adds again.
         added = []
-        for l, first, share, _, size in waiting:
-            c = credit[l]
+        for link, first, share, _, size in waiting:
+            c = link.credit
             slots = range(first, target, n_frames)
             k = len(slots)
             for s in slots:
@@ -459,19 +488,19 @@ class Simulator:
                     k = (s - first) // n_frames
                     break
                 c = total
-            added.append((l, first, share, k, c))
-        for l, first, share, k, c in added:
+            added.append((link, first, share, k, c))
+        for link, first, share, k, c in added:
             need = len(range(first, target, n_frames))
             if k > need:
-                c = credit[l]
+                c = link.credit
                 for _ in range(need):
                     c += share
-            credit[l] = c
+            link.credit = c
         if self.audit is not None:
-            grants = {l: (share, divisor) for l, _, share, divisor, _ in waiting}
+            grants = {link: (share, divisor) for link, _, share, divisor, _ in waiting}
             for slot in range(start, target):
-                for l in sorted(self._backlog[slot % n_frames]):
-                    self.audit.record(slot, l, *grants[l])
+                for link in sorted(backlogs[slot % n_frames], key=_by_id):
+                    self.audit.record(slot, link.id, *grants[link])
         self.slot = target
 
     # -- results ---------------------------------------------------------
@@ -485,7 +514,7 @@ class Simulator:
         generated = sum(fr.generated for fr in flows)
         delivered = sum(fr.delivered for fr in flows)
         dropped = sum(fr.dropped for fr in flows)
-        in_flight = sum(self._counts.values())
+        in_flight = sum(link.count for link in self._links)
         if generated != delivered + dropped + in_flight:
             raise ContractError(
                 f"packet conservation violated at slot {self.slot}: "

@@ -148,6 +148,17 @@ def test_bundle_replays_from_its_scenario():
         assert render_report(again, "json") == text
 
 
+def test_run_without_overrides_carries_its_scenario_as_given():
+    # An override left as None changes nothing, so no new scenario is built;
+    # an override given builds one and leaves the untouched section shared.
+    ring = ring_scenario()
+    assert run_pipeline(ring, "ccmca").scenario is ring
+    assert run_pipeline(ring, "baseline", n_channels=None, seed=None).scenario is ring
+    result = run_pipeline(ring, "ccmca", seed=7)
+    assert result.scenario.sim.seed == 7 and result.scenario.algorithm is ring.algorithm
+    assert ring.sim.seed == 1
+
+
 def test_codec_orders_pairs_numerically():
     goodput = GoodputReport({(10, 1): 1.0, (2, 0): 2.0}, 3.0)
     doc = to_json(goodput)

@@ -39,6 +39,31 @@ ASSIGN_DIGESTS = {
     "paper-table1": "4e5c7fe925f9181bc6ef92ab4ab70f2b3a6e3387422424af151a3db79435fa91",
 }
 
+# Full-horizon JSON reports: paper-table1 at its default 100 s, whose 64 KiB
+# vod packets wait many slots for credit and whose runs jump over 42k-51k of
+# their 100k slots, and an 8-node chain saturated by one 5.3 Mb/s flow of
+# 64 B packets, whose default 64-packet queues overflow.
+SATURATED_CHAIN = {
+    "name": "chain-saturated",
+    "topology": {"kind": "chain", "n": 8, "spacing": 200.0},
+    "traffic": {"flows": [{"src": 0, "dst": 7, "rate_bps": 5.3e6, "packet_bytes": 64}]},
+    "sim": {"horizon_s": 10.0},
+}
+FULL_HORIZON_DOCS = {
+    "paper-table1": {"preset": "paper-table1", "sim": {"horizon_s": 100.0}},
+    "chain-saturated": SATURATED_CHAIN,
+}
+FULL_HORIZON_DIGESTS = {
+    ("paper-table1", "ccmca"):
+        "f345b13836cce38a8eea77938c313d1a6e1e4ad4b92352ad7edd619f08e1949f",
+    ("paper-table1", "baseline"):
+        "4fef88ce63ba8ce65a0cec9896df89fc2f558aaeb216de90e8bef06fefd68f08",
+    ("chain-saturated", "ccmca"):
+        "8d722bed4176a5456b2348fac8f90e28863dd4165686ac8680b3746dbc3ac8a3",
+    ("chain-saturated", "baseline"):
+        "b023776b8812af7fcbe9fffd0938597e65e6b90c92a446800a99ec9122dbaf58",
+}
+
 SWEEP_DIGESTS = {
     "csv": "7887b3153c552ef84f3ea8e1d19567f69a247a5865ef87e3e3b8cb40ff38dcb5",
     "json": "74da4b669a47f35416ff87d796649ac6ff596950d321eabd7f05ce36cd386518",
@@ -54,6 +79,15 @@ def test_run_report_digest(preset, protocol, fmt):
     scenario = scenario_from_dict({"preset": preset, "sim": {"horizon_s": 5.0}})
     text = render_report(run_pipeline(scenario, protocol), fmt)
     assert sha256(text) == RUN_DIGESTS[preset, protocol, fmt]
+
+
+@pytest.mark.parametrize("name,protocol", sorted(FULL_HORIZON_DIGESTS))
+def test_full_horizon_report_digest(name, protocol):
+    result = run_pipeline(scenario_from_dict(FULL_HORIZON_DOCS[name]), protocol)
+    if name == "chain-saturated":
+        assert result.metrics.dropped > 0
+    text = render_report(result, "json")
+    assert sha256(text) == FULL_HORIZON_DIGESTS[name, protocol]
 
 
 @pytest.mark.parametrize("preset", sorted(ASSIGN_DIGESTS))

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import math
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -391,6 +390,27 @@ def test_run_steps_only_slots_that_can_change_state():
     assert sim.steps < 0.65 * result.config.n_slots
 
 
+def test_step_wrapped_on_the_class_counts_every_stepped_slot(monkeypatch):
+    # The benchmark's tracer counts steps by wrapping Simulator.step on the
+    # class, with a wrapper that takes no arguments: run() must call it once
+    # per slot it steps, just as it calls a subclass's step.
+    scenario = scenario_from_dict({"preset": "paper-table1", "sim": {"horizon_s": 20.0}})
+    result, inp = planned_input(scenario, "ccmca", n_channels=3)
+    counting = CountingSimulator(inp, result.config)
+    counting.run()
+    step, calls = Simulator.__dict__["step"], [0]
+
+    def counted(sim):
+        calls[0] += 1
+        return step(sim)
+
+    monkeypatch.setattr(Simulator, "step", counted)
+    sim = Simulator(inp, result.config)
+    sim.run()
+    assert calls[0] == counting.steps > 0
+    assert sim.metrics() == counting.metrics() == result.metrics
+
+
 def assert_jumps_equal_stepping(inp, config):
     """run() gives the metrics and grants of stepping every slot, and of the
     per-packet reference stepped every slot; returns those metrics and the
@@ -552,7 +572,6 @@ class PacketSimulator(Simulator):
     def __init__(self, inp, config, audit=None):
         super().__init__(inp, config, audit)
         self._co_ch = {l: co_ch for l, _, co_ch in inp.links}
-        self._queues = {l: deque() for l in self._frame_of}
 
     def _inject(self):
         if self.slot < self._min_due:
@@ -564,16 +583,16 @@ class PacketSimulator(Simulator):
             if fr.due > self.slot:
                 continue
             first = fr.route[0]
-            q = self._queues[first]
+            q = first.queue
             while fr.next_t <= now + tol:
                 fr.generated += 1
                 if len(q) >= cfg.queue_packets:
                     fr.dropped += 1
                 else:
                     if not q:
-                        self._backlog[self._frame_of[first]].add(first)
+                        first.backlog.add(first)
                     q.append(_Packet(fr, fr.next_t))
-                    self._counts[first] += 1
+                    first.count += 1
                 fr.next_idx += 1
             fr.set_due(cfg.slot_s, tol, self._last_t)
         self._min_due = min(fr.due for fr in self._flows)
@@ -581,23 +600,24 @@ class PacketSimulator(Simulator):
     def step(self):
         cfg = self.config
         self._inject()
-        backlog = self._backlog[self.slot % self.n_frames]
-        served = sorted(backlog)
-        divisors = [sum(1 for q in self._co_ch[l] if q in backlog) for l in served]
+        backlog = self._backlogs[self.slot % self.n_frames]
+        served = sorted(backlog, key=lambda link: link.id)
+        backlogged = {link.id for link in backlog}
+        divisors = [sum(1 for q in self._co_ch[l.id] if q in backlogged) for l in served]
         outbox = []
         slot_bits = cfg.channel_capacity_bps * cfg.slot_s
         for l, divisor in zip(served, divisors):
             share = slot_bits / divisor
-            c = self._credit[l] + share
+            c = l.credit + share
             if self.audit is not None:
-                self.audit.record(self.slot, l, share, divisor)
-            q = self._queues[l]
+                self.audit.record(self.slot, l.id, share, divisor)
+            q = l.queue
             while q and q[0].size_bits <= c + _CREDIT_EPS:
                 pkt = q.popleft()
-                self._counts[l] -= 1
+                l.count -= 1
                 c -= pkt.size_bits
                 outbox.append(pkt)
-            self._credit[l] = c
+            l.credit = c
             if not q:
                 backlog.discard(l)
         end_t = (self.slot + 1) * cfg.slot_s
@@ -611,17 +631,17 @@ class PacketSimulator(Simulator):
             else:
                 pkt.hop += 1
                 link = route[pkt.hop]
-                q = self._queues[link]
+                q = link.queue
                 if len(q) >= cfg.queue_packets:
                     fr.dropped += 1
                 else:
                     if not q:
-                        self._backlog[self._frame_of[link]].add(link)
+                        link.backlog.add(link)
                     q.append(pkt)
-                    self._counts[link] += 1
+                    link.count += 1
         for l in served:
-            if not self._queues[l]:
-                self._credit[l] = 0.0
+            if not l.queue:
+                l.credit = 0.0
         self.slot += 1
 
 
@@ -664,8 +684,8 @@ def test_run_length_queues_deep_queue_equal_packet_oracle(protocol):
     sim = Simulator(inp, result.config)
     for until in range(50, result.config.n_slots + 1, 50):
         sim.run(until_slot=until)
-        for link, q in sim._queues.items():
-            assert sum(len(times) for _, _, times, _ in q) <= 2 * sim._counts[link]
+        for link in sim._links:
+            assert sum(len(times) for _, _, times, _ in link.queue) <= 2 * link.count
 
 
 @st.composite
