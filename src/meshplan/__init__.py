@@ -22,11 +22,11 @@ from .report import emit_report, render_report, result_row
 from .routing import (LinkCost, Route, RouteTable, cost_table,
                       fixed_point_route, link_cost, routed_link_loads,
                       select_routes)
-from .scenario import (PRESETS, AlgorithmParams, Scenario, TopologySpec,
-                       load_scenario, parse_scenario, scenario_from_dict)
+from .scenario import (PRESETS, AlgorithmParams, Scenario, load_scenario,
+                       parse_scenario, scenario_from_dict)
 from .sim import (ServiceAudit, SimConfig, SimInput, SimMetrics, Simulator,
                   run_simulation, sim_input)
-from .topology import (InterferenceMap, MeshNode, Topology, VirtualLink,
+from .topology import (InterferenceMap, MeshNode, Topology, TopologySpec, VirtualLink,
                        build_interference_map, build_topology, link_gain,
                        topology_from_nodes)
 from .traffic import Flow, TrafficProfile, vod_flow, voip_flow

@@ -2,7 +2,9 @@
 sections, strict key and type validation, defaults, and the named presets.
 
 Every section is decoded by ``schema.from_json`` against the dataclass that
-declares its fields, so a failure names the section and the field. A
+declares its fields, so a failure names the section and the field:
+``topology.TopologySpec``, ``traffic.TrafficProfile``, ``AlgorithmParams``
+(declared here) and ``sim.SimConfig``. A
 ``Scenario`` also requires a non-empty flow list and flow nodes that exist,
 so one decoded from a result bundle obeys the same rules. This module's
 parser adds only the allowed top-level keys, preset merging and per-kind
@@ -21,38 +23,9 @@ from .loads import DEFAULT_PATH_CAP, DEFAULT_SLACK
 from .routing import DEFAULT_MAX_ITERS, DEFAULT_THRESHOLD_FRACTION
 from .schema import check, from_json, invalid, known_keys, param
 from .sim import SimConfig
-from .topology import (DEFAULT_GAIN_EXP, DEFAULT_GAIN_REF, DEFAULT_TX_RANGE, MAX_NODES,
-                       TOPOLOGY_KINDS, MeshNode, Topology, build_topology,
-                       topology_from_nodes)
+from .topology import (DEFAULT_GAIN_EXP, DEFAULT_GAIN_REF, DEFAULT_INTERFERENCE_MULTIPLIER,
+                       Topology, TopologySpec)
 from .traffic import TrafficProfile, vod_flow, voip_flow
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Either a generator (kind/n/spacing) or explicit node placements."""
-    kind: str | None = param(None, choices=TOPOLOGY_KINDS)
-    n: int | None = param(None, ge=2, le=MAX_NODES)
-    spacing: float | None = param(None, gt=0)
-    tx_range: float = param(DEFAULT_TX_RANGE, gt=0)
-    nodes: tuple[MeshNode, ...] = ()
-
-    def __post_init__(self):
-        check(self)
-        if len(self.nodes) > MAX_NODES:
-            raise invalid("nodes", f"must list at most {MAX_NODES} nodes, got {len(self.nodes)}")
-        generator = {"kind": self.kind, "n": self.n, "spacing": self.spacing}
-        if self.nodes:
-            given = [k for k, v in generator.items() if v is not None]
-            if given:
-                raise invalid(given[0], "not allowed with explicit nodes")
-        else:
-            missing = [k for k, v in generator.items() if v is None]
-            if missing:
-                raise invalid(missing[0], "required unless nodes are given")
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes) if self.nodes else self.n
 
 
 @dataclass(frozen=True)
@@ -63,7 +36,7 @@ class AlgorithmParams:
     cap: int = param(DEFAULT_PATH_CAP, ge=1, le=1024)
     d0: float = param(DEFAULT_GAIN_REF, gt=0)
     alpha: float = param(DEFAULT_GAIN_EXP, ge=2)
-    interference_multiplier: float = param(2.0, ge=1)
+    interference_multiplier: float = param(DEFAULT_INTERFERENCE_MULTIPLIER, ge=1)
     max_iters: int = param(DEFAULT_MAX_ITERS, ge=1)
 
     def __post_init__(self):
@@ -91,16 +64,8 @@ class Scenario:
                                   f"node {node} not in topology (0..{n - 1})")
 
     def build_topology(self) -> Topology:
-        spec, alg = self.topology, self.algorithm
-        interference = alg.interference_multiplier * spec.tx_range
-        if spec.nodes:
-            return topology_from_nodes(spec.nodes, tx_range=spec.tx_range,
-                                       interference_range=interference,
-                                       d0=alg.d0, alpha=alg.alpha)
-        return build_topology(spec.kind, spec.n, spec.spacing,
-                              tx_range=spec.tx_range, interference_range=interference,
-                              d0=alg.d0, alpha=alg.alpha)
-
+        return self.topology.build(self.algorithm.interference_multiplier * self.topology.tx_range,
+                                   self.algorithm.d0, self.algorithm.alpha)
 
 
 def _preset_ring4() -> dict:
@@ -184,9 +149,11 @@ def parse_scenario(path: str | FsPath) -> Scenario:
     if not p.exists():
         raise FileNotFoundError(f"scenario file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ScenarioParseError(f"{p}: line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (UnicodeDecodeError, RecursionError) as e:  # not UTF-8, or nested too deeply
+        raise ScenarioParseError(f"{p}: {e}") from e
     return scenario_from_dict(doc)
 
 

@@ -1,4 +1,9 @@
-"""Mesh topology construction: node placement, virtual links, interference map.
+"""Mesh topology construction: the ``topology`` section of a scenario
+(``TopologySpec``), node placement, virtual links, interference map.
+
+``TopologySpec`` declares and checks every field of that section and is the
+one builder of a ``Topology``; ``scenario`` reads a document's sections into
+their dataclasses.
 
 A virtual link exists between every node pair within transmission range
 (with a tiny relative tolerance so exact-range geometries such as a ring
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import ConfigurationError
-from .schema import check, invalid
+from .schema import check, invalid, param
 
 # Relative slack applied to range comparisons so that constructions placing
 # nodes at exactly tx_range apart survive floating-point rounding.
@@ -41,6 +46,8 @@ _RANGE_TOL = 1e-9
 DEFAULT_TX_RANGE = 250.0
 DEFAULT_GAIN_REF = 10.0
 DEFAULT_GAIN_EXP = 3.0
+# Interference range over transmission range, unless a scenario sets it.
+DEFAULT_INTERFERENCE_MULTIPLIER = 2.0
 
 TOPOLOGY_KINDS = ("chain", "ring", "grid", "star", "binary-tree")
 
@@ -102,6 +109,83 @@ class Topology:
         for entries in adj:
             entries.sort()
         return adj
+
+
+@dataclass(frozen=True)
+class TopologySpec:
+    """The ``topology`` section: a generator (kind/n/spacing) or explicit
+    node placements. It checks every rule the fields alone decide; ``build``,
+    the one way to a ``Topology``, raises only for what placing the nodes
+    shows (nodes at one point or past the float range, too many pairs)."""
+    kind: str | None = param(None, choices=TOPOLOGY_KINDS)
+    n: int | None = param(None, ge=2, le=MAX_NODES)
+    spacing: float | None = param(None, gt=0)
+    tx_range: float = param(DEFAULT_TX_RANGE, gt=0)
+    nodes: tuple[MeshNode, ...] = ()
+
+    def __post_init__(self):
+        check(self)
+        if len(self.nodes) > MAX_NODES:
+            raise invalid("nodes", f"must list at most {MAX_NODES} nodes, got {len(self.nodes)}")
+        generator = {"kind": self.kind, "n": self.n, "spacing": self.spacing}
+        if self.nodes:
+            given = [k for k, v in generator.items() if v is not None]
+            if given:
+                raise invalid(given[0], "not allowed with explicit nodes")
+            return
+        missing = [k for k, v in generator.items() if v is None]
+        if missing:
+            raise invalid(missing[0], "required unless nodes are given")
+        if self.kind == "grid" and not _grid_rows(self.n):
+            raise invalid("n", f"grid needs a composite node count with both sides >= 2, "
+                               f"got {self.n}")
+        if self.kind == "binary-tree" and self.spacing > self.tx_range * (1.0 + _RANGE_TOL):
+            raise invalid("spacing", f"binary-tree needs spacing <= tx_range "
+                                     f"({self.tx_range!r}), got {self.spacing!r}")
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes) if self.nodes else self.n
+
+    def build(self, interference_range: float | None = None,
+              d0: float = DEFAULT_GAIN_REF, alpha: float = DEFAULT_GAIN_EXP) -> Topology:
+        """The given nodes, or the generator's placed ones, with a link
+        between every pair within tx_range, in (u, v) order.
+
+        Spacing is the adjacent-node distance of the construction (chord
+        length for rings, lattice pitch for grids, hub-leaf radius for
+        stars). A binary-tree's layered layout cannot realize the tree as a
+        pure range graph beyond trivial depth, so its links are the
+        parent-child edges (all of them within tx_range)."""
+        if interference_range is None:
+            interference_range = DEFAULT_INTERFERENCE_MULTIPLIER * self.tx_range
+        if self.nodes:
+            nodes = self.nodes
+            points = [(node.x, node.y) for node in nodes]
+        else:
+            points = _place(self.kind, self.n, self.spacing)
+            if not all(math.isfinite(c) for p in points for c in p):
+                raise invalid("topology.spacing",
+                              f"{self.spacing} m places nodes past the float range")
+            nodes = tuple(MeshNode(x, y) for x, y in points)
+        if self.kind == "binary-tree":
+            # The links are the parent-child edges, not a range search, so
+            # look for nodes at one point separately.
+            coincident = next(_pairs_within(points, 0.0, "topology.spacing"), None)
+            if coincident:
+                raise _coincident(*coincident, self.spacing)
+            pairs = (((child - 1) // 2, child) for child in range(1, self.n))
+        else:
+            # Nodes at one point are within range of each other, so the
+            # search meets them.
+            pairs = _pairs_within(points, self.tx_range * (1.0 + _RANGE_TOL), "topology.tx_range")
+        links = []
+        for u, v in pairs:
+            d = _distance(points[u], points[v])
+            if d == 0:
+                raise _coincident(u, v, self.spacing)
+            links.append(VirtualLink(u, v, d, link_gain(d, d0, alpha)))
+        return Topology(nodes, tuple(links), self.tx_range, interference_range)
 
 
 def link_gain(distance: float, d0: float = DEFAULT_GAIN_REF,
@@ -198,44 +282,31 @@ def _coincident(u: int, v: int, spacing: float | None) -> ConfigurationError:
                    f"{spacing} m puts nodes {u} and {v} at one point (distances round to 1 nm)")
 
 
-def _links_from_positions(nodes: tuple[MeshNode, ...], tx_range: float,
-                          d0: float, alpha: float,
-                          spacing: float | None = None) -> tuple[VirtualLink, ...]:
-    """All node pairs within tx_range become links, in (u, v) order. Nodes at
-    one point are within range of each other, so the search meets them."""
-    links: list[VirtualLink] = []
-    points = [(n.x, n.y) for n in nodes]
-    for u, v in _pairs_within(points, tx_range * (1.0 + _RANGE_TOL), "topology.tx_range"):
-        d = _distance(points[u], points[v])
-        if d == 0:
-            raise _coincident(u, v, spacing)
-        links.append(VirtualLink(u, v, d, link_gain(d, d0, alpha)))
-    return tuple(links)
-
-
 def topology_from_nodes(nodes: tuple[MeshNode, ...], *, tx_range: float = DEFAULT_TX_RANGE,
                         interference_range: float | None = None,
                         d0: float = DEFAULT_GAIN_REF,
                         alpha: float = DEFAULT_GAIN_EXP) -> Topology:
     """Topology over explicit node placements; links follow the range rule."""
-    if interference_range is None:
-        interference_range = 2.0 * tx_range
-    links = _links_from_positions(nodes, tx_range, d0, alpha)
-    return Topology(nodes, links, tx_range, interference_range)
+    return TopologySpec(tx_range=tx_range, nodes=tuple(nodes)).build(interference_range, d0, alpha)
 
 
-def _grid_shape(n: int) -> tuple[int, int]:
-    rows = 0
-    for r in range(2, int(math.isqrt(n)) + 1):
-        if n % r == 0:
-            rows = r
-    if rows == 0:
-        raise ConfigurationError(
-            f"grid needs a composite node count with both sides >= 2, got {n}")
-    return rows, n // rows
+def build_topology(kind: str, n: int, spacing: float, *,
+                   tx_range: float = DEFAULT_TX_RANGE,
+                   interference_range: float | None = None,
+                   d0: float = DEFAULT_GAIN_REF,
+                   alpha: float = DEFAULT_GAIN_EXP) -> Topology:
+    """Deterministic generator for the supported topology kinds (see
+    ``TopologySpec.build``)."""
+    return TopologySpec(kind, n, spacing, tx_range).build(interference_range, d0, alpha)
 
 
-def _place(kind: str, n: int, spacing: float, tx_range: float) -> list[tuple[float, float]]:
+def _grid_rows(n: int) -> int:
+    """The rows of an n-node grid: its largest divisor from 2 to sqrt(n), or
+    0 when n has none."""
+    return max((r for r in range(2, math.isqrt(n) + 1) if n % r == 0), default=0)
+
+
+def _place(kind: str, n: int, spacing: float) -> list[tuple[float, float]]:
     if kind == "chain":
         return [(i * spacing, 0.0) for i in range(n)]
     if kind == "ring":
@@ -243,7 +314,7 @@ def _place(kind: str, n: int, spacing: float, tx_range: float) -> list[tuple[flo
         return [(radius * math.cos(2.0 * math.pi * k / n),
                  radius * math.sin(2.0 * math.pi * k / n)) for k in range(n)]
     if kind == "grid":
-        rows, cols = _grid_shape(n)
+        cols = n // _grid_rows(n)
         return [((i % cols) * spacing, (i // cols) * spacing) for i in range(n)]
     if kind == "star":
         leaves = n - 1
@@ -251,14 +322,9 @@ def _place(kind: str, n: int, spacing: float, tx_range: float) -> list[tuple[flo
         pos += [(spacing * math.cos(2.0 * math.pi * k / leaves),
                  spacing * math.sin(2.0 * math.pi * k / leaves)) for k in range(leaves)]
         return pos
-    return _place_binary_tree(n, spacing, tx_range)  # build_topology checked the kind
-
-
-def _place_binary_tree(n: int, spacing: float, tx_range: float) -> list[tuple[float, float]]:
-    # Heap-order layout: level d at depth d * 0.8 * spacing, horizontal slots
-    # scaled so the widest parent-child offset keeps every edge <= spacing.
-    if spacing > tx_range * (1.0 + _RANGE_TOL):
-        raise ConfigurationError("binary-tree requires spacing <= tx_range")
+    # binary-tree, in heap-order layout: level d at depth d * 0.8 * spacing,
+    # horizontal slots scaled so the widest parent-child offset keeps every
+    # edge <= spacing.
     depth = n.bit_length() - 1  # depth of the deepest level for nodes 0..n-1
     v_gap = 0.8 * spacing
     h_max = math.sqrt(max(spacing * spacing - v_gap * v_gap, 0.0))
@@ -270,52 +336,6 @@ def _place_binary_tree(n: int, spacing: float, tx_range: float) -> list[tuple[fl
         x = (slot + 0.5) * (2.0 ** (depth - d)) * pitch
         pos.append((x, d * v_gap))
     return pos
-
-
-def build_topology(kind: str, n: int, spacing: float, *,
-                   tx_range: float = DEFAULT_TX_RANGE,
-                   interference_range: float | None = None,
-                   d0: float = DEFAULT_GAIN_REF,
-                   alpha: float = DEFAULT_GAIN_EXP) -> Topology:
-    """Deterministic generator for the supported topology kinds.
-
-    Spacing is the adjacent-node distance of the construction (chord length
-    for rings, lattice pitch for grids, hub-leaf radius for stars). Links
-    follow the range rule for all kinds except binary-tree, whose layered
-    layout cannot realize the tree as a pure range graph beyond trivial
-    depth; there the parent-child edges are created explicitly (all of them
-    within tx_range).
-    """
-    if n < 2:
-        raise ConfigurationError("topology needs at least 2 nodes")
-    if spacing <= 0:
-        raise ConfigurationError("spacing must be positive")
-    if kind not in TOPOLOGY_KINDS:
-        raise ConfigurationError(f"unsupported topology kind: {kind!r}")
-    if interference_range is None:
-        interference_range = 2.0 * tx_range
-
-    positions = _place(kind, n, spacing, tx_range)
-    if not all(math.isfinite(c) for p in positions for c in p):
-        raise invalid("topology.spacing", f"{spacing} m places nodes past the float range")
-    nodes = tuple(MeshNode(x, y) for x, y in positions)
-
-    if kind == "binary-tree":
-        # The links are the parent-child edges, not a range search, so look
-        # for nodes at one point separately.
-        coincident = next(_pairs_within(positions, 0.0, "topology.spacing"), None)
-        if coincident:
-            raise _coincident(*coincident, spacing)
-        links: list[VirtualLink] = []
-        for child in range(1, n):
-            parent = (child - 1) // 2
-            d = _distance(positions[parent], positions[child])
-            links.append(VirtualLink(parent, child, d, link_gain(d, d0, alpha)))
-        link_tuple = tuple(links)
-    else:
-        link_tuple = _links_from_positions(nodes, tx_range, d0, alpha, spacing)
-
-    return Topology(nodes, link_tuple, tx_range, interference_range)
 
 
 @dataclass(frozen=True)

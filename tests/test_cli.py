@@ -130,6 +130,23 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(p)]) == 2
 
 
+UNREADABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    # deeper than the JSON decoder's recursion can go
+    "nested-deep": b"[" * 100_000 + b"]" * 100_000,
+    "utf8-bom": b"\xef\xbb\xbf" + json.dumps(MINI).encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_file_is_parse_error(tmp_path, capsys, case):
+    p = tmp_path / f"{case}.json"
+    p.write_bytes(UNREADABLE[case])
+    assert main(["run", "--scenario", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"meshplan: error: {p}: ") and err.count("\n") == 1, err
+
+
 NODES = {
     "name": "explicit",
     "topology": {"nodes": [{"x": 0.0, "y": 0.0}, {"x": 200.0, "y": 0.0},
@@ -220,6 +237,12 @@ MALFORMED = {
     # finite spacings that place nodes at inf, or at nan through inf - inf
     "chain-spacing-overflow": (edited(edited(MINI, ("topology", "kind"), "chain"),
                                       ("topology", "spacing"), 1e308), "topology.spacing"),
+    # a grid of a prime node count has no rows; a binary-tree's edges are its
+    # links, so each must be within range
+    "grid-prime": (edited(edited(MINI, ("topology", "kind"), "grid"), ("topology", "n"), 7),
+                   "topology.n"),
+    "binary-tree-wide": ({**MINI, "topology": {"kind": "binary-tree", "n": 7, "spacing": 300.0,
+                                               "tx_range": 250.0}}, "topology.spacing"),
     "binary-tree-spacing-overflow": ({**MINI, "topology": {"kind": "binary-tree", "n": 7,
                                                            "spacing": 1e308, "tx_range": 1e308}},
                                      "topology.spacing"),

@@ -5,12 +5,15 @@ A change that alters any report must update the digest here and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from meshplan import render_report, run_pipeline, scenario_from_dict, sweep_channels
 from meshplan.cli import main
 from meshplan.report import CSV_COLUMNS
+
+from test_pipeline import SQUARE
 
 HEADER = ("scenario,protocol,channels,horizon_s,seed,generated,delivered,"
           "dropped,avg_delay_s,pdr,throughput_pkts")
@@ -37,6 +40,29 @@ RUN_DIGESTS = {
 ASSIGN_DIGESTS = {
     "paper-ring-4": "8bb18106f29efd7b412a0b0372e5898fd29c2fdbdb2d6b0a14c2366648a27ac9",
     "paper-table1": "4e5c7fe925f9181bc6ef92ab4ab70f2b3a6e3387422424af151a3db79435fa91",
+}
+
+# `meshplan assign --format json` on one document of each topology kind the
+# presets do not build: a grid, a star, a binary-tree (whose links are its
+# tree edges) and explicit nodes.
+KIND_DOCS = {
+    "grid-3x3": {"name": "grid-3x3", "topology": {"kind": "grid", "n": 9, "spacing": 200.0},
+                 "traffic": {"flows": [{"src": 0, "dst": 8, "kind": "voip"},
+                                       {"src": 2, "dst": 6, "kind": "vod"}]}},
+    "star": {"name": "star", "topology": {"kind": "star", "n": 6, "spacing": 200.0},
+             "traffic": {"flows": [{"src": 1, "dst": 4, "kind": "voip"},
+                                   {"src": 2, "dst": 5, "kind": "vod"}]}},
+    "binary-tree": {"name": "binary-tree",
+                    "topology": {"kind": "binary-tree", "n": 7, "spacing": 200.0},
+                    "traffic": {"flows": [{"src": 3, "dst": 6, "kind": "voip"},
+                                          {"src": 5, "dst": 4, "kind": "vod"}]}},
+    "square": SQUARE,
+}
+KIND_ASSIGN_DIGESTS = {
+    "grid-3x3": "d935e643d506c81a84dd565a62c51f52e2cbf28ca8e8121967a68f2b95a568b6",
+    "star": "bed9a7ac8f638a2d7d5312c15cbb49c45d12a2a70677661a257220264e67fe0f",
+    "binary-tree": "b96cc3c3e5466553db1d0b08d269e74a9f2434bb2b77e47a192edad39ac09496",
+    "square": "4b72a601d774bd9b9d3be2ae23d7f7cf9240c1e704bfa53b7751849ddb95049e",
 }
 
 # Full-horizon JSON reports: paper-table1 at its default 100 s, whose 64 KiB
@@ -94,6 +120,14 @@ def test_full_horizon_report_digest(name, protocol):
 def test_assign_report_digest(preset, capsys):
     assert main(["assign", "--scenario", preset]) == 0
     assert sha256(capsys.readouterr().out) == ASSIGN_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("name", sorted(KIND_ASSIGN_DIGESTS))
+def test_assign_report_digest_per_topology_kind(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(KIND_DOCS[name]))
+    assert main(["assign", "--scenario", str(path), "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out) == KIND_ASSIGN_DIGESTS[name]
 
 
 def test_sweep_report_digest():

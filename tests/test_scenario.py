@@ -190,6 +190,17 @@ def test_library_objects_follow_field_rules():
         replace(ring, traffic=TrafficProfile(()))
 
 
+@pytest.mark.parametrize("topology,where", [
+    ({"kind": "grid", "n": 7, "spacing": 200.0}, "topology.n"),
+    ({"kind": "binary-tree", "n": 7, "spacing": 300.0, "tx_range": 250.0}, "topology.spacing"),
+])
+def test_topology_rules_checked_when_read(topology, where):
+    # a grid needs rows and columns; a binary-tree's edges must be in range
+    doc = {**MINI, "topology": topology}
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(where)}: "):
+        scenario_from_dict(doc)
+
+
 def test_readme_example_runs():
     # the documented scenario format must stay what the parser accepts
     readme = (Path(__file__).parent.parent / "README.md").read_text()
