@@ -5,7 +5,6 @@ goodput evaluator.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import UnroutableFlowError
@@ -60,17 +59,23 @@ def link_capacities(imap: InterferenceMap, n_channels: int,
                  for s in imap.interferers)
 
 
-def _hop_distances(adj, n_nodes: int, target: int) -> list[int]:
-    """BFS hop count from every node to target; -1 when unreachable."""
+def _hop_distances(adj, n_nodes: int, target: int, source: int, slack: int) -> list[int]:
+    """BFS hop count to target from every node at most the source's distance
+    plus slack away; -1 for nodes farther out or unreachable. The walk stops
+    at that depth, so its cost follows the nodes near the pair, not the graph.
+    An unreachable source leaves the walk to exhaust target's component."""
     dist = [-1] * n_nodes
     dist[target] = 0
-    q = deque([target])
-    while q:
-        x = q.popleft()
-        for _, y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                q.append(y)
+    level, depth = [target], 0
+    while level and (dist[source] < 0 or depth < dist[source] + slack):
+        depth += 1
+        nxt = []
+        for x in level:
+            for _, y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = depth
+                    nxt.append(y)
+        level = nxt
     return dist
 
 
@@ -97,7 +102,8 @@ def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
         raise ValueError("cap must be >= 1")
 
     adj = topology.adjacency() if adjacency is None else adjacency
-    dist_to_d = _hop_distances(adj, topology.n_nodes, d)
+    # nodes left at -1 are farther from d than an acceptable path can go
+    dist_to_d = _hop_distances(adj, topology.n_nodes, d, s, slack)
     if dist_to_d[s] < 0:
         return ()
     max_hops = dist_to_d[s] + slack

@@ -27,9 +27,6 @@ DEFAULT_MAX_ITERS = 10
 class LinkCost:
     values: tuple[float, ...]
 
-    def path_cost(self, links: Path) -> float:
-        return sum(self.values[l] for l in links)
-
 
 def link_cost(delta: float, capacity: float,
               threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> float:
@@ -78,18 +75,18 @@ def select_routes(paths: dict[Pair, tuple[Path, ...]], costs: LinkCost) -> Route
     an infinite-cost link are blocked, not failed."""
     routes: dict[Pair, Route] = {}
     blocked: set[Pair] = set()
+    cost_of = costs.values.__getitem__
     for pair in sorted(paths):
-        best: tuple[float, Path] | None = None
+        best: Path | None = None
+        best_cost = math.inf
         for p in paths[pair]:
-            c = costs.path_cost(p)
-            if math.isinf(c):
-                continue
-            if best is None or (c, p) < best:
-                best = (c, p)
+            c = sum(map(cost_of, p))
+            if c < best_cost or (c == best_cost and best is not None and p < best):
+                best, best_cost = p, c
         if best is None:
             blocked.add(pair)
         else:
-            routes[pair] = Route(best[1], best[0])
+            routes[pair] = Route(best, best_cost)
     return RouteTable(routes, frozenset(blocked))
 
 

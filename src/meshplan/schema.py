@@ -121,6 +121,9 @@ def to_json(obj):
     if isinstance(obj, float):
         return "inf" if math.isinf(obj) else obj
     if isinstance(obj, (tuple, list)):
+        # most tuples are link ids: copy them whole (a bool is not a plain int)
+        if set(map(type, obj)) == {int}:
+            return list(obj)
         return [to_json(v) for v in obj]
     if isinstance(obj, dict):
         return {pair_key(k): to_json(v) for k, v in sorted(obj.items())}

@@ -3,6 +3,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshplan import (UnroutableFlowError, Flow, MeshNode,
                       TrafficProfile, acceptable_paths_for_profile,
@@ -74,6 +76,20 @@ def test_paths_slack_matches_oracle(grid9):
         got = enumerate_acceptable_paths(grid9, s, d, slack=1, cap=10_000)
         assert sorted(got) == oracle_paths(grid9, s, d, 1)
         assert list(got) == sorted(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=6, max_size=14,
+                unique=True),
+       st.integers(0, 3), st.data())
+def test_depth_bounded_paths_match_oracle(cells, slack, data):
+    # 50 m cells in a 750 m box, 250 m range: some pairs are many hops apart,
+    # so the distance walk stops well short of the graph, and some are disconnected
+    t = topology_from_nodes(tuple(MeshNode(50.0 * x, 50.0 * y) for x, y in cells),
+                            tx_range=250.0)
+    s, d = data.draw(st.permutations(range(t.n_nodes)))[:2]
+    got = enumerate_acceptable_paths(t, s, d, slack=slack, cap=10_000)
+    assert list(got) == oracle_paths(t, s, d, slack)
 
 
 def test_disconnected_pair_yields_empty():

@@ -6,12 +6,15 @@ A change that alters any report must update the digest here and say why.
 
 import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshplan import render_report, run_pipeline, scenario_from_dict, sweep_channels
 from meshplan.cli import main
-from meshplan.report import CSV_COLUMNS
+from meshplan.report import CSV_COLUMNS, _dump
 
 from test_pipeline import SQUARE
 
@@ -140,3 +143,26 @@ def test_sweep_report_digest():
 def test_csv_header_is_literal():
     assert ",".join(CSV_COLUMNS) == HEADER
     assert render_report([], "csv") == HEADER + "\n"
+
+
+INTS = st.integers() | st.integers(min_value=2**63, max_value=2**200).map(lambda i: i * (-1) ** i)
+FLOATS = st.floats() | st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf])
+TEXT = st.text() | st.sampled_from(["\u00e9\u4e2d\U0001f600", '"quoted"', "back\\slash",
+                                    "\x00\x1f\n\t\x7f"])
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXT
+# lists of one kind take the writer's one-join path, mixed ones its per-item path
+LISTS = (st.lists(INTS) | st.lists(st.floats(allow_nan=False, allow_infinity=False))
+         | st.lists(FLOATS) | st.lists(TEXT) | st.lists(INTS | st.booleans() | FLOATS))
+JSON_VALUES = st.recursive(SCALARS | LISTS,
+                           lambda inner: st.lists(inner) | st.dictionaries(TEXT, inner),
+                           max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _dump(value, "") == json.dumps(value, indent=2)
+
+
+def test_empty_json_report():
+    assert render_report([], "json") == "[]\n"
