@@ -15,13 +15,12 @@ from .errors import (ConfigurationError, ContractError, MeshPlanError,
                      ScenarioValidationError, UnroutableFlowError)
 from .loads import (GoodputReport, LoadEstimate, acceptable_paths_for_profile,
                     enumerate_acceptable_paths, expected_link_load, goodput,
-                    link_capacities, virtual_link_capacity)
+                    link_capacities)
 from .pipeline import (PROTOCOLS, PipelineResult, SweepRow, run_pipeline,
                        sweep_channels, sweep_time)
 from .report import emit_report, render_report, result_row
 from .routing import (LinkCost, Route, RouteTable, cost_table,
-                      fixed_point_route, link_cost, routed_link_loads,
-                      select_routes)
+                      fixed_point_route, routed_link_loads, select_routes)
 from .scenario import (PRESETS, AlgorithmParams, Scenario, load_scenario,
                        parse_scenario, scenario_from_dict)
 from .sim import (ServiceAudit, SimConfig, SimInput, SimMetrics, Simulator,

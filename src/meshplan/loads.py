@@ -41,22 +41,19 @@ class GoodputReport:
         check(self)
 
 
-def virtual_link_capacity(n_channels: int, channel_capacity: float,
-                          n_interferers: int) -> float:
-    """Aggregate channel capacity divided evenly among interfering links."""
+def link_capacities(imap: InterferenceMap, n_channels: int,
+                    channel_capacity: float) -> tuple[float, ...]:
+    """Per link, the aggregate channel capacity divided evenly among the
+    links it interferes with, itself included."""
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
     if channel_capacity <= 0:
         raise ValueError("channel_capacity must be positive")
-    if n_interferers < 1:
-        raise ValueError("n_interferers must be >= 1")
-    return n_channels * channel_capacity / n_interferers
-
-
-def link_capacities(imap: InterferenceMap, n_channels: int,
-                    channel_capacity: float) -> tuple[float, ...]:
-    return tuple(virtual_link_capacity(n_channels, channel_capacity, len(s))
-                 for s in imap.interferers)
+    total = n_channels * channel_capacity
+    try:
+        return tuple([total / n for n in map(len, imap.interferers)])
+    except ZeroDivisionError:
+        raise ValueError("every link must interfere with itself") from None
 
 
 def _hop_distances(adj, n_nodes: int, target: int, source: int, slack: int) -> list[int]:
@@ -173,4 +170,7 @@ def goodput(per_flow: dict, profile: TrafficProfile) -> GoodputReport:
         stats = per_flow.get(pair)
         useful[pair] = (flow.rate_bps * (stats.delivered / stats.generated)
                         if stats is not None and stats.generated > 0 else 0.0)
-    return GoodputReport(useful, sum(useful.values()))
+    total = 0.0
+    for u in useful.values():  # left to right on every Python, unlike sum()
+        total += u
+    return GoodputReport(useful, total)

@@ -7,8 +7,8 @@ round-trippable serialization of the full result bundle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
-from statistics import fmean
 
 from .channels import ChannelAssignment, baseline_assign, order_links, schedule_all_frames
 from .errors import ConfigurationError, PipelineError
@@ -167,7 +167,8 @@ def result_row(result: PipelineResult) -> SweepRow:
 
 def _mean_row(rows: list[SweepRow]) -> SweepRow:
     return replace(rows[0], seed="mean",
-                   **{name: fmean(getattr(r, name) for r in rows) for name in _METRICS})
+                   **{name: math.fsum(getattr(r, name) for r in rows) / len(rows)
+                      for name in _METRICS})
 
 
 def _sweep(scenario: Scenario, points: list, seeds: list[int] | None,

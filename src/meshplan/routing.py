@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import truediv
 
 from .errors import ContractError
 from .loads import (DEFAULT_PATH_CAP, DEFAULT_SLACK, LoadEstimate, Pair, Path,
@@ -28,28 +29,20 @@ class LinkCost:
     values: tuple[float, ...]
 
 
-def link_cost(delta: float, capacity: float,
-              threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> float:
-    """Piecewise congestion cost of one link given its expected load."""
-    if delta < 0:
-        raise ValueError("load must be >= 0")
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    if not 0 < threshold_fraction <= 1:
-        raise ValueError("threshold_fraction must be in (0, 1]")
-    normalized = delta / capacity
-    if normalized > threshold_fraction:
-        return math.inf
-    if normalized > 0:
-        return 1.0 + normalized
-    return 1.0
-
-
 def cost_table(load, capacity, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> LinkCost:
+    """Piecewise congestion cost of every link given its expected load: 1
+    when idle, 1 + load/capacity up to the threshold, infinite above it."""
     if len(load) != len(capacity):
         raise ContractError("load and capacity vectors differ in length")
-    return LinkCost(tuple(link_cost(d, c, threshold_fraction)
-                          for d, c in zip(load, capacity)))
+    if not 0 < threshold_fraction <= 1:
+        raise ValueError("threshold_fraction must be in (0, 1]")
+    if min(load, default=0.0) < 0:
+        raise ValueError("load must be >= 0")
+    if min(capacity, default=1.0) <= 0:
+        raise ValueError("capacity must be positive")
+    inf = math.inf
+    return LinkCost(tuple([inf if x > threshold_fraction else 1.0 + x if x > 0 else 1.0
+                           for x in map(truediv, load, capacity)]))
 
 
 @dataclass(frozen=True)
@@ -75,12 +68,15 @@ def select_routes(paths: dict[Pair, tuple[Path, ...]], costs: LinkCost) -> Route
     an infinite-cost link are blocked, not failed."""
     routes: dict[Pair, Route] = {}
     blocked: set[Pair] = set()
-    cost_of = costs.values.__getitem__
+    values = costs.values
     for pair in sorted(paths):
         best: Path | None = None
         best_cost = math.inf
         for p in paths[pair]:
-            c = sum(map(cost_of, p))
+            # added left to right: from Python 3.12 on, sum() compensates floats
+            c = 0.0
+            for link in p:
+                c += values[link]
             if c < best_cost or (c == best_cost and best is not None and p < best):
                 best, best_cost = p, c
         if best is None:

@@ -59,22 +59,34 @@ def _typed(name: str, base: str, value):
     return value
 
 
+@functools.cache
+def _rules(cls) -> tuple:
+    """Per field of a dataclass that ``check`` enforces, in declared order:
+    (name, JSON type, nullable, choices, bounds as (limit, holds, sign))."""
+    rules = []
+    for f in fields(cls):
+        base, _, optional = f.type.partition(" | ")
+        if base in _TYPES:
+            bounds = tuple((f.metadata[key], holds, sign)
+                           for key, holds, sign in _BOUNDS if key in f.metadata)
+            rules.append((f.name, base, optional == "None", f.metadata.get("choices"), bounds))
+    return tuple(rules)
+
+
 def check(obj) -> None:
     """Enforce the declared type, kinds and bounds of every scalar field."""
-    for f in fields(obj):
-        base, _, optional = f.type.partition(" | ")
-        value = getattr(obj, f.name)
-        if base not in _TYPES or (value is None and optional == "None"):
+    for name, base, nullable, choices, bounds in _rules(type(obj)):
+        value = getattr(obj, name)
+        if value is None and nullable:
             continue
-        typed = _typed(f.name, base, value)
+        typed = _typed(name, base, value)
         if typed is not value:
-            object.__setattr__(obj, f.name, typed)
-        choices = f.metadata.get("choices")
+            object.__setattr__(obj, name, typed)
         if choices is not None and typed not in choices:
-            raise invalid(f.name, f"must be one of {list(choices)}, got {typed!r}")
-        for key, holds, sign in _BOUNDS:
-            if key in f.metadata and not holds(typed, f.metadata[key]):
-                raise invalid(f.name, f"must be {sign} {f.metadata[key]}, got {typed!r}")
+            raise invalid(name, f"must be one of {list(choices)}, got {typed!r}")
+        for limit, holds, sign in bounds:
+            if not holds(typed, limit):
+                raise invalid(name, f"must be {sign} {limit}, got {typed!r}")
 
 
 def pair_key(pair: tuple[int, int]) -> str:
@@ -121,8 +133,10 @@ def to_json(obj):
     if isinstance(obj, float):
         return "inf" if math.isinf(obj) else obj
     if isinstance(obj, (tuple, list)):
-        # most tuples are link ids: copy them whole (a bool is not a plain int)
-        if set(map(type, obj)) == {int}:
+        # most tuples are link ids or finite floats: copy them whole (a bool
+        # is not a plain int, and a sum is finite only if every term is)
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {float} and math.isfinite(sum(obj)):
             return list(obj)
         return [to_json(v) for v in obj]
     if isinstance(obj, dict):

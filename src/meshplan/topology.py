@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
@@ -363,13 +364,26 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
             for l in links]
     pairs = _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL),
                           "algorithm.interference_multiplier")
-    near = [[i] for i in range(len(links))]
+    # The pairs come in ascending (i, j) order, so each link's lower
+    # interferers arrive in order, all before its higher ones, which arrive in
+    # order too: each list is sorted, and the link itself goes in between.
+    near: list[list[int]] = [[] for _ in links]
     for i, j in pairs:
         near[i].append(j)
         near[j].append(i)
-    interferers = tuple(tuple(sorted(ids)) for ids in near)
-    # A link's node-adjacent links are the links at either endpoint.
-    adj = topology.adjacency()
-    n1 = tuple(tuple(sorted({j for j, _ in adj[l.u] + adj[l.v]} - {i}))
-               for i, l in enumerate(links))
-    return InterferenceMap(interferers, n1)
+    for i, ids in enumerate(near):
+        insort(ids, i)
+    interferers = tuple(map(tuple, near))
+    # A link's node-adjacent links are the links at either endpoint. A
+    # topology has at most one link per node pair, so the link itself is the
+    # one id at both endpoints: after the sort, its two copies lie side by side.
+    at: list[list[int]] = [[] for _ in nodes]
+    for lid, l in enumerate(links):
+        at[l.u].append(lid)
+        at[l.v].append(lid)
+    n1 = []
+    for lid, l in enumerate(links):
+        ids = sorted(at[l.u] + at[l.v])
+        k = ids.index(lid)
+        n1.append((*ids[:k], *ids[k + 2:]))
+    return InterferenceMap(interferers, tuple(n1))

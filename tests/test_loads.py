@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshplan import (UnroutableFlowError, Flow, MeshNode,
+from meshplan import (UnroutableFlowError, Flow, InterferenceMap, MeshNode,
                       TrafficProfile, acceptable_paths_for_profile,
                       build_topology, enumerate_acceptable_paths,
-                      expected_link_load, goodput,
-                      topology_from_nodes, virtual_link_capacity)
+                      expected_link_load, goodput, link_capacities,
+                      topology_from_nodes)
 from meshplan.sim import FlowStats
 
 from conftest import cbr, generator_topologies_upto_8, profile
@@ -36,14 +36,21 @@ def oracle_paths(topo, s, d, slack):
     return sorted(out)
 
 
+def one_link_capacity(n_channels, channel_capacity, n_interferers):
+    imap = InterferenceMap((tuple(range(n_interferers)),), ((),))
+    return link_capacities(imap, n_channels, channel_capacity)[0]
+
+
 def test_virtual_link_capacity_values():
-    assert virtual_link_capacity(3, 10e6, 6) == pytest.approx(5e6)
-    assert virtual_link_capacity(1, 7.5e6, 1) == pytest.approx(7.5e6)
-    assert virtual_link_capacity(5, 10e6, 4) == pytest.approx(12.5e6)
+    assert one_link_capacity(3, 10e6, 6) == pytest.approx(5e6)
+    assert one_link_capacity(1, 7.5e6, 1) == pytest.approx(7.5e6)
+    assert one_link_capacity(5, 10e6, 4) == pytest.approx(12.5e6)
     with pytest.raises(ValueError):
-        virtual_link_capacity(3, 10e6, 0)
+        one_link_capacity(3, 10e6, 0)
     with pytest.raises(ValueError):
-        virtual_link_capacity(0, 10e6, 2)
+        one_link_capacity(0, 10e6, 2)
+    with pytest.raises(ValueError):
+        one_link_capacity(3, 0.0, 2)
 
 
 def test_ring4_opposite_pair_two_paths(ring4):
@@ -218,6 +225,16 @@ def test_goodput_three_pairs_termwise():
     rep = goodput({(0, 1): FlowStats(3, 2), (1, 2): FlowStats(8, 8), (2, 3): FlowStats(2, 1)},
                   prof)
     assert rep.total == 6.5  # 3 * 2/3 + 4 + 1 * 1/2
+
+
+def test_goodput_total_adds_left_to_right():
+    # in pair order, 1e16 + 1 rounds back to 1e16, twice; compensated
+    # summation, which sum() uses on floats from Python 3.12, would give
+    # 1.0000000000000002e16
+    prof = profile(cbr(0, 1, 1e16), cbr(0, 2, 1.0), cbr(0, 3, 1.0))
+    rep = goodput({pair: FlowStats(4, 4) for pair in prof.pairs()}, prof)
+    assert rep.useful == {(0, 1): 1e16, (0, 2): 1.0, (0, 3): 1.0}
+    assert rep.total == 1e16
 
 
 def test_goodput_never_exceeds_demand():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -5,40 +6,74 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meshplan import (LinkCost, TrafficProfile, acceptable_paths_for_profile,
-                      build_interference_map, build_topology, cost_table,
-                      fixed_point_route, link_cost, select_routes)
+from meshplan import (ContractError, LinkCost, TrafficProfile,
+                      acceptable_paths_for_profile, build_interference_map,
+                      build_topology, cost_table, fixed_point_route, select_routes)
 
 from conftest import cbr, generator_topologies_upto_8, profile
 
 
+def one_link_cost(load, capacity, threshold_fraction):
+    return cost_table((load,), (capacity,), threshold_fraction).values[0]
+
+
 def test_link_cost_branches():
-    assert link_cost(0.0, 100.0, 0.9) == 1.0
-    assert link_cost(40.0, 100.0, 0.9) == pytest.approx(1.4)
-    assert math.isinf(link_cost(95.0, 100.0, 0.9))
+    assert one_link_cost(0.0, 100.0, 0.9) == 1.0
+    assert one_link_cost(40.0, 100.0, 0.9) == pytest.approx(1.4)
+    assert math.isinf(one_link_cost(95.0, 100.0, 0.9))
     # boundary load exactly at the threshold stays finite
-    assert link_cost(90.0, 100.0, 0.9) == pytest.approx(1.9)
+    assert one_link_cost(90.0, 100.0, 0.9) == pytest.approx(1.9)
 
 
 def test_link_cost_domain_errors():
     with pytest.raises(ValueError):
-        link_cost(-1.0, 100.0, 0.9)
+        one_link_cost(-1.0, 100.0, 0.9)
     with pytest.raises(ValueError):
-        link_cost(1.0, 0.0, 0.9)
+        one_link_cost(1.0, 0.0, 0.9)
     with pytest.raises(ValueError):
-        link_cost(1.0, 100.0, 0.0)
+        one_link_cost(1.0, 100.0, 0.0)
     with pytest.raises(ValueError):
-        link_cost(1.0, 100.0, 1.5)
+        one_link_cost(1.0, 100.0, 1.5)
 
 
 @given(st.floats(min_value=1e-9, max_value=0.9),
        st.floats(min_value=1e-9, max_value=0.9))
 def test_link_cost_monotone_on_finite_branch(a, b):
     lo, hi = sorted((a, b))
-    c_lo, c_hi = link_cost(lo * 100, 100.0, 0.9), link_cost(hi * 100, 100.0, 0.9)
+    c_lo, c_hi = one_link_cost(lo * 100, 100.0, 0.9), one_link_cost(hi * 100, 100.0, 0.9)
     assert c_lo <= c_hi
     if 1.0 + lo < 1.0 + hi:  # distinguishable at float granularity
         assert c_lo < c_hi
+
+
+_loads = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False)
+_capacities = st.floats(min_value=1e-3, max_value=1e12, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_loads, _capacities), max_size=20),
+       st.sampled_from([0.1, 0.5, 0.9, 1.0]), st.data())
+def test_cost_table_is_the_piecewise_rule(links, threshold, data):
+    # loads exactly at the threshold stay finite
+    links = [(data.draw(st.sampled_from([d, threshold * c])), c) for d, c in links]
+    load, capacity = tuple(d for d, _ in links), tuple(c for _, c in links)
+    costs = cost_table(load, capacity, threshold).values
+    assert len(costs) == len(links)
+    for (d, c), cost in zip(links, costs):
+        x = d / c
+        assert cost == (math.inf if x > threshold else 1.0 + x if x > 0 else 1.0)
+    with pytest.raises(ContractError):
+        cost_table(load + (0.0,), capacity, threshold)
+
+
+def left_to_right(values, path):
+    return functools.reduce(lambda c, link: c + values[link], path, 0.0)
+
+
+def test_route_cost_adds_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, twice; compensated summation, which sum()
+    # uses on floats from Python 3.12, would give 1.0000000000000002e16
+    table = select_routes({(0, 3): ((0, 1, 2),)}, LinkCost((1e16, 1.0, 1.0)))
+    assert table.routes[(0, 3)].cost == 1e16
 
 
 def test_select_routes_all_unit_costs(ring4):
@@ -79,8 +114,8 @@ def test_select_routes_matches_bruteforce(grid9):
         costs = LinkCost(values)
         table = select_routes(paths, costs)
         for pair in pairs:
-            finite = [(sum(values[l] for l in p), p) for p in paths[pair]
-                      if not math.isinf(sum(values[l] for l in p))]
+            priced = [(left_to_right(values, p), p) for p in paths[pair]]
+            finite = [(c, p) for c, p in priced if not math.isinf(c)]
             if not finite:
                 assert pair in table.blocked
             else:

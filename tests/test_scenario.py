@@ -207,3 +207,10 @@ def test_readme_example_runs():
     example, = re.findall(r"```json\n(.*?)```", readme, re.S)
     result = run_pipeline(scenario_from_dict(json.loads(example)), horizon_s=2.0)
     assert result.scenario.name == "my-experiment" and result.metrics.generated > 0
+
+
+def test_readme_library_example_runs():
+    # the documented library calls must keep working as written
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example, = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})

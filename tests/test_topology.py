@@ -149,6 +149,36 @@ def test_interference_symmetry_random():
                 assert l in im.n1[other]
 
 
+@st.composite
+def topologies(draw):
+    """A generated topology of any kind, or nodes on 50 m cells in a 750 m
+    box, at a 250 m range and a random interference range."""
+    interference_range = 250.0 * draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    kind = draw(st.sampled_from((None, *topology.TOPOLOGY_KINDS)))
+    if kind is None:
+        cells = draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                              min_size=1, max_size=30, unique=True))
+        return topology_from_nodes(tuple(MeshNode(50.0 * x, 50.0 * y) for x, y in cells),
+                                   tx_range=250.0, interference_range=interference_range)
+    # a grid needs a composite node count
+    n = (draw(st.integers(2, 6)) * draw(st.integers(2, 6)) if kind == "grid"
+         else draw(st.integers(2, 40)))
+    return build_topology(kind, n, draw(st.sampled_from([100.0, 150.0, 200.0, 250.0])),
+                          interference_range=interference_range)
+
+
+@settings(max_examples=150, deadline=None)
+@given(topologies())
+def test_n1_and_interferer_order_match_definitions(t):
+    im = build_interference_map(t)
+    for l, link in enumerate(t.links):
+        ends = {link.u, link.v}
+        assert im.n1[l] == tuple(j for j, other in enumerate(t.links)
+                                 if j != l and ends & {other.u, other.v})
+        assert l in im.interferers[l]
+        assert all(a < b for a, b in zip(im.interferers[l], im.interferers[l][1:]))
+
+
 def test_all_generated_link_distances_within_range():
     for topo in generator_topologies_upto_8():
         for l in topo.links:
