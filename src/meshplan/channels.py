@@ -1,23 +1,25 @@
 """Greedy load-ordered channel assignment with TDMA-like activation frames.
 
 Frames are a first-fit colouring of the links: each link takes the
-smallest frame that no node-adjacent link before it already holds, so no
-two links of a frame share a node (self-interference). Links go in
-descending expected-load order for ccmca and in id order for the seeded
-random baseline. ccmca then gives each link, frame by frame and in load
-order within a frame, the channel with the smallest summed gain of
-already-assigned co-channel interferers. Every link holds exactly one
-channel and one frame.
+smallest frame that no link before it already holds at either of its
+endpoints, so no two links of a frame share a node (self-interference).
+The colouring reads each link's own endpoints and keeps, per node, the
+frames its links hold so far. Links go in descending expected-load order
+for ccmca and in id order for the seeded random baseline. ccmca then gives
+each link, frame by frame and in load order within a frame, the channel
+with the smallest summed gain of already-assigned co-channel interferers.
+Every link holds exactly one channel and one frame.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .schema import check, invalid, param
-from .topology import InterferenceMap
+from .topology import InterferenceMap, Topology, VirtualLink
 
 
 @dataclass(frozen=True)
@@ -65,26 +67,29 @@ def channel_gain_sums(link: int, n_channels: int, channel_of: Sequence[int | Non
     return sums
 
 
-def first_fit_frames(order: Iterable[int], n1: Sequence[Sequence[int]]) -> list[int]:
-    """Per link, the smallest frame that no node-adjacent link earlier in
-    `order` holds: first-fit colouring of the shared-endpoint conflict.
-    `order` lists every link id once."""
-    frame_of = [-1] * len(n1)
+def first_fit_frames(order: Iterable[int], links: Sequence[VirtualLink]) -> list[int]:
+    """Per link, the smallest frame that no link earlier in `order` holds at
+    either of its endpoints: first-fit colouring of the shared-endpoint
+    conflict. `order` lists every link id once."""
+    frame_of = [-1] * len(links)
+    held: defaultdict[int, int] = defaultdict(int)  # per node: bit f set once frame f is held
     for link in order:
-        taken = {frame_of[e] for e in n1[link]}
-        frame = 0
-        while frame in taken:
-            frame += 1
-        frame_of[link] = frame
+        l = links[link]
+        taken = held[l.u] | held[l.v]
+        bit = ~taken & (taken + 1)  # the lowest frame that neither endpoint holds
+        held[l.u] |= bit
+        held[l.v] |= bit
+        frame_of[link] = bit.bit_length() - 1
     return frame_of
 
 
-def schedule_all_frames(order: Sequence[int], imap: InterferenceMap,
-                        gains: Sequence[float], n_channels: int) -> ChannelAssignment:
+def schedule_all_frames(order: Sequence[int], topology: Topology, imap: InterferenceMap,
+                        n_channels: int) -> ChannelAssignment:
     """Frames by first fit in `order`; then channels link by link in (frame,
     order) sequence, each the one with the smallest summed gain of the
     co-channel interferers already assigned, ties to the smallest channel."""
-    frame_of = first_fit_frames(order, imap.n1)
+    frame_of = first_fit_frames(order, topology.links)
+    gains = topology.link_gains()
     channel_of: list[int | None] = [None] * len(frame_of)
     for link in sorted(order, key=frame_of.__getitem__):
         d = channel_gain_sums(link, n_channels, channel_of, imap, gains)
@@ -92,11 +97,11 @@ def schedule_all_frames(order: Sequence[int], imap: InterferenceMap,
     return ChannelAssignment(n_channels, tuple(channel_of), tuple(frame_of))
 
 
-def baseline_assign(n_links: int, n_channels: int, seed: int,
-                    n1: Sequence[Sequence[int]]) -> ChannelAssignment:
+def baseline_assign(topology: Topology, n_channels: int, seed: int) -> ChannelAssignment:
     """Comparison baseline: seeded uniform-random channel per link, frames
     by first fit in link-id order."""
     rng = random.Random(seed)
-    channel_of = tuple(rng.randrange(n_channels) for _ in range(n_links))
+    links = topology.links
+    channel_of = tuple(rng.randrange(n_channels) for _ in links)
     return ChannelAssignment(n_channels, channel_of,
-                             tuple(first_fit_frames(range(n_links), n1)))
+                             tuple(first_fit_frames(range(len(links)), links)))

@@ -82,8 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(obj, fmt: str, out: str | None) -> None:
     if out:
         emit_report(obj, fmt, out)
-    else:
-        sys.stdout.write(render_report(obj, fmt))
+        return
+    text = render_report(obj, fmt)
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as e:  # a scenario name the terminal's encoding lacks
+        raise OSError(f"cannot write report to stdout: {e}") from e
 
 
 def _warn(message: str) -> None:

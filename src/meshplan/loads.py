@@ -78,16 +78,14 @@ def _hop_distances(adj, n_nodes: int, target: int, source: int, slack: int) -> l
 
 def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
                                slack: int = DEFAULT_SLACK,
-                               cap: int = DEFAULT_PATH_CAP, *,
-                               adjacency: list[list[tuple[int, int]]] | None = None
-                               ) -> tuple[Path, ...]:
+                               cap: int = DEFAULT_PATH_CAP) -> tuple[Path, ...]:
     """Simple paths from s to d within (shortest hops + slack), as link-id
     sequences in lexicographic order, truncated to at most cap paths.
 
     The DFS explores incident links in ascending id order, which emits
     paths directly in lexicographic order, so truncation equals
-    sort-then-cut. Disconnected pairs yield the empty tuple. ``adjacency``
-    is ``topology.adjacency()``, built here when not given.
+    sort-then-cut. Disconnected pairs yield the empty tuple. The walks read
+    ``topology.adjacency``, which the topology builds once for every pair.
     """
     if s == d:
         raise ValueError("source and destination must differ")
@@ -98,7 +96,7 @@ def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
     if cap < 1:
         raise ValueError("cap must be >= 1")
 
-    adj = topology.adjacency() if adjacency is None else adjacency
+    adj = topology.adjacency
     # nodes left at -1 are farther from d than an acceptable path can go
     dist_to_d = _hop_distances(adj, topology.n_nodes, d, s, slack)
     if dist_to_d[s] < 0:
@@ -138,9 +136,7 @@ def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
 def acceptable_paths_for_profile(topology: Topology, profile: TrafficProfile,
                                  slack: int = DEFAULT_SLACK,
                                  cap: int = DEFAULT_PATH_CAP) -> dict[Pair, tuple[Path, ...]]:
-    adj = topology.adjacency()
-    return {pair: enumerate_acceptable_paths(topology, pair[0], pair[1], slack, cap,
-                                             adjacency=adj)
+    return {pair: enumerate_acceptable_paths(topology, *pair, slack, cap)
             for pair in profile.pairs()}
 
 

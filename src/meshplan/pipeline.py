@@ -97,14 +97,13 @@ def plan(scenario: Scenario, protocol: str):
             cap=alg.cap, max_iters=alg.max_iters)
         costs = cost_table(loads.load, loads.capacity, alg.threshold_fraction)
     with _Stage("assignment"):
-        gains = topology.link_gains()
         if protocol == "ccmca":
             # Priorities follow the loads the committed routes will induce;
             # identical to loads.load at a converged fixed point.
             induced = routed_link_loads(topology.n_links, routes, scenario.traffic)
-            assignment = schedule_all_frames(order_links(induced), imap, gains, channels)
+            assignment = schedule_all_frames(order_links(induced), topology, imap, channels)
         else:
-            assignment = baseline_assign(topology.n_links, channels, config.seed, imap.n1)
+            assignment = baseline_assign(topology, channels, config.seed)
     return topology, imap, loads, costs, routes, assignment
 
 

@@ -115,7 +115,7 @@ def emit_report(obj: Report, fmt: str, path: str | FsPath) -> str:
     text = render_report(obj, fmt)
     p = FsPath(path)
     try:
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
     except OSError as e:
         raise OSError(f"cannot write report to {p}: {e}") from e
     return text

@@ -152,7 +152,7 @@ def parse_scenario(path: str | FsPath) -> Scenario:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ScenarioParseError(f"{p}: line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except (UnicodeDecodeError, RecursionError) as e:  # not UTF-8, or nested too deeply
+    except (ValueError, RecursionError) as e:  # not UTF-8, an overlong integer, too deep
         raise ScenarioParseError(f"{p}: {e}") from e
     return scenario_from_dict(doc)
 

@@ -3,7 +3,9 @@
 
 ``TopologySpec`` declares and checks every field of that section and is the
 one builder of a ``Topology``; ``scenario`` reads a document's sections into
-their dataclasses.
+their dataclasses. Which links share a node is read off each link's own
+endpoints, ``u`` and ``v``, or off ``Topology.adjacency``, which each
+topology builds once.
 
 A virtual link exists between every node pair within transmission range
 (with a tiny relative tolerance so exact-range geometries such as a ring
@@ -29,6 +31,7 @@ their order and every interferer set equal the all-pairs result.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -101,14 +104,14 @@ class Topology:
     def link_gains(self) -> tuple[float, ...]:
         return tuple(l.gain for l in self.links)
 
+    @functools.cached_property
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per node: (link id, neighbor node id) pairs, sorted by link id."""
+        """Per node: (link id, neighbor node id) pairs, in link-id order,
+        built on first use and kept with the topology."""
         adj: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
         for lid, l in enumerate(self.links):
             adj[l.u].append((lid, l.v))
             adj[l.v].append((lid, l.u))
-        for entries in adj:
-            entries.sort()
         return adj
 
 
@@ -341,16 +344,13 @@ def _place(kind: str, n: int, spacing: float) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class InterferenceMap:
-    """Per link: interfering link ids (midpoint rule, includes self) and the
-    node-adjacent neighbours n1 (links sharing an endpoint, excluding self),
-    each in ascending id order.
-    """
+    """Per link: the interfering link ids (midpoint rule, includes self), in
+    ascending id order."""
     interferers: tuple[tuple[int, ...], ...]
-    n1: tuple[tuple[int, ...], ...]
 
 
 def build_interference_map(topology: Topology) -> InterferenceMap:
-    """The interferer and node-adjacent sets of every link.
+    """The interferer set of every link.
 
     Link j interferes with link i when their midpoints are within the
     interference range. The pairs come from the cell-list search of the
@@ -373,17 +373,4 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
         near[j].append(i)
     for i, ids in enumerate(near):
         insort(ids, i)
-    interferers = tuple(map(tuple, near))
-    # A link's node-adjacent links are the links at either endpoint. A
-    # topology has at most one link per node pair, so the link itself is the
-    # one id at both endpoints: after the sort, its two copies lie side by side.
-    at: list[list[int]] = [[] for _ in nodes]
-    for lid, l in enumerate(links):
-        at[l.u].append(lid)
-        at[l.v].append(lid)
-    n1 = []
-    for lid, l in enumerate(links):
-        ids = sorted(at[l.u] + at[l.v])
-        k = ids.index(lid)
-        n1.append((*ids[:k], *ids[k + 2:]))
-    return InterferenceMap(interferers, tuple(n1))
+    return InterferenceMap(tuple(map(tuple, near)))

@@ -48,10 +48,21 @@ def random_topology(seed: int, max_nodes: int = 12, max_links: int = 24):
         side *= 1.3
 
 
-def replay_schedule(order, imap, gains, n_channels):
+def n1(topology):
+    """Per link: the ids of the links sharing an endpoint with it, minus the
+    link itself, in ascending order; the conflict that frames colour."""
+    return [tuple(j for j, other in enumerate(topology.links)
+                  if j != l and {link.u, link.v} & {other.u, other.v})
+            for l, link in enumerate(topology.links)]
+
+
+def replay_schedule(order, topology, imap, n_channels):
     """Independent re-simulation of the greedy assignment walk: per-step
-    exhaustive argmin over brute-force gain sums, per-frame eligibility,
-    ties to the smallest channel index."""
+    exhaustive argmin over brute-force gain sums, per-frame eligibility
+    against the node-adjacent links of ``n1``, ties to the smallest channel
+    index."""
+    gains = topology.link_gains()
+    adjacent = n1(topology)
     n = len(order)
     channel = [None] * n
     frame = [None] * n
@@ -60,7 +71,7 @@ def replay_schedule(order, imap, gains, n_channels):
         for link in order:
             if channel[link] is not None:
                 continue
-            if any(frame[e] == f for e in imap.n1[link]):
+            if any(frame[e] == f for e in adjacent[link]):
                 continue
             d = []
             for c in range(n_channels):

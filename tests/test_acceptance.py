@@ -36,7 +36,7 @@ def greedy_battery():
         delta = [rng.uniform(0.0, 100.0) for _ in range(topo.n_links)]
         n_channels = 2 + seed % 4  # 2..5
         order = order_links(delta)
-        asg = schedule_all_frames(order, imap, topo.link_gains(), n_channels)
+        asg = schedule_all_frames(order, topo, imap, n_channels)
         cases.append((topo, imap, order, n_channels, asg))
     return cases
 
@@ -45,7 +45,7 @@ def test_acceptance_1_greedy_replay_oracle(greedy_battery, capsys):
     start = time.time()
     for topo, imap, order, n_channels, asg in greedy_battery:
         assert topo.n_nodes <= 12 and topo.n_links <= 24
-        channel, frame = replay_schedule(order, imap, topo.link_gains(), n_channels)
+        channel, frame = replay_schedule(order, topo, imap, n_channels)
         assert asg.channel_of == channel, "channel differs from per-turn argmin"
         assert asg.frame_of == frame
     elapsed = time.time() - start

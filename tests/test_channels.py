@@ -9,7 +9,7 @@ from meshplan import (ChannelAssignment, ConfigurationError, baseline_assign,
                       channels, first_fit_frames, order_links, schedule_all_frames)
 from meshplan.schema import from_json, to_json
 
-from conftest import random_topology, replay_schedule
+from conftest import n1, random_topology, replay_schedule
 
 
 def test_order_links_examples():
@@ -34,12 +34,12 @@ def test_order_links_matches_selection_sort_oracle():
         assert order_links(delta) == expect
 
 
-def test_first_fit_frames_semantics(ring4_imap):
+def test_first_fit_frames_semantics(ring4):
     # links 1 and 2 share an endpoint with link 0 and are kept out of its
     # frame; the opposite link 3 joins it, and 1 and 2 share the next frame
-    assert first_fit_frames([0, 1, 2, 3], ring4_imap.n1) == [0, 1, 1, 0]
+    assert first_fit_frames([0, 1, 2, 3], ring4.links) == [0, 1, 1, 0]
     # only links earlier in the order hold frames a link must avoid
-    assert first_fit_frames([1, 0, 3, 2], ring4_imap.n1) == [1, 0, 0, 1]
+    assert first_fit_frames([1, 0, 3, 2], ring4.links) == [1, 0, 0, 1]
     assert first_fit_frames([], ()) == []
 
 
@@ -74,21 +74,20 @@ def test_channel_gain_sum_counts_only_interferers(grid9):
 def test_schedule_single_link():
     t = build_topology("chain", 2, 100.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames([0], imap, t.link_gains(), 3)
+    asg = schedule_all_frames([0], t, imap, 3)
     # all gain sums zero: smallest index wins
     assert asg == ChannelAssignment(3, (0,), (0,))
 
 
 def test_first_fit_adjacent_links_defer_lower_priority():
     t = build_topology("chain", 3, 100.0, tx_range=100.0)
-    imap = build_interference_map(t)
     order = order_links([1.0, 5.0])  # link 1 first
-    assert first_fit_frames(order, imap.n1) == [1, 0]
+    assert first_fit_frames(order, t.links) == [1, 0]
 
 
 def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
     gains = ring4.link_gains()
-    asg = schedule_all_frames(order_links([4.0, 3.0, 2.0, 1.0]), ring4_imap, gains, 2)
+    asg = schedule_all_frames(order_links([4.0, 3.0, 2.0, 1.0]), ring4, ring4_imap, 2)
     assert asg.links_in_frame(0) == [0, 3]  # a maximal matching: opposite links
     assert asg.channel_of[0] == 0
     assert asg.channel_of[3] == 1  # channel 0 already carries an interferer
@@ -100,14 +99,13 @@ def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
 def test_schedule_two_adjacent_links():
     t = build_topology("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames(order_links([1.0, 5.0]), imap, t.link_gains(), 2)
+    asg = schedule_all_frames(order_links([1.0, 5.0]), t, imap, 2)
     assert asg.frame_of == (1, 0)
     assert asg.n_frames == 2
 
 
 def test_schedule_ring4_two_frames(ring4, ring4_imap):
-    asg = schedule_all_frames(order_links([4.0, 3.0, 2.0, 1.0]), ring4_imap,
-                              ring4.link_gains(), 2)
+    asg = schedule_all_frames(order_links([4.0, 3.0, 2.0, 1.0]), ring4, ring4_imap, 2)
     assert asg.n_frames == 2
     assert sorted(asg.links_in_frame(0)) == [0, 3]
     assert sorted(asg.links_in_frame(1)) == [1, 2]
@@ -119,8 +117,7 @@ def test_schedule_ring4_two_frames(ring4, ring4_imap):
 def test_schedule_star_all_links_share_hub():
     t = build_topology("star", 6, 250.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames(order_links([5.0, 4.0, 3.0, 2.0, 1.0]), imap,
-                              t.link_gains(), 3)
+    asg = schedule_all_frames(order_links([5.0, 4.0, 3.0, 2.0, 1.0]), t, imap, 3)
     assert asg.n_frames == 5
     assert [asg.frame_of[l] for l in range(5)] == [0, 1, 2, 3, 4]
 
@@ -131,7 +128,7 @@ def test_schedule_coverage_and_matching_invariants():
         imap = build_interference_map(topo)
         rng = random.Random(seed + 1000)
         delta = [rng.uniform(0, 100) for _ in range(topo.n_links)]
-        asg = schedule_all_frames(order_links(delta), imap, topo.link_gains(), 3)
+        asg = schedule_all_frames(order_links(delta), topo, imap, 3)
         # coverage: exactly one channel and one frame everywhere
         assert len(asg.channel_of) == len(asg.frame_of) == topo.n_links
         # matching: no two links in one frame share an endpoint
@@ -151,8 +148,8 @@ def test_schedule_matches_independent_replay():
         delta = [rng.uniform(0, 100) for _ in range(topo.n_links)]
         n_channels = 2 + seed % 4
         order = order_links(delta)
-        asg = schedule_all_frames(order, imap, topo.link_gains(), n_channels)
-        channel, frame = replay_schedule(order, imap, topo.link_gains(), n_channels)
+        asg = schedule_all_frames(order, topo, imap, n_channels)
+        channel, frame = replay_schedule(order, topo, imap, n_channels)
         assert asg.channel_of == channel
         assert asg.frame_of == frame
 
@@ -168,8 +165,8 @@ def test_per_step_argmin_small_topologies_exhaustive():
         for n_channels in (1, 2, 3):
             delta = [rng.uniform(0, 10) for _ in range(topo.n_links)]
             order = order_links(delta)
-            asg = schedule_all_frames(order, imap, topo.link_gains(), n_channels)
-            channel, frame = replay_schedule(order, imap, topo.link_gains(), n_channels)
+            asg = schedule_all_frames(order, topo, imap, n_channels)
+            channel, frame = replay_schedule(order, topo, imap, n_channels)
             assert asg.channel_of == channel and asg.frame_of == frame
 
 
@@ -189,48 +186,63 @@ def test_frame_priority_respects_order(monkeypatch):
         delta = [random.Random(seed).uniform(0, 9) for _ in range(topo.n_links)]
         order = order_links(delta)
         visited.clear()
-        asg = schedule_all_frames(order, imap, topo.link_gains(), 2)
+        asg = schedule_all_frames(order, topo, imap, 2)
         pos = {l: i for i, l in enumerate(order)}
         assert visited == sorted(order, key=lambda l: (asg.frame_of[l], pos[l]))
+
+
+def first_fit_oracle(order, adjacent):
+    """First fit over explicit node-adjacent sets: per link in order, the
+    smallest frame that none of its adjacent links holds yet."""
+    frame_of = [-1] * len(adjacent)
+    for link in order:
+        taken = {frame_of[e] for e in adjacent[link]}
+        frame = 0
+        while frame in taken:
+            frame += 1
+        frame_of[link] = frame
+    return frame_of
 
 
 @st.composite
 def ordered_topologies(draw):
     topo = random_topology(draw(st.integers(0, 10**6)))
-    return build_interference_map(topo).n1, draw(st.permutations(range(topo.n_links)))
+    return topo, draw(st.permutations(range(topo.n_links)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(ordered_topologies())
 def test_first_fit_frames_properties(case):
-    n1, order = case
-    frame_of = first_fit_frames(order, n1)
+    t, order = case
+    adjacent = n1(t)
+    frame_of = first_fit_frames(order, t.links)
+    assert frame_of == first_fit_oracle(order, adjacent)
     pos = {l: i for i, l in enumerate(order)}
     for link in order:
         # the smallest frame that no earlier node-adjacent link holds
-        taken = {frame_of[e] for e in n1[link] if pos[e] < pos[link]}
+        taken = {frame_of[e] for e in adjacent[link] if pos[e] < pos[link]}
         assert frame_of[link] not in taken
         assert all(f in taken for f in range(frame_of[link]))
-    assert max(frame_of) + 1 <= max(len(s) for s in n1) + 1
-    n = len(n1)
-    assert baseline_assign(n, 3, 1, n1).frame_of == tuple(first_fit_frames(range(n), n1))
+    assert max(frame_of) + 1 <= max(len(s) for s in adjacent) + 1
+    by_id = first_fit_oracle(range(t.n_links), adjacent)
+    assert baseline_assign(t, 3, 1).frame_of == tuple(by_id)
 
 
 def test_baseline_single_link_single_channel():
-    asg = baseline_assign(1, 1, 42, [()])
+    asg = baseline_assign(build_topology("chain", 2, 100.0), 1, 42)
     assert asg == ChannelAssignment(1, (0,), (0,))
 
 
-def test_baseline_deterministic_per_seed(ring4_imap):
-    a = baseline_assign(4, 3, 7, ring4_imap.n1)
-    b = baseline_assign(4, 3, 7, ring4_imap.n1)
+def test_baseline_deterministic_per_seed(ring4):
+    a = baseline_assign(ring4, 3, 7)
+    b = baseline_assign(ring4, 3, 7)
     assert a == b
-    c = baseline_assign(4, 3, 8, ring4_imap.n1)
+    c = baseline_assign(ring4, 3, 8)
     assert a.frame_of == c.frame_of  # frames ignore the seed
 
 
-def test_baseline_frames_form_matchings(ring4, ring4_imap):
-    asg = baseline_assign(4, 2, 3, ring4_imap.n1)
+def test_baseline_frames_form_matchings(ring4):
+    asg = baseline_assign(ring4, 2, 3)
     for f in range(asg.n_frames):
         in_frame = asg.links_in_frame(f)
         for i, a in enumerate(in_frame):
@@ -240,8 +252,8 @@ def test_baseline_frames_form_matchings(ring4, ring4_imap):
 
 
 def test_baseline_channel_histogram_uniformish():
-    n1 = [()] * 1000
-    asg = baseline_assign(1000, 5, 2, n1)
+    chain = build_topology("chain", 1001, 200.0)  # 1000 links
+    asg = baseline_assign(chain, 5, 2)
     counts = [asg.channel_of.count(c) for c in range(5)]
     assert all(abs(n - 200) <= 20 for n in counts)  # within 10% of uniform
     chi2 = sum((n - 200) ** 2 / 200 for n in counts)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meshplan
 from meshplan import load_scenario
 from meshplan.cli import main
 from meshplan.pipeline import plan
@@ -135,16 +140,50 @@ UNREADABLE = {
     # deeper than the JSON decoder's recursion can go
     "nested-deep": b"[" * 100_000 + b"]" * 100_000,
     "utf8-bom": b"\xef\xbb\xbf" + json.dumps(MINI).encode(),
+    # past the interpreter's limit on the digits of an integer it converts
+    "int-too-long": b'{"preset": "paper-ring-4", "sim": {"seed": ' + b"9" * 5000 + b"}}",
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
 def test_unreadable_file_is_parse_error(tmp_path, capsys, case):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if case == "int-too-long" and not 0 < limit < 5000:
+        pytest.skip("this Python converts a 5000-digit integer")
     p = tmp_path / f"{case}.json"
     p.write_bytes(UNREADABLE[case])
     assert main(["run", "--scenario", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"meshplan: error: {p}: ") and err.count("\n") == 1, err
+
+
+def run_in_c_locale(tmp_path, *args):
+    """``meshplan run`` on a scenario named "réseau", in a child process
+    whose locale, and so whose stdout, encodes ASCII only."""
+    scn = scenario_file(tmp_path, {"preset": "paper-ring-4", "name": "réseau",
+                                   "sim": {"horizon_s": 2.0}})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join([str(Path(meshplan.__file__).parents[1]),
+                                           env.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "meshplan.cli", "run", "--scenario", scn,
+                           *args], env=env, cwd=tmp_path, capture_output=True)
+
+
+def test_report_file_is_utf8_in_any_locale(tmp_path):
+    out = tmp_path / "r.csv"
+    out.write_text("an earlier report\n")
+    proc = run_in_c_locale(tmp_path, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes().decode("utf-8").splitlines()[1].startswith("réseau,ccmca,")
+
+
+def test_report_stdout_cannot_encode_is_io_error(tmp_path):
+    proc = run_in_c_locale(tmp_path)
+    if proc.returncode == 0 and "réseau".encode() in proc.stdout:
+        pytest.skip("the C locale encodes UTF-8 on this platform")
+    assert proc.returncode == 5, proc.stderr
+    assert b"cannot write report to stdout" in proc.stderr
 
 
 NODES = {

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshplan import (UnroutableFlowError, Flow, InterferenceMap, MeshNode,
-                      TrafficProfile, acceptable_paths_for_profile,
+                      Topology, TrafficProfile, acceptable_paths_for_profile,
                       build_topology, enumerate_acceptable_paths,
                       expected_link_load, goodput, link_capacities,
                       topology_from_nodes)
@@ -37,7 +38,7 @@ def oracle_paths(topo, s, d, slack):
 
 
 def one_link_capacity(n_channels, channel_capacity, n_interferers):
-    imap = InterferenceMap((tuple(range(n_interferers)),), ((),))
+    imap = InterferenceMap((tuple(range(n_interferers)),))
     return link_capacities(imap, n_channels, channel_capacity)[0]
 
 
@@ -134,19 +135,27 @@ def test_expected_load_ring4_even_split(ring4):
 
 
 def test_profile_paths_build_adjacency_once(grid9, monkeypatch):
-    prof = profile(cbr(0, 8, 10.0), cbr(2, 6, 10.0), cbr(1, 7, 10.0))
-    alone = {f.pair: enumerate_acceptable_paths(grid9, f.src, f.dst, 1, 10)
-             for f in prof.flows}
+    # one build per topology, however many pairs and calls walk it
     calls = [0]
-    real = type(grid9).adjacency
+    build = Topology.__dict__["adjacency"].func
 
     def counted(topo):
         calls[0] += 1
-        return real(topo)
+        return build(topo)
 
-    monkeypatch.setattr(type(grid9), "adjacency", counted)
-    assert acceptable_paths_for_profile(grid9, prof, slack=1, cap=10) == alone
-    assert calls[0] == 1
+    counted_adjacency = functools.cached_property(counted)
+    counted_adjacency.__set_name__(Topology, "adjacency")
+    monkeypatch.setattr(Topology, "adjacency", counted_adjacency)
+    prof = profile(cbr(0, 8, 10.0), cbr(2, 6, 10.0), cbr(1, 7, 10.0))
+    paths = acceptable_paths_for_profile(grid9, prof, slack=1, cap=10)
+    assert calls == [1]
+    assert acceptable_paths_for_profile(grid9, prof, slack=1, cap=10) == paths
+    assert paths == {f.pair: enumerate_acceptable_paths(grid9, f.src, f.dst, 1, 10)
+                     for f in prof.flows}
+    assert calls == [1]
+    other = build_topology("grid", 9, 200.0)
+    assert acceptable_paths_for_profile(other, prof, slack=1, cap=10) == paths
+    assert calls == [2]
 
 
 def test_expected_load_single_path():

@@ -111,15 +111,12 @@ def test_interference_single_link():
     t = build_topology("chain", 2, 100.0)
     im = build_interference_map(t)
     assert im.interferers[0] == (0,)
-    assert im.n1[0] == ()
 
 
 def test_interference_ring4_all_pairs(ring4, ring4_imap):
     # Interference range (500) exceeds every midpoint distance on the ring.
     for l in range(ring4.n_links):
         assert ring4_imap.interferers[l] == (0, 1, 2, 3)
-    assert ring4_imap.n1[0] == (1, 2)
-    assert ring4_imap.n1[3] == (1, 2)
 
 
 def test_interference_grid9_matches_bruteforce(grid9):
@@ -131,10 +128,6 @@ def test_interference_grid9_matches_bruteforce(grid9):
         expect = {j for j in range(grid9.n_links)
                   if math.dist(mids[i], mids[j]) <= rng * (1 + 1e-9)}
         assert im.interferers[i] == tuple(sorted(expect))
-        ends = {grid9.links[i].u, grid9.links[i].v}
-        n1 = {j for j in range(grid9.n_links) if j != i
-              and ({grid9.links[j].u, grid9.links[j].v} & ends)}
-        assert im.n1[i] == tuple(sorted(n1))
 
 
 def test_interference_symmetry_random():
@@ -145,8 +138,6 @@ def test_interference_symmetry_random():
             assert l in im.interferers[l]
             for other in im.interferers[l]:
                 assert l in im.interferers[other]
-            for other in im.n1[l]:
-                assert l in im.n1[other]
 
 
 @st.composite
@@ -169,12 +160,12 @@ def topologies(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(topologies())
-def test_n1_and_interferer_order_match_definitions(t):
+def test_adjacency_and_interferer_order_match_definitions(t):
+    for node, entries in enumerate(t.adjacency):
+        assert entries == [(j, link.u + link.v - node) for j, link in enumerate(t.links)
+                           if node in (link.u, link.v)]
     im = build_interference_map(t)
-    for l, link in enumerate(t.links):
-        ends = {link.u, link.v}
-        assert im.n1[l] == tuple(j for j, other in enumerate(t.links)
-                                 if j != l and ends & {other.u, other.v})
+    for l in range(t.n_links):
         assert l in im.interferers[l]
         assert all(a < b for a, b in zip(im.interferers[l], im.interferers[l][1:]))
 
