@@ -26,8 +26,7 @@ from .scenario import (PRESETS, AlgorithmParams, Scenario, load_scenario,
 from .sim import (ServiceAudit, SimConfig, SimInput, SimMetrics, Simulator,
                   run_simulation, sim_input)
 from .topology import (InterferenceMap, MeshNode, Topology, TopologySpec, VirtualLink,
-                       build_interference_map, build_topology, link_gain,
-                       topology_from_nodes)
-from .traffic import Flow, TrafficProfile, vod_flow, voip_flow
+                       build_interference_map)
+from .traffic import Flow, TrafficProfile
 
 __version__ = "0.1.0"

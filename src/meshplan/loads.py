@@ -1,19 +1,26 @@
 """Link load estimation: per-link capacity shares, acceptable-path
 enumeration, expected load under uniform multipath splitting, and the
 goodput evaluator.
+
+The capacity shares read the scenario's channel count and channel capacity,
+and path enumeration its ``slack`` and ``cap``, from the validated
+``Scenario``/``AlgorithmParams``, whose fields carry their bounds; only what
+a caller passes besides them (node ids, a hand-built interference map) is
+checked here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import UnroutableFlowError
 from .schema import check, param
 from .topology import InterferenceMap, Topology
 from .traffic import TrafficProfile
 
-DEFAULT_SLACK = 1
-DEFAULT_PATH_CAP = 32
+if TYPE_CHECKING:
+    from .scenario import AlgorithmParams, Scenario
 
 Pair = tuple[int, int]
 Path = tuple[int, ...]
@@ -41,15 +48,10 @@ class GoodputReport:
         check(self)
 
 
-def link_capacities(imap: InterferenceMap, n_channels: int,
-                    channel_capacity: float) -> tuple[float, ...]:
-    """Per link, the aggregate channel capacity divided evenly among the
-    links it interferes with, itself included."""
-    if n_channels < 1:
-        raise ValueError("n_channels must be >= 1")
-    if channel_capacity <= 0:
-        raise ValueError("channel_capacity must be positive")
-    total = n_channels * channel_capacity
+def link_capacities(imap: InterferenceMap, scenario: Scenario) -> tuple[float, ...]:
+    """Per link, the aggregate capacity of the scenario's channels divided
+    evenly among the links it interferes with, itself included."""
+    total = scenario.algorithm.n_channels * scenario.sim.channel_capacity_bps
     try:
         return tuple([total / n for n in map(len, imap.interferers)])
     except ZeroDivisionError:
@@ -77,10 +79,10 @@ def _hop_distances(adj, n_nodes: int, target: int, source: int, slack: int) -> l
 
 
 def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
-                               slack: int = DEFAULT_SLACK,
-                               cap: int = DEFAULT_PATH_CAP) -> tuple[Path, ...]:
-    """Simple paths from s to d within (shortest hops + slack), as link-id
-    sequences in lexicographic order, truncated to at most cap paths.
+                               alg: AlgorithmParams) -> tuple[Path, ...]:
+    """Simple paths from s to d within (shortest hops + ``alg.slack``), as
+    link-id sequences in lexicographic order, truncated to at most
+    ``alg.cap`` paths.
 
     The DFS explores incident links in ascending id order, which emits
     paths directly in lexicographic order, so truncation equals
@@ -91,11 +93,8 @@ def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
         raise ValueError("source and destination must differ")
     if not (0 <= s < topology.n_nodes and 0 <= d < topology.n_nodes):
         raise ValueError(f"node ids out of range: ({s}, {d})")
-    if slack < 0:
-        raise ValueError("slack must be >= 0")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
 
+    slack, cap = alg.slack, alg.cap
     adj = topology.adjacency
     # nodes left at -1 are farther from d than an acceptable path can go
     dist_to_d = _hop_distances(adj, topology.n_nodes, d, s, slack)
@@ -134,10 +133,8 @@ def enumerate_acceptable_paths(topology: Topology, s: int, d: int,
 
 
 def acceptable_paths_for_profile(topology: Topology, profile: TrafficProfile,
-                                 slack: int = DEFAULT_SLACK,
-                                 cap: int = DEFAULT_PATH_CAP) -> dict[Pair, tuple[Path, ...]]:
-    return {pair: enumerate_acceptable_paths(topology, *pair, slack, cap)
-            for pair in profile.pairs()}
+                                 alg: AlgorithmParams) -> dict[Pair, tuple[Path, ...]]:
+    return {pair: enumerate_acceptable_paths(topology, *pair, alg) for pair in profile.pairs()}
 
 
 def expected_link_load(n_links: int, paths: dict[Pair, tuple[Path, ...]],

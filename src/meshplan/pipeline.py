@@ -82,20 +82,15 @@ def plan(scenario: Scenario, protocol: str):
     routes, assignment)."""
     if protocol not in PROTOCOLS:
         raise PipelineError("setup", ValueError(f"unknown protocol {protocol!r}"))
-    alg, config = scenario.algorithm, scenario.sim
-    channels = alg.n_channels
+    channels = scenario.algorithm.n_channels
 
     with _Stage("topology"):
         topology = scenario.build_topology()
     with _Stage("interference"):
         imap = build_interference_map(topology)
     with _Stage("routing"):
-        routes, loads = fixed_point_route(
-            topology, imap, scenario.traffic, n_channels=channels,
-            channel_capacity=config.channel_capacity_bps,
-            threshold_fraction=alg.threshold_fraction, slack=alg.slack,
-            cap=alg.cap, max_iters=alg.max_iters)
-        costs = cost_table(loads.load, loads.capacity, alg.threshold_fraction)
+        routes, loads = fixed_point_route(topology, imap, scenario)
+        costs = cost_table(loads.load, loads.capacity, scenario.algorithm)
     with _Stage("assignment"):
         if protocol == "ccmca":
             # Priorities follow the loads the committed routes will induce;
@@ -103,7 +98,7 @@ def plan(scenario: Scenario, protocol: str):
             induced = routed_link_loads(topology.n_links, routes, scenario.traffic)
             assignment = schedule_all_frames(order_links(induced), topology, imap, channels)
         else:
-            assignment = baseline_assign(topology, channels, config.seed)
+            assignment = baseline_assign(topology, channels, scenario.sim.seed)
     return topology, imap, loads, costs, routes, assignment
 
 

@@ -5,6 +5,10 @@ capacity share: 1 when idle, 1 + normalized load while at or below the
 threshold fraction, infinite above it. Route selection picks the cheapest
 finite acceptable path per pair; the iterative driver alternates load
 estimation and re-selection until the loads stop changing.
+
+The threshold, path limits and round count come from the scenario's
+validated ``AlgorithmParams``, which bounds them; only the load and capacity
+vectors a caller passes are checked here.
 """
 
 from __future__ import annotations
@@ -12,16 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import truediv
+from typing import TYPE_CHECKING
 
 from .errors import ContractError
-from .loads import (DEFAULT_PATH_CAP, DEFAULT_SLACK, LoadEstimate, Pair, Path,
-                    acceptable_paths_for_profile, expected_link_load, link_capacities)
+from .loads import (LoadEstimate, Pair, Path, acceptable_paths_for_profile, expected_link_load,
+                    link_capacities)
 from .schema import check, param
 from .topology import InterferenceMap, Topology
 from .traffic import TrafficProfile
 
-DEFAULT_THRESHOLD_FRACTION = 0.9
-DEFAULT_MAX_ITERS = 10
+if TYPE_CHECKING:
+    from .scenario import AlgorithmParams, Scenario
 
 
 @dataclass(frozen=True)
@@ -29,18 +34,17 @@ class LinkCost:
     values: tuple[float, ...]
 
 
-def cost_table(load, capacity, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> LinkCost:
+def cost_table(load, capacity, alg: AlgorithmParams) -> LinkCost:
     """Piecewise congestion cost of every link given its expected load: 1
-    when idle, 1 + load/capacity up to the threshold, infinite above it."""
+    when idle, 1 + load/capacity up to ``alg.threshold_fraction``, infinite
+    above it."""
     if len(load) != len(capacity):
         raise ContractError("load and capacity vectors differ in length")
-    if not 0 < threshold_fraction <= 1:
-        raise ValueError("threshold_fraction must be in (0, 1]")
     if min(load, default=0.0) < 0:
         raise ValueError("load must be >= 0")
     if min(capacity, default=1.0) <= 0:
         raise ValueError("capacity must be positive")
-    inf = math.inf
+    inf, threshold_fraction = math.inf, alg.threshold_fraction
     return LinkCost(tuple([inf if x > threshold_fraction else 1.0 + x if x > 0 else 1.0
                            for x in map(truediv, load, capacity)]))
 
@@ -100,38 +104,26 @@ def routed_link_loads(n_links: int, table: RouteTable,
 
 
 def fixed_point_route(topology: Topology, imap: InterferenceMap,
-                      profile: TrafficProfile, *, n_channels: int,
-                      channel_capacity: float,
-                      threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
-                      slack: int = DEFAULT_SLACK, cap: int = DEFAULT_PATH_CAP,
-                      max_iters: int = DEFAULT_MAX_ITERS) -> tuple[RouteTable, LoadEstimate]:
-    """Alternate load estimation and route selection to a fixed point.
+                      scenario: Scenario) -> tuple[RouteTable, LoadEstimate]:
+    """Route the scenario's flows over its built topology and interference
+    map: alternate load estimation and route selection to a fixed point.
 
     The first iteration scores paths against the uniform-split estimate;
     later iterations use the loads induced by the previous selection. Stops
     when the loads (hence the selection) stop changing, when a previously
     seen route table recurs (a cycle, flagged non-converged), or at
-    max_iters. Returns the final table plus the estimate the final
-    selection was made against.
+    ``algorithm.max_iters``. Returns the final table plus the estimate the
+    final selection was made against.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-
-    caps = link_capacities(imap, n_channels, channel_capacity)
-    paths = acceptable_paths_for_profile(topology, profile, slack, cap)
-    if not profile.flows:
-        return (RouteTable(iterations=0, converged=True),
-                LoadEstimate(caps, tuple(0.0 for _ in caps), paths))
-
+    alg, profile = scenario.algorithm, scenario.traffic
+    caps = link_capacities(imap, scenario)
+    paths = acceptable_paths_for_profile(topology, profile, alg)
     delta = expected_link_load(topology.n_links, paths, profile)
     seen: set[tuple] = set()
-    table = RouteTable()
     converged = False
-    iterations = 0
-
-    for it in range(1, max_iters + 1):
-        iterations = it
-        costs = cost_table(delta, caps, threshold_fraction)
+    # max_iters >= 1, so the loop runs and leaves `it` and `table` set
+    for it in range(1, alg.max_iters + 1):
+        costs = cost_table(delta, caps, alg)
         table = select_routes(paths, costs)
         key = tuple((pair, table.routes[pair].links) if pair in table.routes
                     else (pair, None) for pair in sorted(paths))
@@ -142,8 +134,8 @@ def fixed_point_route(topology: Topology, imap: InterferenceMap,
         if key in seen:
             break  # route cycle: keep the last table, flag non-convergence
         seen.add(key)
-        if it < max_iters:  # keep delta selection-consistent on exhaustion
+        if it < alg.max_iters:  # keep delta selection-consistent on exhaustion
             delta = delta_next
 
-    final = RouteTable(table.routes, table.blocked, iterations, converged)
+    final = RouteTable(table.routes, table.blocked, it, converged)
     return final, LoadEstimate(caps, delta, paths)

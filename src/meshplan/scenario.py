@@ -7,9 +7,10 @@ declares its fields, so a failure names the section and the field:
 (declared here) and ``sim.SimConfig``. A
 ``Scenario`` also requires a non-empty flow list and flow nodes that exist,
 so one decoded from a result bundle obeys the same rules. This module's
-parser adds only the allowed top-level keys, preset merging and per-kind
-flow defaults. A document may be just {"preset": "<name>"}; any sections given
-alongside the preset override the preset's values key by key.
+parser adds only the allowed top-level keys, preset merging and the per-kind
+flow defaults of ``traffic.KIND_DEFAULTS``. A document may be just
+{"preset": "<name>"}; any sections given alongside the preset override the
+preset's values key by key.
 """
 
 from __future__ import annotations
@@ -19,25 +20,29 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
 from .errors import ConfigurationError, ScenarioParseError, ScenarioValidationError
-from .loads import DEFAULT_PATH_CAP, DEFAULT_SLACK
-from .routing import DEFAULT_MAX_ITERS, DEFAULT_THRESHOLD_FRACTION
 from .schema import check, from_json, invalid, known_keys, param
 from .sim import SimConfig
-from .topology import (DEFAULT_GAIN_EXP, DEFAULT_GAIN_REF, DEFAULT_INTERFERENCE_MULTIPLIER,
-                       Topology, TopologySpec)
-from .traffic import TrafficProfile, vod_flow, voip_flow
+from .topology import Topology, TopologySpec
+from .traffic import KIND_DEFAULTS, TrafficProfile
 
 
 @dataclass(frozen=True)
 class AlgorithmParams:
+    """The ``algorithm`` section: every parameter of the planning stages,
+    declared, defaulted and bounded once. The stages read it as given."""
     n_channels: int = param(3, ge=1, le=256)
-    threshold_fraction: float = param(DEFAULT_THRESHOLD_FRACTION, gt=0, le=1)
-    slack: int = param(DEFAULT_SLACK, ge=0)
-    cap: int = param(DEFAULT_PATH_CAP, ge=1, le=1024)
-    d0: float = param(DEFAULT_GAIN_REF, gt=0)
-    alpha: float = param(DEFAULT_GAIN_EXP, ge=2)
-    interference_multiplier: float = param(DEFAULT_INTERFERENCE_MULTIPLIER, ge=1)
-    max_iters: int = param(DEFAULT_MAX_ITERS, ge=1)
+    # Congestion cost is infinite above this share of a link's capacity.
+    threshold_fraction: float = param(0.9, gt=0, le=1)
+    # Acceptable paths: at most `slack` hops over the shortest, at most `cap`.
+    slack: int = param(1, ge=0)
+    cap: int = param(32, ge=1, le=1024)
+    # Link gain min(1, (d0 / distance) ** alpha).
+    d0: float = param(10.0, gt=0)
+    alpha: float = param(3.0, ge=2)
+    # Interference range over transmission range.
+    interference_multiplier: float = param(2.0, ge=1)
+    # Routing rounds before the fixed point gives up.
+    max_iters: int = param(10, ge=1)
 
     def __post_init__(self):
         check(self)
@@ -64,8 +69,7 @@ class Scenario:
                                   f"node {node} not in topology (0..{n - 1})")
 
     def build_topology(self) -> Topology:
-        return self.topology.build(self.algorithm.interference_multiplier * self.topology.tx_range,
-                                   self.algorithm.d0, self.algorithm.alpha)
+        return self.topology.build(self.algorithm)
 
 
 def _preset_ring4() -> dict:
@@ -98,17 +102,13 @@ def _preset_table1() -> dict:
 
 PRESETS = {"paper-ring-4": _preset_ring4, "paper-table1": _preset_table1}
 
-# Nominal rate/size per flow kind, applied when a flow omits them.
-_KIND_DEFAULTS = {f.kind: {"rate_bps": f.rate_bps, "packet_bytes": f.packet_bytes}
-                  for f in (voip_flow(0, 1), vod_flow(0, 1))}
-
 
 def _with_kind_defaults(traffic):
     """The traffic section with each flow's kind defaults filled in, where
     the section has the shape to take them; the codec reports any other."""
     if not (isinstance(traffic, dict) and isinstance(traffic.get("flows"), list)):
         return traffic
-    flows = [{**_KIND_DEFAULTS.get(fd.get("kind"), {}), **fd}
+    flows = [{**KIND_DEFAULTS.get(fd.get("kind"), {}), **fd}
              if isinstance(fd, dict) and isinstance(fd.get("kind"), str) else fd
              for fd in traffic["flows"]]
     return {**traffic, "flows": flows}

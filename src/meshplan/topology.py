@@ -1,11 +1,13 @@
 """Mesh topology construction: the ``topology`` section of a scenario
 (``TopologySpec``), node placement, virtual links, interference map.
 
-``TopologySpec`` declares and checks every field of that section and is the
-one builder of a ``Topology``; ``scenario`` reads a document's sections into
-their dataclasses. Which links share a node is read off each link's own
-endpoints, ``u`` and ``v``, or off ``Topology.adjacency``, which each
-topology builds once.
+``TopologySpec`` declares and checks every field of that section, and its
+``build(alg)`` is the one way to a ``Topology``: the ``AlgorithmParams`` of
+the scenario give the gain model (``d0``, ``alpha``) and the interference
+range (``interference_multiplier`` times ``tx_range``), already checked, so
+nothing here checks them again. Which links share a node is read off each
+link's own endpoints, ``u`` and ``v``, or off ``Topology.adjacency``, which
+each topology builds once.
 
 A virtual link exists between every node pair within transmission range
 (with a tiny relative tolerance so exact-range geometries such as a ring
@@ -39,19 +41,17 @@ from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
 from .schema import check, invalid, param
 
+if TYPE_CHECKING:
+    from .scenario import AlgorithmParams
+
 # Relative slack applied to range comparisons so that constructions placing
 # nodes at exactly tx_range apart survive floating-point rounding.
 _RANGE_TOL = 1e-9
-
-DEFAULT_TX_RANGE = 250.0
-DEFAULT_GAIN_REF = 10.0
-DEFAULT_GAIN_EXP = 3.0
-# Interference range over transmission range, unless a scenario sets it.
-DEFAULT_INTERFERENCE_MULTIPLIER = 2.0
 
 TOPOLOGY_KINDS = ("chain", "ring", "grid", "star", "binary-tree")
 
@@ -77,7 +77,6 @@ class MeshNode:
 class VirtualLink:
     u: int
     v: int
-    distance: float
     gain: float
 
 
@@ -86,12 +85,7 @@ class Topology:
     """Node i is nodes[i] and link l is links[l]: an id is a position."""
     nodes: tuple[MeshNode, ...]
     links: tuple[VirtualLink, ...]
-    tx_range: float
     interference_range: float
-
-    def __post_init__(self):
-        if self.interference_range < self.tx_range:
-            raise ConfigurationError("interference_range must be >= tx_range")
 
     @property
     def n_nodes(self) -> int:
@@ -124,7 +118,7 @@ class TopologySpec:
     kind: str | None = param(None, choices=TOPOLOGY_KINDS)
     n: int | None = param(None, ge=2, le=MAX_NODES)
     spacing: float | None = param(None, gt=0)
-    tx_range: float = param(DEFAULT_TX_RANGE, gt=0)
+    tx_range: float = param(250.0, gt=0)
     nodes: tuple[MeshNode, ...] = ()
 
     def __post_init__(self):
@@ -151,18 +145,17 @@ class TopologySpec:
     def n_nodes(self) -> int:
         return len(self.nodes) if self.nodes else self.n
 
-    def build(self, interference_range: float | None = None,
-              d0: float = DEFAULT_GAIN_REF, alpha: float = DEFAULT_GAIN_EXP) -> Topology:
+    def build(self, alg: AlgorithmParams) -> Topology:
         """The given nodes, or the generator's placed ones, with a link
-        between every pair within tx_range, in (u, v) order.
+        between every pair within tx_range, in (u, v) order, each with the
+        gain of ``alg``'s model, and an interference range of
+        ``alg.interference_multiplier`` times tx_range.
 
         Spacing is the adjacent-node distance of the construction (chord
         length for rings, lattice pitch for grids, hub-leaf radius for
         stars). A binary-tree's layered layout cannot realize the tree as a
         pure range graph beyond trivial depth, so its links are the
         parent-child edges (all of them within tx_range)."""
-        if interference_range is None:
-            interference_range = DEFAULT_INTERFERENCE_MULTIPLIER * self.tx_range
         if self.nodes:
             nodes = self.nodes
             points = [(node.x, node.y) for node in nodes]
@@ -188,23 +181,16 @@ class TopologySpec:
             d = _distance(points[u], points[v])
             if d == 0:
                 raise _coincident(u, v, self.spacing)
-            links.append(VirtualLink(u, v, d, link_gain(d, d0, alpha)))
-        return Topology(nodes, tuple(links), self.tx_range, interference_range)
+            links.append(VirtualLink(u, v, _link_gain(d, alg.d0, alg.alpha)))
+        return Topology(nodes, tuple(links), alg.interference_multiplier * self.tx_range)
 
 
-def link_gain(distance: float, d0: float = DEFAULT_GAIN_REF,
-              alpha: float = DEFAULT_GAIN_EXP) -> float:
+def _link_gain(distance: float, d0: float, alpha: float) -> float:
     """Clamped power-law gain: min(1, (d0/distance)^alpha).
 
     Equals 1 at and below the reference distance d0, then decays
     monotonically; alpha is the path-loss exponent.
     """
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    if d0 <= 0:
-        raise ValueError("d0 must be positive")
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
     if distance <= d0:  # the power could overflow here
         return 1.0
     return (d0 / distance) ** alpha
@@ -284,24 +270,6 @@ def _coincident(u: int, v: int, spacing: float | None) -> ConfigurationError:
         return invalid(f"topology.nodes[{v}]", f"coincides with node {u}")
     return invalid("topology.spacing",
                    f"{spacing} m puts nodes {u} and {v} at one point (distances round to 1 nm)")
-
-
-def topology_from_nodes(nodes: tuple[MeshNode, ...], *, tx_range: float = DEFAULT_TX_RANGE,
-                        interference_range: float | None = None,
-                        d0: float = DEFAULT_GAIN_REF,
-                        alpha: float = DEFAULT_GAIN_EXP) -> Topology:
-    """Topology over explicit node placements; links follow the range rule."""
-    return TopologySpec(tx_range=tx_range, nodes=tuple(nodes)).build(interference_range, d0, alpha)
-
-
-def build_topology(kind: str, n: int, spacing: float, *,
-                   tx_range: float = DEFAULT_TX_RANGE,
-                   interference_range: float | None = None,
-                   d0: float = DEFAULT_GAIN_REF,
-                   alpha: float = DEFAULT_GAIN_EXP) -> Topology:
-    """Deterministic generator for the supported topology kinds (see
-    ``TopologySpec.build``)."""
-    return TopologySpec(kind, n, spacing, tx_range).build(interference_range, d0, alpha)
 
 
 def _grid_rows(n: int) -> int:

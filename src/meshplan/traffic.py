@@ -9,12 +9,14 @@ from .schema import check, invalid, param
 
 FLOW_KINDS = ("voip", "vod", "cbr")
 
-# GSM-AMR style voice: 12.2 kb/s, two 244-bit frames per packet.
-VOIP_RATE_BPS = 12200.0
-VOIP_PACKET_BYTES = 61
-# Video-on-demand: 150 kb/s with large payload units.
-VOD_RATE_BPS = 150000.0
-VOD_PACKET_BYTES = 65536
+# The rate and packet size a scenario's flow of each kind takes when it
+# gives none.
+KIND_DEFAULTS = {
+    # GSM-AMR style voice: 12.2 kb/s, two 244-bit frames per packet.
+    "voip": {"rate_bps": 12200.0, "packet_bytes": 61},
+    # Video-on-demand: 150 kb/s with large payload units.
+    "vod": {"rate_bps": 150000.0, "packet_bytes": 65536},
+}
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,3 @@ class TrafficProfile:
 
     def total_demand_bps(self) -> float:
         return sum(f.rate_bps for f in self.flows)
-
-
-def voip_flow(src: int, dst: int) -> Flow:
-    return Flow(src, dst, VOIP_RATE_BPS, VOIP_PACKET_BYTES, "voip")
-
-
-def vod_flow(src: int, dst: int) -> Flow:
-    return Flow(src, dst, VOD_RATE_BPS, VOD_PACKET_BYTES, "vod")

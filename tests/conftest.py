@@ -6,14 +6,31 @@ import random
 
 import pytest
 
-from meshplan import (Flow, MeshNode, TrafficProfile, build_interference_map,
-                      build_topology, topology_from_nodes)
+from meshplan import (AlgorithmParams, Flow, MeshNode, Scenario, SimConfig, TopologySpec,
+                      TrafficProfile, build_interference_map)
+
+
+def build(kind, n, spacing, tx_range=250.0, **alg):
+    """A generated topology, built with the given algorithm fields."""
+    return TopologySpec(kind, n, spacing, tx_range).build(AlgorithmParams(**alg))
+
+
+def build_from_nodes(nodes, tx_range=250.0, **alg):
+    """A topology over explicit nodes, built with the given algorithm fields."""
+    return TopologySpec(tx_range=tx_range, nodes=tuple(nodes)).build(AlgorithmParams(**alg))
+
+
+def scenario_of(spec, prof, channel_capacity_bps=10e6, **alg):
+    """A scenario over the topology spec and traffic profile, with the given
+    channel capacity and algorithm fields."""
+    return Scenario("test", spec, prof, AlgorithmParams(**alg),
+                    SimConfig(channel_capacity_bps=channel_capacity_bps))
 
 
 @pytest.fixture
 def ring4():
     # Links sort by (u, v): 0=(0,1) 1=(0,3) 2=(1,2) 3=(2,3).
-    return build_topology("ring", 4, 250.0)
+    return build("ring", 4, 250.0)
 
 
 @pytest.fixture
@@ -23,7 +40,7 @@ def ring4_imap(ring4):
 
 @pytest.fixture
 def grid9():
-    return build_topology("grid", 9, 200.0)
+    return build("grid", 9, 200.0)
 
 
 def cbr(src, dst, rate, packet_bytes=125):
@@ -42,7 +59,7 @@ def random_topology(seed: int, max_nodes: int = 12, max_links: int = 24):
     while True:
         nodes = tuple(MeshNode(rng.uniform(0, side), rng.uniform(0, side))
                       for _ in range(n))
-        topo = topology_from_nodes(nodes, tx_range=250.0)
+        topo = build_from_nodes(nodes)
         if 1 <= topo.n_links <= max_links:
             return topo
         side *= 1.3
@@ -104,4 +121,4 @@ GENERATOR_CASES_8 = [
 
 
 def generator_topologies_upto_8():
-    return [build_topology(kind, n, spacing) for kind, n, spacing in GENERATOR_CASES_8]
+    return [build(kind, n, spacing) for kind, n, spacing in GENERATOR_CASES_8]

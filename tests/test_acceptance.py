@@ -8,15 +8,15 @@ import time
 import networkx as nx
 import pytest
 
-from meshplan import (Flow, TrafficProfile, acceptable_paths_for_profile,
-                      build_interference_map, build_topology,
-                      expected_link_load, load_scenario, order_links,
+from meshplan import (AlgorithmParams, Flow, TrafficProfile, acceptable_paths_for_profile,
+                      build_interference_map, expected_link_load, load_scenario, order_links,
                       render_report, run_pipeline, run_simulation,
                       scenario_from_dict, schedule_all_frames, sim_input,
                       sweep_channels)
 from meshplan.report import result_row, rows_to_csv
 
-from conftest import cbr, generator_topologies_upto_8, profile, random_topology, replay_schedule
+from conftest import (build, cbr, generator_topologies_upto_8, profile, random_topology,
+                      replay_schedule)
 
 
 def _report(capsys, n, elapsed, detail):
@@ -90,7 +90,7 @@ def test_acceptance_3_load_conservation(capsys):
         pairs = rng.sample([(s, d) for s in range(topo.n_nodes)
                             for d in range(topo.n_nodes) if s != d], k=3)
         prof = profile(*[cbr(s, d, rng.uniform(1.0, 100.0)) for s, d in pairs])
-        paths = acceptable_paths_for_profile(topo, prof, slack=1, cap=10_000)
+        paths = acceptable_paths_for_profile(topo, prof, AlgorithmParams(slack=1, cap=1024))
         delta = expected_link_load(topo.n_links, paths, prof)
 
         expected = 0.0
@@ -203,7 +203,7 @@ def test_acceptance_7_saturated_queue_oracle(capsys):
     # Single link at 2x its service rate: the fluid limit of the delivery
     # ratio is 1/2; at 10^4 slots the transient contributes < 0.01.
     from meshplan import ChannelAssignment, Route, RouteTable, SimConfig
-    topo = build_topology("chain", 2, 100.0)
+    topo = build("chain", 2, 100.0)
     imap = build_interference_map(topo)
     prof = TrafficProfile((Flow(0, 1, 2e6, 125, "cbr"),))
     routes = RouteTable({(0, 1): Route((0,), 1.0)})

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshplan import (ChannelAssignment, ConfigurationError, baseline_assign,
-                      build_interference_map, build_topology, channel_gain_sums,
+                      build_interference_map, channel_gain_sums,
                       channels, first_fit_frames, order_links, schedule_all_frames)
 from meshplan.schema import from_json, to_json
 
-from conftest import n1, random_topology, replay_schedule
+from conftest import build, n1, random_topology, replay_schedule
 
 
 def test_order_links_examples():
@@ -53,7 +53,7 @@ def test_channel_gain_sum(ring4_imap):
 
 def test_channel_gain_sum_counts_only_interferers(grid9):
     # On the grid with a tight interference range, far links must not count.
-    topo = build_topology("grid", 9, 200.0, interference_range=250.0)
+    topo = build("grid", 9, 200.0, interference_multiplier=1.0)
     imap = build_interference_map(topo)
     gains = [l.gain for l in topo.links]
     channel_of = [None] * topo.n_links
@@ -72,7 +72,7 @@ def test_channel_gain_sum_counts_only_interferers(grid9):
 
 
 def test_schedule_single_link():
-    t = build_topology("chain", 2, 100.0)
+    t = build("chain", 2, 100.0)
     imap = build_interference_map(t)
     asg = schedule_all_frames([0], t, imap, 3)
     # all gain sums zero: smallest index wins
@@ -80,7 +80,7 @@ def test_schedule_single_link():
 
 
 def test_first_fit_adjacent_links_defer_lower_priority():
-    t = build_topology("chain", 3, 100.0, tx_range=100.0)
+    t = build("chain", 3, 100.0, tx_range=100.0)
     order = order_links([1.0, 5.0])  # link 1 first
     assert first_fit_frames(order, t.links) == [1, 0]
 
@@ -97,7 +97,7 @@ def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
 
 
 def test_schedule_two_adjacent_links():
-    t = build_topology("chain", 3, 100.0, tx_range=100.0)
+    t = build("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
     asg = schedule_all_frames(order_links([1.0, 5.0]), t, imap, 2)
     assert asg.frame_of == (1, 0)
@@ -115,7 +115,7 @@ def test_schedule_ring4_two_frames(ring4, ring4_imap):
 
 
 def test_schedule_star_all_links_share_hub():
-    t = build_topology("star", 6, 250.0)
+    t = build("star", 6, 250.0)
     imap = build_interference_map(t)
     asg = schedule_all_frames(order_links([5.0, 4.0, 3.0, 2.0, 1.0]), t, imap, 3)
     assert asg.n_frames == 5
@@ -155,9 +155,9 @@ def test_schedule_matches_independent_replay():
 
 
 def test_per_step_argmin_small_topologies_exhaustive():
-    smalls = [build_topology("chain", 2, 100.0), build_topology("chain", 4, 100.0, tx_range=100.0),
-              build_topology("ring", 4, 250.0), build_topology("star", 4, 250.0),
-              build_topology("ring", 6, 250.0), build_topology("grid", 4, 200.0)]
+    smalls = [build("chain", 2, 100.0), build("chain", 4, 100.0, tx_range=100.0),
+              build("ring", 4, 250.0), build("star", 4, 250.0),
+              build("ring", 6, 250.0), build("grid", 4, 200.0)]
     rng = random.Random(99)
     for topo in smalls:
         assert topo.n_links <= 6
@@ -229,7 +229,7 @@ def test_first_fit_frames_properties(case):
 
 
 def test_baseline_single_link_single_channel():
-    asg = baseline_assign(build_topology("chain", 2, 100.0), 1, 42)
+    asg = baseline_assign(build("chain", 2, 100.0), 1, 42)
     assert asg == ChannelAssignment(1, (0,), (0,))
 
 
@@ -252,7 +252,7 @@ def test_baseline_frames_form_matchings(ring4):
 
 
 def test_baseline_channel_histogram_uniformish():
-    chain = build_topology("chain", 1001, 200.0)  # 1000 links
+    chain = build("chain", 1001, 200.0)  # 1000 links
     asg = baseline_assign(chain, 5, 2)
     counts = [asg.channel_of.count(c) for c in range(5)]
     assert all(abs(n - 200) <= 20 for n in counts)  # within 10% of uniform

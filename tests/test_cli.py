@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import meshplan
-from meshplan import load_scenario
+from meshplan import AlgorithmParams, ConfigurationError, SimConfig, TopologySpec, load_scenario
 from meshplan.cli import main
 from meshplan.pipeline import plan
 from meshplan.report import CSV_COLUMNS, AssignmentReport
@@ -307,6 +307,34 @@ def test_exit_code_validation_error(tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_document_exit_code(tmp_path, capsys, case):
     assert_validation_error(tmp_path, capsys, *MALFORMED[case])
+
+
+# Each parameter the planning stages read, just past its bound. The dataclass
+# that declares it is the one place it is checked, so it fails there whether
+# built in code or read from a document.
+PAST_BOUNDS = [
+    ("algorithm", "n_channels", 0),
+    ("algorithm", "threshold_fraction", 0.0),
+    ("algorithm", "threshold_fraction", math.nextafter(1.0, 2.0)),
+    ("algorithm", "slack", -1),
+    ("algorithm", "cap", 0),
+    ("algorithm", "d0", 0.0),
+    ("algorithm", "alpha", math.nextafter(2.0, 0.0)),
+    # an interference range shorter than the transmission range
+    ("algorithm", "interference_multiplier", math.nextafter(1.0, 0.0)),
+    ("algorithm", "max_iters", 0),
+    ("sim", "channel_capacity_bps", 0.0),
+    ("topology", "tx_range", 0.0),
+]
+DECLARED_BY = {"algorithm": AlgorithmParams, "sim": SimConfig, "topology": TopologySpec}
+
+
+@pytest.mark.parametrize("section,name,value", PAST_BOUNDS)
+def test_parameter_past_its_bound(tmp_path, capsys, section, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name}: must be "):
+        DECLARED_BY[section](**{name: value})
+    assert_validation_error(tmp_path, capsys, edited(MINI, (section, name), value),
+                            f"{section}.{name}: must be ")
 
 
 @pytest.mark.parametrize("kind", ["ring", "grid", "star", "binary-tree"])

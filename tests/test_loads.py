@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshplan import (UnroutableFlowError, Flow, InterferenceMap, MeshNode,
-                      Topology, TrafficProfile, acceptable_paths_for_profile,
-                      build_topology, enumerate_acceptable_paths,
-                      expected_link_load, goodput, link_capacities,
-                      topology_from_nodes)
+from meshplan import (AlgorithmParams, UnroutableFlowError, Flow, InterferenceMap, MeshNode,
+                      Topology, TopologySpec, TrafficProfile, acceptable_paths_for_profile,
+                      enumerate_acceptable_paths, expected_link_load, goodput,
+                      link_capacities)
 from meshplan.sim import FlowStats
 
-from conftest import cbr, generator_topologies_upto_8, profile
+from conftest import (build, build_from_nodes, cbr, generator_topologies_upto_8, profile,
+                      scenario_of)
+
+# The largest path cap AlgorithmParams allows; the enumeration keeps the
+# lexicographically first `cap` paths, so an oracle's sorted list is cut to it.
+MAX_CAP = 1024
 
 
 def to_nx(topo):
@@ -39,49 +43,48 @@ def oracle_paths(topo, s, d, slack):
 
 def one_link_capacity(n_channels, channel_capacity, n_interferers):
     imap = InterferenceMap((tuple(range(n_interferers)),))
-    return link_capacities(imap, n_channels, channel_capacity)[0]
+    scenario = scenario_of(TopologySpec("chain", 2, 100.0), profile(cbr(0, 1, 1.0)),
+                           channel_capacity, n_channels=n_channels)
+    return link_capacities(imap, scenario)[0]
 
 
 def test_virtual_link_capacity_values():
     assert one_link_capacity(3, 10e6, 6) == pytest.approx(5e6)
     assert one_link_capacity(1, 7.5e6, 1) == pytest.approx(7.5e6)
     assert one_link_capacity(5, 10e6, 4) == pytest.approx(12.5e6)
+    # a hand-built map may leave a link without itself
     with pytest.raises(ValueError):
         one_link_capacity(3, 10e6, 0)
-    with pytest.raises(ValueError):
-        one_link_capacity(0, 10e6, 2)
-    with pytest.raises(ValueError):
-        one_link_capacity(3, 0.0, 2)
 
 
 def test_ring4_opposite_pair_two_paths(ring4):
-    paths = enumerate_acceptable_paths(ring4, 0, 2, slack=0)
+    paths = enumerate_acceptable_paths(ring4, 0, 2, AlgorithmParams(slack=0))
     assert paths == ((0, 2), (1, 3))
     assert all(len(p) == 2 for p in paths)
 
 
 def test_chain2_single_path():
-    t = build_topology("chain", 2, 100.0)
-    assert enumerate_acceptable_paths(t, 0, 1, slack=0) == ((0,),)
+    t = build("chain", 2, 100.0)
+    assert enumerate_acceptable_paths(t, 0, 1, AlgorithmParams(slack=0)) == ((0,),)
 
 
 def test_grid9_corner_paths_match_oracle(grid9):
-    paths = enumerate_acceptable_paths(grid9, 0, 8, slack=0, cap=100)
+    paths = enumerate_acceptable_paths(grid9, 0, 8, AlgorithmParams(slack=0, cap=100))
     assert len(paths) == 6  # C(4,2) monotone lattice paths
     assert all(len(p) == 4 for p in paths)
     assert list(paths) == oracle_paths(grid9, 0, 8, 0)
 
 
 def test_paths_lexicographic_and_capped(grid9):
-    full = enumerate_acceptable_paths(grid9, 0, 8, slack=0, cap=100)
+    full = enumerate_acceptable_paths(grid9, 0, 8, AlgorithmParams(slack=0, cap=100))
     assert list(full) == sorted(full)
-    capped = enumerate_acceptable_paths(grid9, 0, 8, slack=0, cap=3)
+    capped = enumerate_acceptable_paths(grid9, 0, 8, AlgorithmParams(slack=0, cap=3))
     assert capped == full[:3]
 
 
 def test_paths_slack_matches_oracle(grid9):
     for s, d in [(0, 8), (1, 7), (3, 5)]:
-        got = enumerate_acceptable_paths(grid9, s, d, slack=1, cap=10_000)
+        got = enumerate_acceptable_paths(grid9, s, d, AlgorithmParams(slack=1, cap=MAX_CAP))
         assert sorted(got) == oracle_paths(grid9, s, d, 1)
         assert list(got) == sorted(got)
 
@@ -93,43 +96,42 @@ def test_paths_slack_matches_oracle(grid9):
 def test_depth_bounded_paths_match_oracle(cells, slack, data):
     # 50 m cells in a 750 m box, 250 m range: some pairs are many hops apart,
     # so the distance walk stops well short of the graph, and some are disconnected
-    t = topology_from_nodes(tuple(MeshNode(50.0 * x, 50.0 * y) for x, y in cells),
-                            tx_range=250.0)
+    t = build_from_nodes(MeshNode(50.0 * x, 50.0 * y) for x, y in cells)
     s, d = data.draw(st.permutations(range(t.n_nodes)))[:2]
-    got = enumerate_acceptable_paths(t, s, d, slack=slack, cap=10_000)
-    assert list(got) == oracle_paths(t, s, d, slack)
+    got = enumerate_acceptable_paths(t, s, d, AlgorithmParams(slack=slack, cap=MAX_CAP))
+    assert list(got) == oracle_paths(t, s, d, slack)[:MAX_CAP]
 
 
 def test_disconnected_pair_yields_empty():
     nodes = (MeshNode(0.0, 0.0), MeshNode(100.0, 0.0), MeshNode(900.0, 0.0))
-    t = topology_from_nodes(nodes, tx_range=250.0)
-    assert enumerate_acceptable_paths(t, 0, 2) == ()
+    t = build_from_nodes(nodes)
+    assert enumerate_acceptable_paths(t, 0, 2, AlgorithmParams()) == ()
 
 
 def test_long_path_needs_no_recursion():
     # far longer than the interpreter's default recursion limit of 1000
-    t = build_topology("chain", 1200, 200.0)
-    assert enumerate_acceptable_paths(t, 0, 1199) == (tuple(range(1199)),)
+    t = build("chain", 1200, 200.0)
+    assert enumerate_acceptable_paths(t, 0, 1199, AlgorithmParams()) == (tuple(range(1199)),)
 
 
 def test_paths_precondition_errors(ring4):
     with pytest.raises(ValueError):
-        enumerate_acceptable_paths(ring4, 1, 1)
+        enumerate_acceptable_paths(ring4, 1, 1, AlgorithmParams())
     with pytest.raises(ValueError):
-        enumerate_acceptable_paths(ring4, 0, 9)
+        enumerate_acceptable_paths(ring4, 0, 9, AlgorithmParams())
 
 
 def test_tree_has_single_path_per_pair():
-    t = build_topology("binary-tree", 7, 200.0)
+    t = build("binary-tree", 7, 200.0)
     for s in range(7):
         for d in range(7):
             if s != d:
-                assert len(enumerate_acceptable_paths(t, s, d, slack=0)) == 1
+                assert len(enumerate_acceptable_paths(t, s, d, AlgorithmParams(slack=0))) == 1
 
 
 def test_expected_load_ring4_even_split(ring4):
     prof = profile(cbr(0, 2, 100.0))
-    paths = acceptable_paths_for_profile(ring4, prof, slack=0)
+    paths = acceptable_paths_for_profile(ring4, prof, AlgorithmParams(slack=0))
     delta = expected_link_load(ring4.n_links, paths, prof)
     assert delta == (50.0, 50.0, 50.0, 50.0)
 
@@ -137,38 +139,39 @@ def test_expected_load_ring4_even_split(ring4):
 def test_profile_paths_build_adjacency_once(grid9, monkeypatch):
     # one build per topology, however many pairs and calls walk it
     calls = [0]
-    build = Topology.__dict__["adjacency"].func
+    adjacency = Topology.__dict__["adjacency"].func
 
     def counted(topo):
         calls[0] += 1
-        return build(topo)
+        return adjacency(topo)
 
     counted_adjacency = functools.cached_property(counted)
     counted_adjacency.__set_name__(Topology, "adjacency")
     monkeypatch.setattr(Topology, "adjacency", counted_adjacency)
     prof = profile(cbr(0, 8, 10.0), cbr(2, 6, 10.0), cbr(1, 7, 10.0))
-    paths = acceptable_paths_for_profile(grid9, prof, slack=1, cap=10)
+    alg = AlgorithmParams(slack=1, cap=10)
+    paths = acceptable_paths_for_profile(grid9, prof, alg)
     assert calls == [1]
-    assert acceptable_paths_for_profile(grid9, prof, slack=1, cap=10) == paths
-    assert paths == {f.pair: enumerate_acceptable_paths(grid9, f.src, f.dst, 1, 10)
+    assert acceptable_paths_for_profile(grid9, prof, alg) == paths
+    assert paths == {f.pair: enumerate_acceptable_paths(grid9, f.src, f.dst, alg)
                      for f in prof.flows}
     assert calls == [1]
-    other = build_topology("grid", 9, 200.0)
-    assert acceptable_paths_for_profile(other, prof, slack=1, cap=10) == paths
+    other = build("grid", 9, 200.0)
+    assert acceptable_paths_for_profile(other, prof, alg) == paths
     assert calls == [2]
 
 
 def test_expected_load_single_path():
-    t = build_topology("chain", 4, 100.0, tx_range=100.0)
+    t = build("chain", 4, 100.0, tx_range=100.0)
     prof = profile(cbr(0, 3, 100.0))
-    paths = acceptable_paths_for_profile(t, prof, slack=1)
+    paths = acceptable_paths_for_profile(t, prof, AlgorithmParams(slack=1))
     delta = expected_link_load(t.n_links, paths, prof)
     assert delta == (100.0, 100.0, 100.0)
 
 
 def test_expected_load_unused_link_zero(grid9):
     prof = profile(cbr(0, 1, 42.0))
-    paths = acceptable_paths_for_profile(grid9, prof, slack=0)
+    paths = acceptable_paths_for_profile(grid9, prof, AlgorithmParams(slack=0))
     delta = expected_link_load(grid9.n_links, paths, prof)
     direct = paths[(0, 1)][0][0]
     assert delta[direct] == 42.0
@@ -177,9 +180,9 @@ def test_expected_load_unused_link_zero(grid9):
 
 def test_unroutable_flow_names_pair():
     nodes = (MeshNode(0.0, 0.0), MeshNode(100.0, 0.0), MeshNode(900.0, 0.0))
-    t = topology_from_nodes(nodes, tx_range=250.0)
+    t = build_from_nodes(nodes)
     prof = profile(cbr(0, 2, 10.0))
-    paths = acceptable_paths_for_profile(t, prof)
+    paths = acceptable_paths_for_profile(t, prof, AlgorithmParams())
     with pytest.raises(UnroutableFlowError) as err:
         expected_link_load(t.n_links, paths, prof)
     assert err.value.pair == (0, 2)
@@ -199,7 +202,7 @@ def test_load_conservation_against_bruteforce():
             prof = profile(*[cbr(s, d, rng.uniform(1.0, 100.0)) for s, d in chosen])
         except ValueError:
             continue
-        paths = acceptable_paths_for_profile(topo, prof, slack=1, cap=10_000)
+        paths = acceptable_paths_for_profile(topo, prof, AlgorithmParams(slack=1, cap=MAX_CAP))
         delta = expected_link_load(topo.n_links, paths, prof)
 
         expected_total = 0.0

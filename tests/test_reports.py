@@ -93,6 +93,28 @@ FULL_HORIZON_DIGESTS = {
         "b023776b8812af7fcbe9fffd0938597e65e6b90c92a446800a99ec9122dbaf58",
 }
 
+# `meshplan run` and `meshplan assign` JSON on a document whose every
+# algorithm field and channel capacity is off its default, so a stage that
+# reads a default in place of the scenario's value changes a digest.
+GRID_PARAMS = {
+    "name": "grid-params",
+    "topology": {"kind": "grid", "n": 16, "spacing": 200.0, "tx_range": 300.0},
+    "traffic": {"flows": [{"src": 0, "dst": 15, "kind": "vod"},
+                          {"src": 3, "dst": 12, "kind": "vod"},
+                          {"src": 5, "dst": 10, "rate_bps": 2e5, "packet_bytes": 500},
+                          {"src": 1, "dst": 14, "kind": "voip"},
+                          {"src": 4, "dst": 11, "kind": "voip"}]},
+    "algorithm": {"n_channels": 2, "threshold_fraction": 0.35, "slack": 2, "cap": 8,
+                  "d0": 250.0, "alpha": 4.0, "interference_multiplier": 1.5, "max_iters": 2},
+    "sim": {"horizon_s": 5, "channel_capacity_bps": 9e6},
+}
+GRID_PARAMS_DIGESTS = {
+    ("run", "ccmca"): "55b26e186bf7934050c26c3aba26180556e80c379e795c3a9def104bdf9e4aa5",
+    ("run", "baseline"): "11d73e69fe83790ed2c4a1f3289f430a89e05b6291aa7938b94b1522015fb784",
+    ("assign", "ccmca"): "370f2606d7b46dfa8def002f70543ce2f81c0c7b301dfe0bf9bd86709b7a502b",
+    ("assign", "baseline"): "e1563b3cd9b6c35546ea99639d72d93e2243722f6edb3ba2b6223ae65b958863",
+}
+
 SWEEP_DIGESTS = {
     "csv": "7887b3153c552ef84f3ea8e1d19567f69a247a5865ef87e3e3b8cb40ff38dcb5",
     "json": "74da4b669a47f35416ff87d796649ac6ff596950d321eabd7f05ce36cd386518",
@@ -131,6 +153,15 @@ def test_assign_report_digest_per_topology_kind(name, tmp_path, capsys):
     path.write_text(json.dumps(KIND_DOCS[name]))
     assert main(["assign", "--scenario", str(path), "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out) == KIND_ASSIGN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("command,protocol", sorted(GRID_PARAMS_DIGESTS))
+def test_non_default_parameters_report_digest(command, protocol, tmp_path, capsys):
+    path = tmp_path / "grid-params.json"
+    path.write_text(json.dumps(GRID_PARAMS))
+    assert main([command, "--scenario", str(path), "--protocol", protocol,
+                 "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out) == GRID_PARAMS_DIGESTS[command, protocol]
 
 
 def test_sweep_report_digest():

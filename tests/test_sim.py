@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       ServiceAudit, SimConfig, Simulator, TrafficProfile,
-                      build_interference_map, build_topology, load_scenario, run_pipeline,
+                      build_interference_map, load_scenario, run_pipeline,
                       run_simulation, scenario_from_dict, sim_input,
                       sweep_channels, sweep_time)
 
 from meshplan.sim import MAX_SLOTS, _CREDIT_EPS, _TIME_EPS, _FlowRun, _charge, sim_key
 
-from conftest import cbr, profile
+from conftest import build, cbr, profile
 
 
 def chain2():
-    return build_interference_map(build_topology("chain", 2, 100.0))
+    return build_interference_map(build("chain", 2, 100.0))
 
 
 def single_link_setup(rate_bps, packet_bytes, capacity_bps, horizon_s,
@@ -58,7 +58,7 @@ def test_uncontended_link_full_delivery_one_slot_delay():
 def test_two_hop_tandem_exact_delay():
     # Adjacent links must sit in different frames; an uncontended packet
     # crosses hop 1 in an even slot and hop 2 in the next odd slot.
-    t = build_topology("chain", 3, 100.0, tx_range=100.0)
+    t = build("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
     prof = profile(cbr(0, 2, 2.5e6, 1250))  # one 10000-bit packet every 4 slots
     routes = RouteTable({(0, 2): Route((0, 1), 2.0)})

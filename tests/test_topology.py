@@ -6,24 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshplan import (ConfigurationError, MeshNode, build_interference_map,
-                      build_topology, link_gain, scenario_from_dict, topology_from_nodes)
+from meshplan import ConfigurationError, MeshNode, build_interference_map, scenario_from_dict
 from meshplan import topology
 from meshplan.pipeline import plan, run_pipeline
 
-from conftest import generator_topologies_upto_8, random_topology
+from conftest import build, build_from_nodes, generator_topologies_upto_8, random_topology
+
+
+def length(topo, link):
+    """A link's length, from its endpoints' coordinates."""
+    u, v = topo.nodes[link.u], topo.nodes[link.v]
+    return topology._distance((u.x, u.y), (v.x, v.y))
 
 
 def test_ring4_paper_setup(ring4):
     assert ring4.n_nodes == 4
     assert ring4.n_links == 4
     for l in ring4.links:
-        assert l.distance == pytest.approx(250.0)
+        assert length(ring4, l) == pytest.approx(250.0)
     assert sorted((l.u, l.v) for l in ring4.links) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 def test_chain2_minimal():
-    t = build_topology("chain", 2, 100.0)
+    t = build("chain", 2, 100.0)
     assert t.n_nodes == 2 and t.n_links == 1
     assert (t.links[0].u, t.links[0].v) == (0, 1)
 
@@ -33,35 +38,35 @@ def test_grid9_edge_count(grid9):
     assert grid9.n_nodes == 9
     assert grid9.n_links == 12
     for l in grid9.links:
-        assert l.distance == pytest.approx(200.0)
+        assert length(grid9, l) == pytest.approx(200.0)
 
 
 def test_star_five_leaves():
-    t = build_topology("star", 6, 250.0)
+    t = build("star", 6, 250.0)
     assert t.n_links == 5
     assert all(l.u == 0 for l in t.links)
 
 
 def test_binary_tree_links_are_tree_edges():
-    t = build_topology("binary-tree", 7, 200.0)
+    t = build("binary-tree", 7, 200.0)
     assert t.n_links == 6
     assert sorted((l.u, l.v) for l in t.links) == [(0, 1), (0, 2), (1, 3), (1, 4),
                                                    (2, 5), (2, 6)]
     for l in t.links:
-        assert l.distance <= 200.0 * (1 + 1e-9)
+        assert length(t, l) <= 200.0 * (1 + 1e-9)
 
 
 def test_configuration_errors():
     with pytest.raises(ConfigurationError):
-        build_topology("hexagon", 6, 100.0)
+        build("hexagon", 6, 100.0)
     with pytest.raises(ConfigurationError):
-        build_topology("grid", 7, 100.0)  # prime
+        build("grid", 7, 100.0)  # prime
     with pytest.raises(ConfigurationError):
-        build_topology("chain", 1, 100.0)
+        build("chain", 1, 100.0)
     with pytest.raises(ConfigurationError):
-        build_topology("chain", 4, -5.0)
+        build("chain", 4, -5.0)
     with pytest.raises(ConfigurationError):
-        build_topology("binary-tree", 7, 300.0, tx_range=250.0)
+        build("binary-tree", 7, 300.0, tx_range=250.0)
 
 
 def test_pair_bound_names_the_range_field(monkeypatch):
@@ -69,20 +74,16 @@ def test_pair_bound_names_the_range_field(monkeypatch):
     # all 105 pairs of those links interfere.
     monkeypatch.setattr(topology, "MAX_PAIRS", 14)
     with pytest.raises(ConfigurationError, match="^topology.tx_range: "):
-        build_topology("ring", 6, 1.0)
+        build("ring", 6, 1.0)
     monkeypatch.setattr(topology, "MAX_PAIRS", 15)
-    ring = build_topology("ring", 6, 1.0)
+    ring = build("ring", 6, 1.0)
     assert ring.n_links == 15
     with pytest.raises(ConfigurationError, match="^algorithm.interference_multiplier: "):
         build_interference_map(ring)
 
 
-def test_interference_range_must_cover_tx():
-    with pytest.raises(ConfigurationError):
-        build_topology("chain", 3, 100.0, tx_range=250.0, interference_range=100.0)
-
-
 def test_link_gain_reference_and_decay():
+    link_gain = topology._link_gain
     assert link_gain(10.0, 10.0, 3.0) == 1.0
     assert link_gain(20.0, 10.0, 3.0) == pytest.approx(0.125)
     assert link_gain(5.0, 10.0, 3.0) == 1.0  # clamped below reference
@@ -91,10 +92,9 @@ def test_link_gain_reference_and_decay():
     assert link_gain(1.0, 10.0, 1000.0) == 1.0
     assert link_gain(1.0, 1.0, 1e300) == 1.0
     assert link_gain(20.0, 10.0, 1000.0) == 0.5 ** 1000
-    with pytest.raises(ValueError):
-        link_gain(0.0, 10.0, 3.0)
-    with pytest.raises(ValueError):
-        link_gain(10.0, 10.0, 1.5)
+    # the gains a built topology carries are the scenario's model
+    t = build("chain", 2, 20.0, d0=10.0, alpha=3.0)
+    assert t.link_gains() == (0.125,)
 
 
 @given(st.lists(st.floats(min_value=0.1, max_value=1e5), min_size=2, max_size=30),
@@ -102,13 +102,13 @@ def test_link_gain_reference_and_decay():
        st.floats(min_value=2.0, max_value=6.0))
 def test_link_gain_non_increasing(distances, d0, alpha):
     ds = sorted(distances)
-    gains = [link_gain(d, d0, alpha) for d in ds]
+    gains = [topology._link_gain(d, d0, alpha) for d in ds]
     assert all(a >= b for a, b in zip(gains, gains[1:]))
     assert all(0 < g <= 1 for g in gains)
 
 
 def test_interference_single_link():
-    t = build_topology("chain", 2, 100.0)
+    t = build("chain", 2, 100.0)
     im = build_interference_map(t)
     assert im.interferers[0] == (0,)
 
@@ -144,18 +144,18 @@ def test_interference_symmetry_random():
 def topologies(draw):
     """A generated topology of any kind, or nodes on 50 m cells in a 750 m
     box, at a 250 m range and a random interference range."""
-    interference_range = 250.0 * draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    multiplier = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     kind = draw(st.sampled_from((None, *topology.TOPOLOGY_KINDS)))
     if kind is None:
         cells = draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
                               min_size=1, max_size=30, unique=True))
-        return topology_from_nodes(tuple(MeshNode(50.0 * x, 50.0 * y) for x, y in cells),
-                                   tx_range=250.0, interference_range=interference_range)
+        return build_from_nodes((MeshNode(50.0 * x, 50.0 * y) for x, y in cells),
+                                interference_multiplier=multiplier)
     # a grid needs a composite node count
     n = (draw(st.integers(2, 6)) * draw(st.integers(2, 6)) if kind == "grid"
          else draw(st.integers(2, 40)))
-    return build_topology(kind, n, draw(st.sampled_from([100.0, 150.0, 200.0, 250.0])),
-                          interference_range=interference_range)
+    return build(kind, n, draw(st.sampled_from([100.0, 150.0, 200.0, 250.0])),
+                 interference_multiplier=multiplier)
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,38 +171,39 @@ def test_adjacency_and_interferer_order_match_definitions(t):
 
 
 def test_all_generated_link_distances_within_range():
+    # every one is built at the default 250 m range
     for topo in generator_topologies_upto_8():
         for l in topo.links:
-            assert l.distance <= topo.tx_range * (1 + 1e-9)
+            assert length(topo, l) <= 250.0 * (1 + 1e-9)
     for seed in range(20):
         topo = random_topology(seed)
         for l in topo.links:
-            assert l.distance <= topo.tx_range * (1 + 1e-9)
+            assert length(topo, l) <= 250.0 * (1 + 1e-9)
 
 
 def test_generated_links_match_range_rule():
     # For the range-rule kinds, the link set is exactly the close pairs.
     for kind, n, spacing in [("chain", 6, 150.0), ("ring", 5, 250.0),
                              ("grid", 9, 200.0), ("star", 6, 250.0)]:
-        topo = build_topology(kind, n, spacing)
+        topo = build(kind, n, spacing)
         close = {(u, v) for u in range(n) for v in range(u + 1, n)
                  if math.dist((topo.nodes[u].x, topo.nodes[u].y),
                               (topo.nodes[v].x, topo.nodes[v].y))
-                 <= topo.tx_range * (1 + 1e-9)}
+                 <= 250.0 * (1 + 1e-9)}
         assert {(l.u, l.v) for l in topo.links} == close
 
 
 def test_determinism():
-    a = build_topology("grid", 9, 200.0)
-    b = build_topology("grid", 9, 200.0)
+    a = build("grid", 9, 200.0)
+    b = build("grid", 9, 200.0)
     assert a == b and repr(a) == repr(b)
     im_a, im_b = build_interference_map(a), build_interference_map(b)
     assert im_a == im_b
 
 
-def test_topology_from_nodes_uses_range_rule():
+def test_explicit_nodes_use_range_rule():
     nodes = (MeshNode(0.0, 0.0), MeshNode(100.0, 0.0), MeshNode(1000.0, 0.0))
-    t = topology_from_nodes(nodes, tx_range=250.0)
+    t = build_from_nodes(nodes)
     assert [(l.u, l.v) for l in t.links] == [(0, 1)]
     assert t.interference_range == 500.0
 
@@ -257,7 +258,8 @@ def placements(draw):
     so do the cell edges, which lie just past each range. Some placements
     add a far outlier."""
     tx = draw(RANGES)
-    interference = tx * draw(st.sampled_from([1.0, 1.5, 2.0]))
+    multiplier = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    interference = tx * multiplier
     points = [(draw(COORDS), draw(COORDS)) for _ in range(draw(st.integers(1, 5)))]
     # tx + 4e-10 is past the range but within it once _distance rounds
     steps = st.sampled_from([tx, interference, tx * (1 + 1e-9), interference * (1 + 1e-9),
@@ -273,23 +275,23 @@ def placements(draw):
     # walks that step back reach their start again; keep each point once
     nodes = tuple(MeshNode(x, y) for x, y in dict.fromkeys(points)
                   if math.isfinite(x) and math.isfinite(y))
-    return nodes, tx, interference
+    return nodes, tx, multiplier
 
 
 @settings(max_examples=300, deadline=None)
 @given(placements())
 def test_cell_list_equals_all_pairs(case):
-    nodes, tx, interference = case
+    nodes, tx, multiplier = case
     expected = all_pairs_links(nodes, tx)
     coincident = [(u, v) for u, v, d in expected if d == 0]
     if coincident:
         u, v = coincident[0]
         with pytest.raises(ConfigurationError,
                            match=re.escape(f"topology.nodes[{v}]: coincides with node {u}")):
-            topology_from_nodes(nodes, tx_range=tx, interference_range=interference)
+            build_from_nodes(nodes, tx, interference_multiplier=multiplier)
         return
-    topo = topology_from_nodes(nodes, tx_range=tx, interference_range=interference)
-    assert [(l.u, l.v, l.distance) for l in topo.links] == expected
+    topo = build_from_nodes(nodes, tx, interference_multiplier=multiplier)
+    assert [(l.u, l.v, length(topo, l)) for l in topo.links] == expected
     want = all_pairs_interferers(topo)
     got = build_interference_map(topo).interferers
     assert got == want
@@ -310,8 +312,8 @@ def test_cell_list_extreme_placements():
               [(2, 3, 0.296875)])]
     for points, tx, links in cases:
         nodes = tuple(MeshNode(*p) for p in points)
-        topo = topology_from_nodes(nodes, tx_range=tx)
-        assert [(l.u, l.v, l.distance) for l in topo.links] == links
+        topo = build_from_nodes(nodes, tx)
+        assert [(l.u, l.v, length(topo, l)) for l in topo.links] == links
         assert build_interference_map(topo).interferers == all_pairs_interferers(topo)
 
 
@@ -389,8 +391,8 @@ def test_grid_distance_calls_only_for_links_and_band(distance_calls):
     # range need _distance; the squared distance decides every other pair.
     # A 3x3-cell scan calling it for every candidate makes 2,392 calls for
     # the links and 35,371 for the interferer pairs.
-    topo = build_topology("grid", 400, 200.0)
-    limit = topo.tx_range * (1.0 + topology._RANGE_TOL)
+    topo = build("grid", 400, 200.0)
+    limit = 250.0 * (1.0 + topology._RANGE_TOL)
     points = [(n.x, n.y) for n in topo.nodes]
     band = sum(1 for a, b in itertools.combinations(points, 2)
                if abs(math.dist(a, b) - limit) <= 1e-6)
