@@ -27,8 +27,14 @@ widened by the 1e-9 quantum to which ``_distance`` rounds and by a relative
 float slack. Only a pair in the narrow band between them, or whose squares
 overflow or underflow, gets the quantized ``_distance(...) <= limit`` test
 an all-pairs scan applies, so every pair passes exactly when it passes that
-scan. The pairs are sorted once into ascending (i, j) order, so the links,
-their order and every interferer set equal the all-pairs result.
+scan. The search returns rows, not pairs: per point, the ids of the others
+in range. Each point is searched once against the points after it in its
+cell and those of the forward cells, its matches go into its row, and it
+goes into each match's row, so the rows hold each pair twice as references
+to the points' own ids and no pair is stored as an object or code of its
+own. The pair count is checked against its bound after every point. Sorting
+a row gives the links in (u, v) order, or a link's interferer set, exactly
+as the all-pairs scan does.
 """
 
 from __future__ import annotations
@@ -36,11 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from array import array
-from bisect import insort
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
@@ -165,17 +167,18 @@ class TopologySpec:
                 raise invalid("topology.spacing",
                               f"{self.spacing} m places nodes past the float range")
             nodes = tuple(MeshNode(x, y) for x, y in points)
-        if self.kind == "binary-tree":
-            # The links are the parent-child edges, not a range search, so
-            # look for nodes at one point separately.
-            coincident = next(_pairs_within(points, 0.0, "topology.spacing"), None)
+        # Nodes at one point are within range of each other, so the search
+        # meets them. A binary tree's links are the parent-child edges, not a
+        # range search, so it looks for such nodes with a search at 0 m.
+        tree = self.kind == "binary-tree"
+        rows = (_neighbours(points, 0.0, "topology.spacing") if tree else
+                _neighbours(points, self.tx_range * (1.0 + _RANGE_TOL), "topology.tx_range"))
+        pairs = ((u, v) for u, row in enumerate(rows) for v in sorted(row) if v > u)
+        if tree:
+            coincident = next(pairs, None)
             if coincident:
                 raise _coincident(*coincident, self.spacing)
             pairs = (((child - 1) // 2, child) for child in range(1, self.n))
-        else:
-            # Nodes at one point are within range of each other, so the
-            # search meets them.
-            pairs = _pairs_within(points, self.tx_range * (1.0 + _RANGE_TOL), "topology.tx_range")
         links = []
         for u, v in pairs:
             d = _distance(points[u], points[v])
@@ -203,14 +206,17 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return round(math.hypot(a[0] - b[0], a[1] - b[1]), 9)
 
 
-def _pairs_within(points: list[tuple[float, float]], limit: float,
-                  name: str) -> Iterator[tuple[int, int]]:
-    """Every (i, j) with i < j and _distance(points[i], points[j]) <= limit,
-    in ascending order, found by the cell list of the module docstring.
-    More than ``MAX_PAIRS`` of them is an error naming the field ``name``,
-    raised before the first pair is returned."""
+def _neighbours(points: list[tuple[float, float]], limit: float,
+                name: str) -> list[list[int]]:
+    """Per point i, the row of ids j != i with _distance(points[i],
+    points[j]) <= limit, in no set order, found by the cell list of the module
+    docstring. More than ``MAX_PAIRS`` pairs in range is an error naming the
+    field ``name``. The count is checked after each point's search, not after
+    a cell's, so the rows never hold more than that bound plus one point's
+    matches, even when every point shares one cell."""
+    rows: list[list[int]] = [[] for _ in points]
     if not points:
-        return iter(())
+        return rows
     # Coordinates are halved so that no difference of two finite ones overflows.
     xs, ys = zip(*points)
     x0, y0 = min(xs) / 2, min(ys) / 2
@@ -239,28 +245,26 @@ def _pairs_within(points: list[tuple[float, float]], limit: float,
     tiny, inf = sys.float_info.min, math.inf
     inside = min(lo * lo * (1 - 1e-12), sys.float_info.max) if lo > 0 else -1.0
     outside = hi * hi * (1 + 1e-12)
-    # Each pair is held as the code i * n + j in an array of 8-byte ints, an
-    # eighth of the room a 2-tuple in a list takes, and decoded one at a time
-    # as the caller iterates, once the search has stayed within the bound.
-    n = len(points)
-    codes = array("q")
+    pairs = 0
     for (cx, cy), here in cells.items():
-        ahead = [cells[key] for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
-                                        (cx, cy + 1)) if key in cells]
-        for k, (i, xi, yi) in enumerate(here):
-            ni = i * n
-            for others in (here[k + 1:], *ahead):
-                for j, xj, yj in others:
-                    dx, dy = xi - xj, yi - yj
-                    s = dx * dx + dy * dy
-                    if (s <= inside and s >= tiny
-                            or (s <= outside or s == inf)
-                            and _distance((xi, yi), (xj, yj)) <= limit):
-                        codes.append(ni + j if i < j else j * n + i)
-            if len(codes) > MAX_PAIRS:
+        # The cell's own points, then those of its 4 forward neighbours: each
+        # point of the cell is tested against the ones after it.
+        stencil = [p for key in ((cx, cy), (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
+                                 (cx, cy + 1)) for p in cells.get(key, ())]
+        for k, (i, xi, yi) in enumerate(here, 1):
+            near = [j for j, xj, yj in stencil[k:]
+                    if ((s := (dx := xi - xj) * dx + (dy := yi - yj) * dy) <= inside
+                        and s >= tiny
+                        or (s <= outside or s == inf)
+                        and _distance((xi, yi), (xj, yj)) <= limit)]
+            rows[i] += near
+            for j in near:
+                rows[j].append(i)
+            pairs += len(near)
+            if pairs > MAX_PAIRS:
                 raise invalid(name, f"puts more than {MAX_PAIRS:.0e} pairs within "
                                     f"{limit:.6g} m; one topology may have at most {MAX_PAIRS:.0e}")
-    return map(divmod, sorted(codes), repeat(n))
+    return rows
 
 
 def _coincident(u: int, v: int, spacing: float | None) -> ConfigurationError:
@@ -321,24 +325,22 @@ def build_interference_map(topology: Topology) -> InterferenceMap:
     """The interferer set of every link.
 
     Link j interferes with link i when their midpoints are within the
-    interference range. The pairs come from the cell-list search of the
-    module docstring, which decides every pair as the all-pairs scan's
-    quantized distance test does, so each set equals the scan's.
+    interference range. Each link's row of interferers comes from the
+    cell-list search of the module docstring, which decides every pair as
+    the all-pairs scan's quantized distance test does; with the link itself
+    added and sorted, each set equals the scan's. Each row becomes a tuple
+    as soon as it is sorted, so the map's lists and tuples are never all held
+    at once.
     """
     links, nodes = topology.links, topology.nodes
     # Halved before the sum: the same midpoint as halving the sum, except at
     # subnormal scale, and it cannot overflow.
     mids = [(nodes[l.u].x / 2 + nodes[l.v].x / 2, nodes[l.u].y / 2 + nodes[l.v].y / 2)
             for l in links]
-    pairs = _pairs_within(mids, topology.interference_range * (1.0 + _RANGE_TOL),
-                          "algorithm.interference_multiplier")
-    # The pairs come in ascending (i, j) order, so each link's lower
-    # interferers arrive in order, all before its higher ones, which arrive in
-    # order too: each list is sorted, and the link itself goes in between.
-    near: list[list[int]] = [[] for _ in links]
-    for i, j in pairs:
-        near[i].append(j)
-        near[j].append(i)
-    for i, ids in enumerate(near):
-        insort(ids, i)
-    return InterferenceMap(tuple(map(tuple, near)))
+    rows = _neighbours(mids, topology.interference_range * (1.0 + _RANGE_TOL),
+                       "algorithm.interference_multiplier")
+    for i, row in enumerate(rows):
+        row.append(i)
+        row.sort()
+        rows[i] = tuple(row)
+    return InterferenceMap(tuple(rows))

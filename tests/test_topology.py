@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -345,9 +346,31 @@ def test_pairs_within_rounding_band(limit):
     outcomes = set()
     for points in cases:
         expected = [(i, j) for i, j, _ in all_pairs_within(points, limit)]
-        assert list(topology._pairs_within(points, limit, "limit")) == expected, points
+        rows = topology._neighbours(points, limit, "limit")
+        assert [(i, j) for i, row in enumerate(rows) for j in sorted(row) if j > i] == expected
+        assert all(i in rows[j] for i, row in enumerate(rows) for j in row), points
         outcomes.add(bool(expected))
     assert outcomes == {True, False}
+
+
+def test_neighbours_of_no_points():
+    assert topology._neighbours([], 250.0, "limit") == []
+
+
+def test_neighbours_bound_holds_inside_one_cell(monkeypatch):
+    # 3,000 points within a metre of each other share one cell and make about
+    # 4.5 million pairs; the bound is checked after each point's search, so
+    # the search stops holding a few thousand of them, not the whole cell's.
+    monkeypatch.setattr(topology, "MAX_PAIRS", 1_000)
+    points = [(k * 1e-4, (k % 7) * 1e-4) for k in range(3_000)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="^crowd: puts more than 1e[+]03 pairs"):
+            topology._neighbours(points, 250.0, "crowd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.fixture
