@@ -76,54 +76,106 @@ def _override(section: str, params, **overrides):
         raise ConfigurationError(f"{section}.{e}") from e
 
 
-def plan(scenario: Scenario, protocol: str):
-    """The planning stages: topology, interference, routing and channel
-    assignment, with no simulation. Returns (topology, imap, loads, costs,
-    routes, assignment)."""
-    if protocol not in PROTOCOLS:
-        raise PipelineError("setup", ValueError(f"unknown protocol {protocol!r}"))
-    channels = scenario.algorithm.n_channels
+def geometry_key(scenario: Scenario) -> tuple:
+    """Everything the topology and interference stages read, as a hashable
+    key: the topology section and the link model of ``algorithm``."""
+    alg = scenario.algorithm
+    return ("geometry", scenario.topology, alg.d0, alg.alpha, alg.interference_multiplier)
 
+
+def routing_key(scenario: Scenario) -> tuple:
+    """Everything routing reads: the geometry, the flows, every algorithm
+    parameter and the channel capacity."""
+    return ("routing", geometry_key(scenario), scenario.traffic, scenario.algorithm,
+            scenario.sim.channel_capacity_bps)
+
+
+def assignment_key(scenario: Scenario, protocol: str) -> tuple:
+    """Everything the protocol's channel assignment reads: ccmca's follows
+    the routes; the baseline's draws from the seed over the links."""
+    if protocol == "ccmca":
+        return ("ccmca", routing_key(scenario))
+    return ("baseline", geometry_key(scenario), scenario.algorithm.n_channels,
+            scenario.sim.seed)
+
+
+def _memoized(memo: dict, key: tuple, make):
+    """``memo[key]``, made by ``make()`` the first time the key is met."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = make()
+    return value
+
+
+def _geometry(scenario: Scenario):
     with _Stage("topology"):
         topology = scenario.build_topology()
     with _Stage("interference"):
         imap = build_interference_map(topology)
+    return topology, imap
+
+
+def _route(topology, imap, scenario: Scenario):
     with _Stage("routing"):
         routes, loads = fixed_point_route(topology, imap, scenario)
         costs = cost_table(loads.load, loads.capacity, scenario.algorithm)
+    return routes, loads, costs
+
+
+def _assign(topology, imap, routes, scenario: Scenario, protocol: str) -> ChannelAssignment:
+    channels = scenario.algorithm.n_channels
     with _Stage("assignment"):
         if protocol == "ccmca":
             # Priorities follow the loads the committed routes will induce;
             # identical to loads.load at a converged fixed point.
             induced = routed_link_loads(topology.n_links, routes, scenario.traffic)
-            assignment = schedule_all_frames(order_links(induced), topology, imap, channels)
-        else:
-            assignment = baseline_assign(topology, channels, scenario.sim.seed)
+            return schedule_all_frames(order_links(induced), topology, imap, channels)
+        return baseline_assign(topology, channels, scenario.sim.seed)
+
+
+def plan(scenario: Scenario, protocol: str, *, _memo: dict | None = None):
+    """The planning stages: topology, interference, routing and channel
+    assignment, with no simulation. Returns (topology, imap, loads, costs,
+    routes, assignment).
+
+    ``_memo`` maps each stage's key (``geometry_key``, ``routing_key``,
+    ``assignment_key``) to what the stage made of it; a stage whose key is
+    there reuses that, so a sweep passes one dict to all its runs."""
+    if protocol not in PROTOCOLS:
+        raise PipelineError("setup", ValueError(f"unknown protocol {protocol!r}"))
+    memo = {} if _memo is None else _memo
+    topology, imap = _memoized(memo, geometry_key(scenario), lambda: _geometry(scenario))
+    routes, loads, costs = _memoized(memo, routing_key(scenario),
+                                     lambda: _route(topology, imap, scenario))
+    assignment = _memoized(memo, assignment_key(scenario, protocol),
+                           lambda: _assign(topology, imap, routes, scenario, protocol))
     return topology, imap, loads, costs, routes, assignment
 
 
 def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
                  n_channels: int | None = None, horizon_s: float | None = None,
-                 seed: int | None = None, _sims: dict | None = None) -> PipelineResult:
+                 seed: int | None = None, _memo: dict | None = None) -> PipelineResult:
     """Run every stage for one scenario/protocol and return the bundle.
 
     The keyword overrides exist for sweeps; they leave the scenario object
-    untouched, and the bundle carries it with them applied. ``_sims`` is a
-    sweep's map from ``sim_key`` to the metrics already simulated in that
-    sweep; a run whose key is there reuses them.
+    untouched, and the bundle carries it with them applied. ``_memo`` is a
+    sweep's map from each stage's key to what that stage made of it: the
+    keys of ``plan``, the simulator input's (the routing and assignment
+    keys) and ``sim_key`` for the metrics. A run finds there every stage
+    whose inputs an earlier run of the sweep shared, and computes the rest.
     """
     algorithm = _override("algorithm", scenario.algorithm, n_channels=n_channels)
     sim = _override("sim", scenario.sim, horizon_s=horizon_s, seed=seed)
     if algorithm is not scenario.algorithm or sim is not scenario.sim:
         scenario = replace(scenario, algorithm=algorithm, sim=sim)
-    _, imap, loads, costs, routes, assignment = plan(scenario, protocol)
-    sims = {} if _sims is None else _sims
+    memo = {} if _memo is None else _memo
+    _, imap, loads, costs, routes, assignment = plan(scenario, protocol, _memo=memo)
     with _Stage("simulation"):
-        inp = sim_input(imap, scenario.traffic, routes, assignment)
-        key = sim_key(inp, scenario.sim)
-        if key not in sims:
-            sims[key] = run_simulation(inp, scenario.sim)
-        metrics = sims[key]
+        inp = _memoized(memo, ("sim_input", routing_key(scenario),
+                               assignment_key(scenario, protocol)),
+                        lambda: sim_input(imap, scenario.traffic, routes, assignment))
+        metrics = _memoized(memo, sim_key(inp, scenario.sim),
+                            lambda: run_simulation(inp, scenario.sim))
     with _Stage("goodput"):
         report = goodput(metrics.per_flow, scenario.traffic)
 
@@ -167,21 +219,23 @@ def _mean_row(rows: list[SweepRow]) -> SweepRow:
 
 def _sweep(scenario: Scenario, points: list, seeds: list[int] | None,
            protocols: tuple[str, ...], overrides) -> list[SweepRow]:
+    """The rows of direct ``run_pipeline`` calls over points x protocols x
+    seeds, the runs sharing one memo: each distinct input of each stage is
+    computed once per call. The memo dies with the call, so every sweep does
+    the same work."""
     if not points:
         raise ValueError("sweep needs at least one point")
     if seeds is None:
         seeds = [scenario.sim.seed]
     elif not seeds:
         raise ValueError("sweep needs at least one seed")
-    # The metrics of each distinct simulator input met in this call; the
-    # dict dies with the call, so every sweep does the same work.
-    sims: dict = {}
+    memo: dict = {}
     rows: list[SweepRow] = []
     for point in points:
         for protocol in protocols:
             group = []
             for seed in seeds:
-                result = run_pipeline(scenario, protocol, seed=seed, _sims=sims,
+                result = run_pipeline(scenario, protocol, seed=seed, _memo=memo,
                                       **overrides(point))
                 group.append(result_row(result))
             rows.extend(group)
@@ -193,13 +247,14 @@ def _sweep(scenario: Scenario, points: list, seeds: list[int] | None,
 def sweep_channels(scenario: Scenario, channel_counts: list[int],
                    seeds: list[int] | None = None,
                    protocols: tuple[str, ...] = PROTOCOLS) -> list[SweepRow]:
-    """One row per (channel count, protocol, seed), capacities and routes
-    recomputed per count; plus a mean row per group when several seeds.
+    """One row per (channel count, protocol, seed), plus a mean row per group
+    when several seeds.
 
     Every row is the row of a direct ``run_pipeline`` call with the same
-    arguments, but runs with the same simulator input (``sim_key``) are
-    simulated once per sweep. The seed reaches only the baseline's channel
-    draw, so most rows reuse a simulation."""
+    arguments, but each distinct stage input is computed once per sweep: the
+    geometry once, routing once per channel count, ccmca's assignment once
+    per count and the baseline's once per (count, seed), and each distinct
+    simulator input simulated once."""
     return _sweep(scenario, channel_counts, seeds, protocols,
                   lambda c: {"n_channels": c})
 
@@ -208,7 +263,10 @@ def sweep_time(scenario: Scenario, horizons: list[float],
                seeds: list[int] | None = None,
                protocols: tuple[str, ...] = PROTOCOLS) -> list[SweepRow]:
     """One row per (horizon, protocol, seed), plus a mean row per group when
-    several seeds; runs with the same simulator input are simulated once per
-    sweep, as in ``sweep_channels``."""
+    several seeds. As in ``sweep_channels``, each distinct stage input is
+    computed once per sweep. No planning stage reads the horizon, so the
+    geometry, the routing and ccmca's assignment are computed once and the
+    baseline's once per seed; each horizon simulates each distinct simulator
+    input once."""
     return _sweep(scenario, horizons, seeds, protocols,
                   lambda h: {"horizon_s": h})

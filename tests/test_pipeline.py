@@ -1,13 +1,17 @@
 import json
+from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshplan import (PRESETS, ConfigurationError, GoodputReport, PipelineError,
-                      PipelineResult, UnroutableFlowError, emit_report,
-                      load_scenario, pipeline, render_report, run_pipeline,
+from meshplan import (PRESETS, ConfigurationError, GoodputReport, MeshNode, PipelineError,
+                      PipelineResult, Scenario, TrafficProfile, UnroutableFlowError,
+                      emit_report, load_scenario, pipeline, render_report, run_pipeline,
                       scenario_from_dict, sweep_channels, sweep_time)
+from meshplan.cli import main
+from meshplan.pipeline import assignment_key, geometry_key, routing_key
 from meshplan.report import CSV_COLUMNS, assignment_to_csv, result_row
 from meshplan.schema import from_json, to_json
 
@@ -362,5 +366,134 @@ def test_run_pipeline_builds_one_simulator_input(monkeypatch):
     scenario = ring_scenario()
     run_pipeline(scenario, "ccmca")
     assert len(calls) == 1
-    rows = sweep_channels(scenario, [1, 2], seeds=[1, 2])
-    assert len(calls) == 1 + sum(r.seed != "mean" for r in rows)
+    sweep_channels(scenario, [1, 2], seeds=[1, 2])
+    # one input per distinct (routes, assignment): ccmca's per channel count,
+    # the baseline's per (count, seed)
+    assert len(calls) == 1 + 2 + 2 * 2
+
+
+def varied(scenario, section, **changes):
+    return replace(scenario, **{section: replace(getattr(scenario, section), **changes)})
+
+
+def one_flow_rate(scenario, rate_bps):
+    first, *rest = scenario.traffic.flows
+    return replace(scenario, traffic=TrafficProfile((replace(first, rate_bps=rate_bps), *rest)))
+
+
+STAGE_KEYS = {
+    "geometry": geometry_key,
+    "routing": routing_key,
+    "ccmca": lambda s: assignment_key(s, "ccmca"),
+    "baseline": lambda s: assignment_key(s, "baseline"),
+}
+ALL_STAGES = set(STAGE_KEYS)
+SQUARE_NODES = (MeshNode(0.0, 0.0), MeshNode(200.0, 0.0), MeshNode(200.0, 200.0),
+                MeshNode(0.0, 200.0))
+
+# One input changed, and the stages whose key must change with it; every
+# other stage's key must stay equal.
+KEY_CASES = {
+    "topology.kind": (lambda s: varied(s, "topology", kind="chain"), ALL_STAGES),
+    "topology.n": (lambda s: varied(s, "topology", n=5), ALL_STAGES),
+    "topology.spacing": (lambda s: varied(s, "topology", spacing=200.0), ALL_STAGES),
+    "topology.tx_range": (lambda s: varied(s, "topology", tx_range=300.0), ALL_STAGES),
+    "topology.nodes": (lambda s: varied(s, "topology", kind=None, n=None, spacing=None,
+                                        nodes=SQUARE_NODES), ALL_STAGES),
+    "algorithm.d0": (lambda s: varied(s, "algorithm", d0=20.0), ALL_STAGES),
+    "algorithm.alpha": (lambda s: varied(s, "algorithm", alpha=4.0), ALL_STAGES),
+    "algorithm.interference_multiplier":
+        (lambda s: varied(s, "algorithm", interference_multiplier=1.5), ALL_STAGES),
+    "algorithm.n_channels": (lambda s: varied(s, "algorithm", n_channels=2),
+                             {"routing", "ccmca", "baseline"}),
+    "algorithm.threshold_fraction": (lambda s: varied(s, "algorithm", threshold_fraction=0.5),
+                                     {"routing", "ccmca"}),
+    "algorithm.slack": (lambda s: varied(s, "algorithm", slack=2), {"routing", "ccmca"}),
+    "algorithm.cap": (lambda s: varied(s, "algorithm", cap=8), {"routing", "ccmca"}),
+    "algorithm.max_iters": (lambda s: varied(s, "algorithm", max_iters=2), {"routing", "ccmca"}),
+    "sim.channel_capacity_bps": (lambda s: varied(s, "sim", channel_capacity_bps=9e6),
+                                 {"routing", "ccmca"}),
+    "traffic.flows[0].rate_bps": (lambda s: one_flow_rate(s, 2e4), {"routing", "ccmca"}),
+    "sim.seed": (lambda s: varied(s, "sim", seed=7), {"baseline"}),
+    "sim.horizon_s": (lambda s: varied(s, "sim", horizon_s=4.0), set()),
+    "sim.slot_s": (lambda s: varied(s, "sim", slot_s=2e-3), set()),
+    "sim.queue_packets": (lambda s: varied(s, "sim", queue_packets=32), set()),
+}
+
+
+def test_stage_keys_cover_every_input():
+    # every field of every section a stage may read is a case above
+    covered = {name.split("[")[0] for name in KEY_CASES}
+    for section in ("topology", "algorithm", "sim"):
+        declared = {f"{section}.{f.name}" for f in fields(getattr(ring_scenario(), section))}
+        assert declared <= covered, declared - covered
+    assert "traffic.flows" in covered
+
+
+@pytest.mark.parametrize("case", sorted(KEY_CASES))
+def test_stage_key_holds_what_the_stage_reads(case):
+    change, stages = KEY_CASES[case]
+    base = ring_scenario()
+    other = change(base)
+    for stage, key in STAGE_KEYS.items():
+        hash(key(other))
+        assert (key(other) != key(base)) == (stage in stages), stage
+
+
+def count_calls(monkeypatch, names):
+    """Wraps each (owner, name) to count its calls; returns the counter."""
+    calls = Counter()
+
+    def wrap(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in names:
+        wrap(owner, name)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["paper-table1", "grid-params"])
+def test_sweep_rows_equal_direct_runs_on_documents(name):
+    from test_reports import GRID_PARAMS  # test_reports imports this module
+    scenario = scenario_from_dict(GRID_PARAMS if name == "grid-params" else
+                                  {"preset": name, "sim": {"horizon_s": 5.0}})
+    for sweep, points, override in ((sweep_channels, [1, 2, 3], "n_channels"),
+                                    (sweep_time, [2.0, 5.0], "horizon_s")):
+        rows = [r for r in sweep(scenario, points, seeds=[1, 2]) if r.seed != "mean"]
+        direct = [result_row(run_pipeline(scenario, protocol, seed=seed, **{override: point}))
+                  for point in points for protocol in pipeline.PROTOCOLS for seed in (1, 2)]
+        assert rows == direct
+
+
+def test_sweep_computes_each_stage_input_once(monkeypatch):
+    calls = count_calls(monkeypatch, [
+        (Scenario, "build_topology"), (pipeline, "build_interference_map"),
+        (pipeline, "fixed_point_route"), (pipeline, "schedule_all_frames"),
+        (pipeline, "baseline_assign")])
+    scenario = ring_scenario()
+    sweep_channels(scenario, [1, 2, 3], seeds=[1, 2])
+    # the geometry once, routes and ccmca's frames per channel count, the
+    # baseline's draw per (count, seed)
+    assert calls == {"build_topology": 1, "build_interference_map": 1,
+                     "fixed_point_route": 3, "schedule_all_frames": 3,
+                     "baseline_assign": 6}
+    calls.clear()
+    sweep_time(scenario, [2.0, 5.0, 10.0], seeds=[1, 2])
+    # no planning stage reads the horizon
+    assert calls == {"build_topology": 1, "build_interference_map": 1,
+                     "fixed_point_route": 1, "schedule_all_frames": 1,
+                     "baseline_assign": 2}
+
+
+def test_sweep_bad_point_names_its_field(capsys):
+    error = "algorithm.n_channels: must be >= 1, got 0"
+    with pytest.raises(ConfigurationError, match=f"^{error}$"):
+        sweep_channels(ring_scenario(), [3, 0], seeds=[1, 2])
+    assert main(["sweep-channels", "--scenario", "paper-ring-4", "--channels", "3,0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"meshplan: error: {error}\n"
