@@ -19,8 +19,8 @@ from .loads import (GoodputReport, LoadEstimate, acceptable_paths_for_profile,
 from .pipeline import (PROTOCOLS, PipelineResult, SweepRow, run_pipeline,
                        sweep_channels, sweep_time)
 from .report import emit_report, render_report, result_row
-from .routing import (LinkCost, Route, RouteTable, cost_table,
-                      fixed_point_route, routed_link_loads, select_routes)
+from .routing import (Route, RouteTable, cost_table, fixed_point_route,
+                      routed_link_loads, select_routes)
 from .scenario import (PRESETS, AlgorithmParams, Scenario, load_scenario,
                        parse_scenario, scenario_from_dict)
 from .sim import (ServiceAudit, SimConfig, SimInput, SimMetrics, Simulator,

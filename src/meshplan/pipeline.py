@@ -13,7 +13,9 @@ from dataclasses import dataclass, fields, replace
 from .channels import ChannelAssignment, baseline_assign, order_links, schedule_all_frames
 from .errors import ConfigurationError, PipelineError
 from .loads import GoodputReport, LoadEstimate, goodput
-from .routing import LinkCost, RouteTable, cost_table, fixed_point_route, routed_link_loads
+from .routing import RouteTable, fixed_point_route, routed_link_loads
+# not called here: bench/spans.py times routing's cost_table under this name
+from .routing import cost_table  # noqa: F401
 from .scenario import Scenario
 from .schema import from_json, to_json
 from .sim import SimConfig, SimMetrics, run_simulation, sim_input, sim_key
@@ -28,7 +30,6 @@ class PipelineResult:
     scenario: Scenario
     protocol: str
     loads: LoadEstimate
-    costs: LinkCost
     routes: RouteTable
     assignment: ChannelAssignment
     metrics: SimMetrics
@@ -117,9 +118,7 @@ def _geometry(scenario: Scenario):
 
 def _route(topology, imap, scenario: Scenario):
     with _Stage("routing"):
-        routes, loads = fixed_point_route(topology, imap, scenario)
-        costs = cost_table(loads.load, loads.capacity, scenario.algorithm)
-    return routes, loads, costs
+        return fixed_point_route(topology, imap, scenario)
 
 
 def _assign(topology, imap, routes, scenario: Scenario, protocol: str) -> ChannelAssignment:
@@ -135,8 +134,8 @@ def _assign(topology, imap, routes, scenario: Scenario, protocol: str) -> Channe
 
 def plan(scenario: Scenario, protocol: str, *, _memo: dict | None = None):
     """The planning stages: topology, interference, routing and channel
-    assignment, with no simulation. Returns (topology, imap, loads, costs,
-    routes, assignment).
+    assignment, with no simulation. Returns (topology, imap, loads, routes,
+    assignment).
 
     ``_memo`` maps each stage's key (``geometry_key``, ``routing_key``,
     ``assignment_key``) to what the stage made of it; a stage whose key is
@@ -145,11 +144,11 @@ def plan(scenario: Scenario, protocol: str, *, _memo: dict | None = None):
         raise PipelineError("setup", ValueError(f"unknown protocol {protocol!r}"))
     memo = {} if _memo is None else _memo
     topology, imap = _memoized(memo, geometry_key(scenario), lambda: _geometry(scenario))
-    routes, loads, costs = _memoized(memo, routing_key(scenario),
-                                     lambda: _route(topology, imap, scenario))
+    routes, loads = _memoized(memo, routing_key(scenario),
+                              lambda: _route(topology, imap, scenario))
     assignment = _memoized(memo, assignment_key(scenario, protocol),
                            lambda: _assign(topology, imap, routes, scenario, protocol))
-    return topology, imap, loads, costs, routes, assignment
+    return topology, imap, loads, routes, assignment
 
 
 def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
@@ -169,7 +168,7 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     if algorithm is not scenario.algorithm or sim is not scenario.sim:
         scenario = replace(scenario, algorithm=algorithm, sim=sim)
     memo = {} if _memo is None else _memo
-    _, imap, loads, costs, routes, assignment = plan(scenario, protocol, _memo=memo)
+    _, imap, loads, routes, assignment = plan(scenario, protocol, _memo=memo)
     with _Stage("simulation"):
         inp = _memoized(memo, ("sim_input", routing_key(scenario),
                                assignment_key(scenario, protocol)),
@@ -179,7 +178,7 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     with _Stage("goodput"):
         report = goodput(metrics.per_flow, scenario.traffic)
 
-    return PipelineResult(scenario, protocol, loads, costs, routes, assignment, metrics, report)
+    return PipelineResult(scenario, protocol, loads, routes, assignment, metrics, report)
 
 
 @dataclass(frozen=True)

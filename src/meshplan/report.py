@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path as FsPath
 
 from .channels import ChannelAssignment
@@ -40,7 +41,7 @@ def _csv(header: tuple[str, ...], rows) -> str:
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    return _csv(CSV_COLUMNS, (astuple(r) for r in rows))
+    return _csv(CSV_COLUMNS, map(attrgetter(*CSV_COLUMNS), rows))
 
 
 def assignment_to_csv(asg: ChannelAssignment) -> str:

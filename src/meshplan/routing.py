@@ -29,12 +29,7 @@ if TYPE_CHECKING:
     from .scenario import AlgorithmParams, Scenario
 
 
-@dataclass(frozen=True)
-class LinkCost:
-    values: tuple[float, ...]
-
-
-def cost_table(load, capacity, alg: AlgorithmParams) -> LinkCost:
+def cost_table(load, capacity, alg: AlgorithmParams) -> tuple[float, ...]:
     """Piecewise congestion cost of every link given its expected load: 1
     when idle, 1 + load/capacity up to ``alg.threshold_fraction``, infinite
     above it."""
@@ -45,8 +40,8 @@ def cost_table(load, capacity, alg: AlgorithmParams) -> LinkCost:
     if min(capacity, default=1.0) <= 0:
         raise ValueError("capacity must be positive")
     inf, threshold_fraction = math.inf, alg.threshold_fraction
-    return LinkCost(tuple([inf if x > threshold_fraction else 1.0 + x if x > 0 else 1.0
-                           for x in map(truediv, load, capacity)]))
+    return tuple([inf if x > threshold_fraction else 1.0 + x if x > 0 else 1.0
+                  for x in map(truediv, load, capacity)])
 
 
 @dataclass(frozen=True)
@@ -66,13 +61,13 @@ class RouteTable:
         check(self)
 
 
-def select_routes(paths: dict[Pair, tuple[Path, ...]], costs: LinkCost) -> RouteTable:
+def select_routes(paths: dict[Pair, tuple[Path, ...]],
+                  costs: tuple[float, ...]) -> RouteTable:
     """Per pair, the cheapest finite-cost acceptable path; ties break to the
     lexicographically smallest link-id sequence. Pairs whose every path hits
     an infinite-cost link are blocked, not failed."""
     routes: dict[Pair, Route] = {}
     blocked: set[Pair] = set()
-    values = costs.values
     for pair in sorted(paths):
         best: Path | None = None
         best_cost = math.inf
@@ -80,7 +75,7 @@ def select_routes(paths: dict[Pair, tuple[Path, ...]], costs: LinkCost) -> Route
             # added left to right: from Python 3.12 on, sum() compensates floats
             c = 0.0
             for link in p:
-                c += values[link]
+                c += costs[link]
             if c < best_cost or (c == best_cost and best is not None and p < best):
                 best, best_cost = p, c
         if best is None:

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshplan import (PRESETS, ConfigurationError, GoodputReport, MeshNode, PipelineError,
-                      PipelineResult, Scenario, TrafficProfile, UnroutableFlowError,
-                      emit_report, load_scenario, pipeline, render_report, run_pipeline,
-                      scenario_from_dict, sweep_channels, sweep_time)
+from meshplan import (PRESETS, PROTOCOLS, ConfigurationError, GoodputReport, MeshNode,
+                      PipelineError, PipelineResult, Scenario, TrafficProfile,
+                      UnroutableFlowError, cost_table, emit_report, load_scenario, pipeline,
+                      render_report, run_pipeline, scenario_from_dict, sweep_channels,
+                      sweep_time)
 from meshplan.cli import main
 from meshplan.pipeline import assignment_key, geometry_key, routing_key
 from meshplan.report import CSV_COLUMNS, assignment_to_csv, result_row
@@ -112,12 +114,35 @@ def test_blocked_flows_flow_through_pipeline():
 
 
 def test_blocked_bundle_roundtrip_through_json():
-    # an infinite link cost and a blocked pair take the codec's own forms
-    result = run_pipeline(scenario_from_dict(BLOCKED), "ccmca")
-    doc = json.loads(render_report(result, "json"))
-    assert doc["costs"]["values"] == ["inf"]
-    assert doc["routes"]["blocked"] == ["0->1"]
-    assert PipelineResult.from_dict(doc) == result
+    # a blocked pair and an infinite capacity take the codec's own forms: two
+    # channels of 1e308 b/s overflow to an infinite share
+    overflow = {**BLOCKED, "algorithm": {"n_channels": 2},
+                "sim": {"horizon_s": 1.0, "channel_capacity_bps": 1e308}}
+    for doc, (section, name), form in ((BLOCKED, ("routes", "blocked"), ["0->1"]),
+                                       (overflow, ("loads", "capacity"), ["inf"])):
+        result = run_pipeline(scenario_from_dict(doc), "ccmca")
+        bundle = json.loads(render_report(result, "json"))
+        assert bundle[section][name] == form
+        assert PipelineResult.from_dict(bundle) == result
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name", ["paper-ring-4", "paper-table1", "grid-params", "blocked"])
+def test_route_costs_follow_from_the_bundle_loads(name, protocol):
+    # A bundle stores no link costs: the costs of its loads price every route
+    # at its links' costs added left to right, and leave every path of a
+    # blocked pair at infinite cost.
+    from test_reports import GRID_PARAMS  # test_reports imports this module
+    from test_routing import left_to_right
+    doc = {"grid-params": GRID_PARAMS, "blocked": BLOCKED}.get(
+        name, {"preset": name, "sim": {"horizon_s": 5.0}})
+    result = run_pipeline(scenario_from_dict(doc), protocol)
+    loads = result.loads
+    costs = cost_table(loads.load, loads.capacity, result.scenario.algorithm)
+    for route in result.routes.routes.values():
+        assert route.cost == left_to_right(costs, route.links)
+    for pair in result.routes.blocked:
+        assert all(math.isinf(left_to_right(costs, path)) for path in loads.paths[pair])
 
 
 # Explicit placements: a 200 m square with one diagonal flow each way.

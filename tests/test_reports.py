@@ -25,19 +25,19 @@ RUN_DIGESTS = {
     ("paper-ring-4", "ccmca", "csv"):
         "ab12950cbda1b558379b6850f4630872eaa59facdb4753443b2ade3ea58b0179",
     ("paper-ring-4", "ccmca", "json"):
-        "f6118cff431d3480202e6cfa5b0a61c29a44f8e86759b8bd1ec4e16b96db3e53",
+        "663c2e47b550f0165b4b82832d9895bdd01c4b516c4f6eb54601faf31cbe6f6c",
     ("paper-ring-4", "baseline", "csv"):
         "502fc2284c2ae615b2801cb293b4c6e36b4697bd82baf837d13e46e63c25def3",
     ("paper-ring-4", "baseline", "json"):
-        "70fa720188c39b6d9fc3b1e96e5238b2290b506feeb4abf82e25df52e100b701",
+        "1e2418dcc8211456c8f04b9e7d58990181f8241465f6d07b844cb3303edc88f2",
     ("paper-table1", "ccmca", "csv"):
         "95e94989d9314dd8d967b71cfec2055f8a9414f0161e64bd7d8bc7d487eefd4d",
     ("paper-table1", "ccmca", "json"):
-        "2433777537c9de8ccd8dd35a1d2b156af5683846340e4c042452ed01e3870cb2",
+        "85442d1ecf6b22eebc60e82901b8e1b78f16ad9a0fe71a0d69a77ce947d17966",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
-        "7b6123d207502efb1c4415cf6dc4416f08623a61ea86929050a8d8c245683043",
+        "f73f28f6046d7081b4b842d775e9f8d0f27dcf67270c21e3196754793f5a2230",
 }
 
 ASSIGN_DIGESTS = {
@@ -84,13 +84,13 @@ FULL_HORIZON_DOCS = {
 }
 FULL_HORIZON_DIGESTS = {
     ("paper-table1", "ccmca"):
-        "f345b13836cce38a8eea77938c313d1a6e1e4ad4b92352ad7edd619f08e1949f",
+        "0885d518b2681d45ec435e4340c99db3f05703a74696f472845c90d121c575ed",
     ("paper-table1", "baseline"):
-        "4fef88ce63ba8ce65a0cec9896df89fc2f558aaeb216de90e8bef06fefd68f08",
+        "84b3a2a3b0dee64c99715050e2939096ec1cb0312ddf6f0565fde1c53054a58a",
     ("chain-saturated", "ccmca"):
-        "8d722bed4176a5456b2348fac8f90e28863dd4165686ac8680b3746dbc3ac8a3",
+        "6c1b02649ed7bdf3186462df2b743415ba70ae5ec083a6b12f9dc9deb3c75909",
     ("chain-saturated", "baseline"):
-        "b023776b8812af7fcbe9fffd0938597e65e6b90c92a446800a99ec9122dbaf58",
+        "353cf32dffdc1e7d2403099435cfafdb197d0d051b7dab5bf447416e8aab1cc2",
 }
 
 # `meshplan run` and `meshplan assign` JSON on a document whose every
@@ -109,8 +109,8 @@ GRID_PARAMS = {
     "sim": {"horizon_s": 5, "channel_capacity_bps": 9e6},
 }
 GRID_PARAMS_DIGESTS = {
-    ("run", "ccmca"): "55b26e186bf7934050c26c3aba26180556e80c379e795c3a9def104bdf9e4aa5",
-    ("run", "baseline"): "11d73e69fe83790ed2c4a1f3289f430a89e05b6291aa7938b94b1522015fb784",
+    ("run", "ccmca"): "19b9fd298fca15e29b7f21383e9e789528c31baaf3b02e1e7e2a760398dd6158",
+    ("run", "baseline"): "89bf69b4cae0619e3aae0f4fd78bd1055a85b3a91b4e6412effabc57939b963b",
     ("assign", "ccmca"): "370f2606d7b46dfa8def002f70543ce2f81c0c7b301dfe0bf9bd86709b7a502b",
     ("assign", "baseline"): "e1563b3cd9b6c35546ea99639d72d93e2243722f6edb3ba2b6223ae65b958863",
 }

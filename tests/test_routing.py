@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meshplan import (AlgorithmParams, ContractError, LinkCost, TopologySpec,
+from meshplan import (AlgorithmParams, ContractError, TopologySpec,
                       acceptable_paths_for_profile, build_interference_map, cost_table,
                       fixed_point_route, select_routes)
 
@@ -17,7 +17,7 @@ RING4 = TopologySpec("ring", 4, 250.0)
 
 def one_link_cost(load, capacity, threshold_fraction):
     alg = AlgorithmParams(threshold_fraction=threshold_fraction)
-    return cost_table((load,), (capacity,), alg).values[0]
+    return cost_table((load,), (capacity,), alg)[0]
 
 
 def test_link_cost_branches():
@@ -56,7 +56,7 @@ def test_cost_table_is_the_piecewise_rule(links, threshold, data):
     links = [(data.draw(st.sampled_from([d, threshold * c])), c) for d, c in links]
     load, capacity = tuple(d for d, _ in links), tuple(c for _, c in links)
     alg = AlgorithmParams(threshold_fraction=threshold)
-    costs = cost_table(load, capacity, alg).values
+    costs = cost_table(load, capacity, alg)
     assert len(costs) == len(links)
     for (d, c), cost in zip(links, costs):
         x = d / c
@@ -72,15 +72,14 @@ def left_to_right(values, path):
 def test_route_cost_adds_left_to_right():
     # 1e16 + 1 rounds back to 1e16, twice; compensated summation, which sum()
     # uses on floats from Python 3.12, would give 1.0000000000000002e16
-    table = select_routes({(0, 3): ((0, 1, 2),)}, LinkCost((1e16, 1.0, 1.0)))
+    table = select_routes({(0, 3): ((0, 1, 2),)}, (1e16, 1.0, 1.0))
     assert table.routes[(0, 3)].cost == 1e16
 
 
 def test_select_routes_all_unit_costs(ring4):
     prof = profile(cbr(0, 2, 10.0))
     paths = acceptable_paths_for_profile(ring4, prof, AlgorithmParams())
-    costs = LinkCost((1.0,) * 4)
-    table = select_routes(paths, costs)
+    table = select_routes(paths, (1.0,) * 4)
     assert table.routes[(0, 2)].links == (0, 2)  # lexicographic tie-break
     assert table.routes[(0, 2)].cost == 2.0
 
@@ -88,8 +87,7 @@ def test_select_routes_all_unit_costs(ring4):
 def test_select_routes_avoids_infinite_side(ring4):
     prof = profile(cbr(0, 2, 10.0))
     paths = acceptable_paths_for_profile(ring4, prof, AlgorithmParams())
-    costs = LinkCost((math.inf, 1.0, 1.0, 1.0))
-    table = select_routes(paths, costs)
+    table = select_routes(paths, (math.inf, 1.0, 1.0, 1.0))
     assert table.routes[(0, 2)].links == (1, 3)
     assert not table.blocked
 
@@ -97,8 +95,7 @@ def test_select_routes_avoids_infinite_side(ring4):
 def test_select_routes_blocked_when_everything_infinite(ring4):
     prof = profile(cbr(0, 2, 10.0))
     paths = acceptable_paths_for_profile(ring4, prof, AlgorithmParams())
-    costs = LinkCost((math.inf, math.inf, 1.0, 1.0))
-    table = select_routes(paths, costs)
+    table = select_routes(paths, (math.inf, math.inf, 1.0, 1.0))
     assert table.blocked == frozenset({(0, 2)})
     assert (0, 2) not in table.routes
 
@@ -111,8 +108,7 @@ def test_select_routes_matches_bruteforce(grid9):
     for trial in range(25):
         values = tuple(math.inf if rng.random() < 0.1 else rng.uniform(1.0, 2.0)
                        for _ in range(grid9.n_links))
-        costs = LinkCost(values)
-        table = select_routes(paths, costs)
+        table = select_routes(paths, values)
         for pair in pairs:
             priced = [(left_to_right(values, p), p) for p in paths[pair]]
             finite = [(c, p) for c, p in priced if not math.isinf(c)]
@@ -195,7 +191,7 @@ def test_fixed_point_exclusion_and_determinism():
 def test_cost_table_matches_scalar(ring4):
     table = cost_table((0.0, 45.0, 95.0, 90.0), (100.0,) * 4,
                        AlgorithmParams(threshold_fraction=0.9))
-    assert table.values[0] == 1.0
-    assert table.values[1] == pytest.approx(1.45)
-    assert math.isinf(table.values[2])
-    assert table.values[3] == pytest.approx(1.9)
+    assert table[0] == 1.0
+    assert table[1] == pytest.approx(1.45)
+    assert math.isinf(table[2])
+    assert table[3] == pytest.approx(1.9)
