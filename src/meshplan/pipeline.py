@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .channels import ChannelAssignment, baseline_assign, order_links, schedule_all_frames
 from .errors import ConfigurationError, PipelineError
@@ -26,10 +27,13 @@ PROTOCOLS = ("ccmca", "baseline")
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """One run: the resolved scenario it ran and what each stage made of it."""
+    """One run: the resolved scenario it ran and what each stage made of it.
+
+    The fields are the bundle. ``loads``, the load estimate routing started
+    from, is not one: it replays the planning stages from the scenario on
+    first read, so a decoded bundle has it too."""
     scenario: Scenario
     protocol: str
-    loads: LoadEstimate
     routes: RouteTable
     assignment: ChannelAssignment
     metrics: SimMetrics
@@ -38,6 +42,10 @@ class PipelineResult:
     @property
     def config(self) -> SimConfig:
         return self.scenario.sim
+
+    @cached_property
+    def loads(self) -> LoadEstimate:
+        return plan(self.scenario, self.protocol)[2]
 
     def to_dict(self) -> dict:
         return to_json(self)
@@ -168,7 +176,7 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     if algorithm is not scenario.algorithm or sim is not scenario.sim:
         scenario = replace(scenario, algorithm=algorithm, sim=sim)
     memo = {} if _memo is None else _memo
-    _, imap, loads, routes, assignment = plan(scenario, protocol, _memo=memo)
+    _, imap, _, routes, assignment = plan(scenario, protocol, _memo=memo)
     with _Stage("simulation"):
         inp = _memoized(memo, ("sim_input", routing_key(scenario),
                                assignment_key(scenario, protocol)),
@@ -178,7 +186,7 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     with _Stage("goodput"):
         report = goodput(metrics.per_flow, scenario.traffic)
 
-    return PipelineResult(scenario, protocol, loads, routes, assignment, metrics, report)
+    return PipelineResult(scenario, protocol, routes, assignment, metrics, report)
 
 
 @dataclass(frozen=True)

@@ -127,16 +127,14 @@ def to_json(obj):
     """obj as JSON: a dataclass is an object of its fields in declared order;
     a dict keyed by (src, dst) pairs is an object keyed "src->dst", and a
     frozenset of pairs a list of such keys, both sorted by pair; a tuple is
-    a list and an infinite float "inf"."""
-    if obj is None or isinstance(obj, (int, str)):
+    a list."""
+    if obj is None or isinstance(obj, (int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return "inf" if math.isinf(obj) else obj
     if isinstance(obj, (tuple, list)):
-        # most tuples are link ids or finite floats: copy them whole (a bool
-        # is not a plain int, and a sum is finite only if every term is)
+        # most tuples are link ids or floats: copy them whole (a bool is not
+        # a plain int)
         kinds = set(map(type, obj))
-        if kinds == {int} or kinds == {float} and math.isfinite(sum(obj)):
+        if kinds == {int} or kinds == {float}:
             return list(obj)
         return [to_json(v) for v in obj]
     if isinstance(obj, dict):
@@ -151,12 +149,12 @@ def from_json(tp, doc, where: str):
     missing required field, a non-object or non-list value and a failed
     ``__post_init__`` raise ConfigurationError naming the place, such as
     ``traffic.flows[0].dst``. An int or float is typed here, so each element
-    of a tuple or dict is checked too (``bundle.loads.load[0]``); other
+    of a tuple or dict is checked too (``bundle.goodput.useful.0->2``); other
     scalars are left to ``check``."""
     # Most values are link ids and floats; testing for them first makes a
     # large bundle decode about three times faster.
     if tp is int or tp is float:
-        return math.inf if doc == "inf" and tp is float else _typed(where, tp.__name__, doc)
+        return _typed(where, tp.__name__, doc)
     if is_dataclass(tp):
         declared = _fields(tp)
         doc = known_keys(doc, declared, where)
@@ -179,4 +177,4 @@ def from_json(tp, doc, where: str):
     if origin is tuple:
         return tuple(from_json(args[0], v, f"{where}[{i}]")
                      for i, v in enumerate(_shaped(doc, list, where)))
-    return math.inf if doc == "inf" and float in (tp, *args) else doc
+    return doc

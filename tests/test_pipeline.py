@@ -114,16 +114,21 @@ def test_blocked_flows_flow_through_pipeline():
 
 
 def test_blocked_bundle_roundtrip_through_json():
-    # a blocked pair and an infinite capacity take the codec's own forms: two
-    # channels of 1e308 b/s overflow to an infinite share
+    # a blocked pair takes the codec's own form
+    result = run_pipeline(scenario_from_dict(BLOCKED), "ccmca")
+    bundle = json.loads(render_report(result, "json"))
+    assert bundle["routes"]["blocked"] == ["0->1"]
+    assert PipelineResult.from_dict(bundle) == result
+    # two channels of 1e308 b/s overflow to an infinite capacity share, which
+    # the bundle does not store: its loads replay from the scenario
     overflow = {**BLOCKED, "algorithm": {"n_channels": 2},
                 "sim": {"horizon_s": 1.0, "channel_capacity_bps": 1e308}}
-    for doc, (section, name), form in ((BLOCKED, ("routes", "blocked"), ["0->1"]),
-                                       (overflow, ("loads", "capacity"), ["inf"])):
-        result = run_pipeline(scenario_from_dict(doc), "ccmca")
-        bundle = json.loads(render_report(result, "json"))
-        assert bundle[section][name] == form
-        assert PipelineResult.from_dict(bundle) == result
+    result = run_pipeline(scenario_from_dict(overflow), "ccmca")
+    bundle = json.loads(render_report(result, "json"))
+    assert "loads" not in bundle
+    decoded = PipelineResult.from_dict(bundle)
+    assert decoded == result
+    assert decoded.loads.capacity == (math.inf,)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -175,6 +180,26 @@ def test_bundle_replays_from_its_scenario():
         doc = json.loads(text)
         again = run_pipeline(PipelineResult.from_dict(doc).scenario, doc["protocol"])
         assert render_report(again, "json") == text
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name", ["paper-ring-4", "paper-table1", "grid-params"])
+def test_bundle_loads_replay_from_its_scenario(name, protocol):
+    # The bundle stores no load estimate: a decoded bundle replays the one
+    # planning made, and a bundle that carries one is rejected.
+    from test_reports import GRID_PARAMS  # test_reports imports this module
+    doc = {"paper-ring-4": {"preset": name},
+           "paper-table1": {"preset": name, "sim": {"horizon_s": 5.0}},
+           "grid-params": GRID_PARAMS}[name]
+    scenario = scenario_from_dict(doc)
+    result = run_pipeline(scenario, protocol)
+    bundle = json.loads(render_report(result, "json"))
+    assert "loads" not in bundle
+    replayed = PipelineResult.from_dict(bundle).loads
+    assert replayed == pipeline.plan(scenario, protocol)[2] == result.loads
+    bundle["loads"] = to_json(replayed)
+    with pytest.raises(ConfigurationError, match=r"^bundle: unknown key\(s\) \['loads'\]"):
+        PipelineResult.from_dict(bundle)
 
 
 def test_run_without_overrides_carries_its_scenario_as_given():
@@ -234,11 +259,15 @@ def test_bundle_missing_field_names_it():
      r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got None$"),
     (("assignment", "channel_of"), [0, 1, True, 1],
      r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got True$"),
-    (("loads", "load", 0), "x", r"^bundle\.loads\.load\[0\]: must be a number, got 'x'$"),
+    (("goodput", "useful", "0->2"), "x",
+     r"^bundle\.goodput\.useful\.0->2: must be a number, got 'x'$"),
     (("routes", "routes", "0->2", "links"), ["x"],
      r"^bundle\.routes\.routes\.0->2\.links\[0\]: must be an integer, got 'x'$"),
     (("scenario", "traffic", "flows", 0, "dst"), 99,
      r"^bundle\.scenario\.traffic\.flows\[0\]\.dst: node 99 not in topology \(0\.\.3\)$"),
+    # no bundle float is infinite, so the codec has no form for one
+    (("routes", "routes", "0->2", "cost"), "inf",
+     r"^bundle\.routes\.routes\.0->2\.cost: must be a number, got 'inf'$"),
 ])
 def test_bundle_impossible_value_names_it(path, value, error):
     doc = run_pipeline(ring_scenario(), "ccmca").to_dict()

@@ -25,19 +25,19 @@ RUN_DIGESTS = {
     ("paper-ring-4", "ccmca", "csv"):
         "ab12950cbda1b558379b6850f4630872eaa59facdb4753443b2ade3ea58b0179",
     ("paper-ring-4", "ccmca", "json"):
-        "663c2e47b550f0165b4b82832d9895bdd01c4b516c4f6eb54601faf31cbe6f6c",
+        "248f4a67e72bd5d23b0786c1a38acb11f0ab5447c92d5ac77f72d2c34f02e770",
     ("paper-ring-4", "baseline", "csv"):
         "502fc2284c2ae615b2801cb293b4c6e36b4697bd82baf837d13e46e63c25def3",
     ("paper-ring-4", "baseline", "json"):
-        "1e2418dcc8211456c8f04b9e7d58990181f8241465f6d07b844cb3303edc88f2",
+        "151d0f2e0480bd8d2fa748650328fd648bbb81d475271d87ab5afc785e805c36",
     ("paper-table1", "ccmca", "csv"):
         "95e94989d9314dd8d967b71cfec2055f8a9414f0161e64bd7d8bc7d487eefd4d",
     ("paper-table1", "ccmca", "json"):
-        "85442d1ecf6b22eebc60e82901b8e1b78f16ad9a0fe71a0d69a77ce947d17966",
+        "a754231d9e70034c5c8a7c424aafac39e15e1968b9fb9ac57da9332226e6e28f",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
-        "f73f28f6046d7081b4b842d775e9f8d0f27dcf67270c21e3196754793f5a2230",
+        "f8a75d44fb035e9068b3cb6286ccc0f0c7272537fb52869f343963838e05f858",
 }
 
 ASSIGN_DIGESTS = {
@@ -84,13 +84,13 @@ FULL_HORIZON_DOCS = {
 }
 FULL_HORIZON_DIGESTS = {
     ("paper-table1", "ccmca"):
-        "0885d518b2681d45ec435e4340c99db3f05703a74696f472845c90d121c575ed",
+        "5fd02667ff6b77cb7c47c26cdd902be394ee50211c7193822e1a4b1e7657c0c1",
     ("paper-table1", "baseline"):
-        "84b3a2a3b0dee64c99715050e2939096ec1cb0312ddf6f0565fde1c53054a58a",
+        "14253381fd11de4b6f3fd7550f2d96d33a4fdc8903cc232e4642d60b6e42f0e1",
     ("chain-saturated", "ccmca"):
-        "6c1b02649ed7bdf3186462df2b743415ba70ae5ec083a6b12f9dc9deb3c75909",
+        "3d6c26dfd60f78aae327c9d40517fb719c8ed24e4e49e149031f1419216b5f77",
     ("chain-saturated", "baseline"):
-        "353cf32dffdc1e7d2403099435cfafdb197d0d051b7dab5bf447416e8aab1cc2",
+        "de9b4842963a788026afa9d7e6b942b002e47686a9444bd03082497d87dfc889",
 }
 
 # `meshplan run` and `meshplan assign` JSON on a document whose every
@@ -109,8 +109,8 @@ GRID_PARAMS = {
     "sim": {"horizon_s": 5, "channel_capacity_bps": 9e6},
 }
 GRID_PARAMS_DIGESTS = {
-    ("run", "ccmca"): "19b9fd298fca15e29b7f21383e9e789528c31baaf3b02e1e7e2a760398dd6158",
-    ("run", "baseline"): "89bf69b4cae0619e3aae0f4fd78bd1055a85b3a91b4e6412effabc57939b963b",
+    ("run", "ccmca"): "2f3632f1abd1d780f1ca58957591771750bca35fcd1d787143c14b1361c0dd6b",
+    ("run", "baseline"): "7d0cca210f2728b686311a343f0de1dc8c72d070ae6dbcfd074d3565bbccead6",
     ("assign", "ccmca"): "370f2606d7b46dfa8def002f70543ce2f81c0c7b301dfe0bf9bd86709b7a502b",
     ("assign", "baseline"): "e1563b3cd9b6c35546ea99639d72d93e2243722f6edb3ba2b6223ae65b958863",
 }
