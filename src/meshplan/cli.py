@@ -94,13 +94,18 @@ def _warn(message: str) -> None:
     print(f"meshplan: warning: {message}", file=sys.stderr)
 
 
+def _warn_about(routes) -> None:
+    """Say on stderr when routing did not converge or blocked flows."""
+    if not routes.converged:
+        _warn("routing did not converge; using the last route table")
+    if routes.blocked:
+        _warn(f"{len(routes.blocked)} flow(s) blocked by the load threshold")
+
+
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     result = run_pipeline(scenario, args.protocol)
-    if not result.routes.converged:
-        _warn("routing did not converge; using the last route table")
-    if result.routes.blocked:
-        _warn(f"{len(result.routes.blocked)} flow(s) blocked by the load threshold")
+    _warn_about(result.routes)
     _emit(result, args.format, args.out)
     return EXIT_OK
 
@@ -114,7 +119,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_assign(args) -> int:
     scenario = load_scenario(args.scenario)
-    *_, assignment = plan(scenario, args.protocol)
+    *_, routes, assignment = plan(scenario, args.protocol)
+    _warn_about(routes)
     _emit(AssignmentReport(scenario, args.protocol, assignment), args.format, args.out)
     return EXIT_OK
 

@@ -30,8 +30,8 @@ class PipelineResult:
     """One run: the resolved scenario it ran and what each stage made of it.
 
     The fields are the bundle. ``loads``, the load estimate routing started
-    from, is not one: it replays the planning stages from the scenario on
-    first read, so a decoded bundle has it too."""
+    from, is not one: it replays the geometry and routing stages from the
+    scenario on first read, so a decoded bundle has it too."""
     scenario: Scenario
     protocol: str
     routes: RouteTable
@@ -45,7 +45,7 @@ class PipelineResult:
 
     @cached_property
     def loads(self) -> LoadEstimate:
-        return plan(self.scenario, self.protocol)[2]
+        return _route(*_geometry(self.scenario), self.scenario)[1]
 
     def to_dict(self) -> dict:
         return to_json(self)

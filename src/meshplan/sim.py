@@ -1,13 +1,15 @@
 """Slotted-time packet simulator.
 
 Flows inject fixed-size packets at their configured constant bit rate.
-A link may transmit only in the slots of its activation frame (frames
-cycle round-robin); its per-slot service share is the channel capacity
-times the slot length divided by the number of co-channel interfering
-links active in the same slot. Service accrues as byte credit so packets
-larger than one slot's share span several active slots. Queues are FIFO
-with a fixed packet capacity; overflow drops. Everything is deterministic
-for a given scenario and seed.
+A link may transmit only in the slots of its activation frame; its
+per-slot service share is the channel capacity times the slot length
+divided by the number of co-channel interfering links active in the same
+slot. Slots cycle round-robin through the frames that hold a routed link,
+in the plan's order: a frame that holds only links on no route would be a
+slot in which nothing can send, so the cycle leaves it out. Service
+accrues as byte credit so packets larger than one slot's share span
+several active slots. Queues are FIFO with a fixed packet capacity;
+overflow drops. Everything is deterministic for a given scenario and seed.
 
 Each routed link keeps its state on one record, a ``_Link``: its queue, the
 packets the queue holds, its credit, its frame's backlog set (the links of
@@ -224,9 +226,11 @@ class _FlowRun:
 class SimInput:
     """Everything a run reads besides its config. ``flows``: the flows that
     run, in pair order, each with its route's links. ``links``: per link on a
-    route, in link order, its frame and the routed links that interfere with
-    it on its own frame and channel, itself included, in ascending order.
-    Channel labels and links on no route drop out."""
+    route, in link order, its frame's place in the cycle and the routed links
+    that interfere with it on its own frame and channel, itself included, in
+    ascending order. ``n_frames``: the cycle's length, at least 1. The cycle
+    is the plan's frames that hold a routed link, in the plan's order.
+    Channel labels, frame numbers and links on no route drop out."""
     flows: tuple[tuple[Flow, tuple[int, ...]], ...]
     links: tuple[tuple[int, int, tuple[int, ...]], ...]
     n_frames: int
@@ -251,11 +255,13 @@ def sim_input(imap: InterferenceMap, profile: TrafficProfile, routes: RouteTable
                             f"the topology has {len(imap.interferers)}")
     used = {l for _, links in routed for l in links}
     channel_of, frame_of = assignment.channel_of, assignment.frame_of
-    links = tuple((l, frame_of[l], tuple(q for q in imap.interferers[l]
-                                         if q in used and frame_of[q] == frame_of[l]
-                                         and channel_of[q] == channel_of[l]))
+    # A frame that holds no routed link gets no slot: nothing could send in it.
+    cycle = {f: i for i, f in enumerate(sorted({frame_of[l] for l in used}))}
+    links = tuple((l, cycle[frame_of[l]], tuple(q for q in imap.interferers[l]
+                                                if q in used and frame_of[q] == frame_of[l]
+                                                and channel_of[q] == channel_of[l]))
                   for l in sorted(used))
-    return SimInput(tuple(routed), links, max(1, assignment.n_frames))
+    return SimInput(tuple(routed), links, max(1, len(cycle)))
 
 
 class Simulator:

@@ -14,6 +14,8 @@ from meshplan.pipeline import plan
 from meshplan.report import CSV_COLUMNS, AssignmentReport
 from meshplan.schema import from_json
 
+from test_pipeline import BLOCKED
+
 MINI = {
     "name": "mini",
     "topology": {"kind": "ring", "n": 4, "spacing": 250.0},
@@ -103,6 +105,20 @@ def test_assign_runs_no_simulation(tmp_path, capsys):
         assert main(["assign", "--scenario", scenario_file(tmp_path, doc)]) == 0
         tables.append(capsys.readouterr().out)
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("command", ["run", "assign"])
+def test_routing_warnings_on_stderr(tmp_path, capsys, command):
+    # Both commands say when routing did not converge or blocked flows, and
+    # say nothing when it converged with every flow routed.
+    not_converged = "routing did not converge; using the last route table"
+    for doc, warnings in (
+            (NODES_CLOSE, []),
+            (MINI, [not_converged]),
+            (BLOCKED, [not_converged, "1 flow(s) blocked by the load threshold"])):
+        assert main([command, "--scenario", scenario_file(tmp_path, doc)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"meshplan: warning: {w}" for w in warnings]
 
 
 @pytest.mark.parametrize("command", ["run", "assign"])

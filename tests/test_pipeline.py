@@ -184,19 +184,26 @@ def test_bundle_replays_from_its_scenario():
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", ["paper-ring-4", "paper-table1", "grid-params"])
-def test_bundle_loads_replay_from_its_scenario(name, protocol):
+def test_bundle_loads_replay_from_its_scenario(name, protocol, monkeypatch):
     # The bundle stores no load estimate: a decoded bundle replays the one
-    # planning made, and a bundle that carries one is rejected.
+    # planning made, from the geometry and routing stages alone, and a bundle
+    # that carries one is rejected.
     from test_reports import GRID_PARAMS  # test_reports imports this module
     doc = {"paper-ring-4": {"preset": name},
            "paper-table1": {"preset": name, "sim": {"horizon_s": 5.0}},
            "grid-params": GRID_PARAMS}[name]
     scenario = scenario_from_dict(doc)
     result = run_pipeline(scenario, protocol)
+    planned = pipeline.plan(scenario, protocol)[2]
     bundle = json.loads(render_report(result, "json"))
     assert "loads" not in bundle
+
+    def no_assignment(*args):
+        raise AssertionError("replaying the loads ran channel assignment")
+
+    monkeypatch.setattr(pipeline, "_assign", no_assignment)
     replayed = PipelineResult.from_dict(bundle).loads
-    assert replayed == pipeline.plan(scenario, protocol)[2] == result.loads
+    assert replayed == planned == result.loads
     bundle["loads"] = to_json(replayed)
     with pytest.raises(ConfigurationError, match=r"^bundle: unknown key\(s\) \['loads'\]"):
         PipelineResult.from_dict(bundle)

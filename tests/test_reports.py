@@ -109,8 +109,8 @@ GRID_PARAMS = {
     "sim": {"horizon_s": 5, "channel_capacity_bps": 9e6},
 }
 GRID_PARAMS_DIGESTS = {
-    ("run", "ccmca"): "2f3632f1abd1d780f1ca58957591771750bca35fcd1d787143c14b1361c0dd6b",
-    ("run", "baseline"): "7d0cca210f2728b686311a343f0de1dc8c72d070ae6dbcfd074d3565bbccead6",
+    ("run", "ccmca"): "41291dead5a83de4afb92c5f4aa673b9eeab18a7e47e3369bc90f8bc90c42f64",
+    ("run", "baseline"): "f221e9fffd9030f4b803f4dbf387551fac16ec1d5635f9958141a1d8fb16bee4",
     ("assign", "ccmca"): "370f2606d7b46dfa8def002f70543ce2f81c0c7b301dfe0bf9bd86709b7a502b",
     ("assign", "baseline"): "e1563b3cd9b6c35546ea99639d72d93e2243722f6edb3ba2b6223ae65b958863",
 }

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
                       run_simulation, scenario_from_dict, sim_input,
                       sweep_channels, sweep_time)
 
+from meshplan.pipeline import plan
 from meshplan.sim import MAX_SLOTS, _CREDIT_EPS, _TIME_EPS, _FlowRun, _charge, sim_key
 
 from conftest import build, cbr, profile
@@ -143,13 +145,79 @@ def test_sim_key_holds_what_a_run_reads(ring4, ring4_imap):
     assert outcome(assignment([1, 0, 1, 1], [0, 1, 1, 0])) == base
     assert outcome(assignment([0, 0, 0, 0], [0, 1, 1, 0]),
                    dataclasses.replace(config, seed=7)) == base
-    # A longer frame cycle, a smaller co-channel set and a shorter horizon
-    # each change the run, and so the key.
-    for other in (outcome(assignment([0, 0, 0, 0], [0, 1, 2, 0])),
-                  outcome(assignment([0, 0, 0, 1], [0, 1, 1, 0])),
-                  outcome(assignment([0, 0, 0, 0], [0, 1, 1, 0]),
-                          dataclasses.replace(config, horizon_s=0.4))):
-        assert other[0] != base[0] and other[1] != base[1]
+    # Frames that hold only links on no route drop out of the cycle, and the
+    # frames left keep their order under new numbers.
+    assert outcome(assignment([0, 0, 0, 0], [0, 1, 2, 0])) == base
+    assert outcome(assignment([0, 0, 0, 0], [2, 0, 1, 2])) == base
+    # A smaller co-channel set, a longer cycle (link 3 on a frame of its own)
+    # and a shorter horizon each change the run, and so the key.
+    apart = outcome(assignment([0, 0, 0, 1], [0, 1, 1, 0]))
+    for other, ref in ((apart, base),
+                       (outcome(assignment([0, 0, 0, 1], [0, 1, 1, 2])), apart),
+                       (outcome(assignment([0, 0, 0, 0], [0, 1, 1, 0]),
+                                dataclasses.replace(config, horizon_s=0.4)), base)):
+        assert other[0] != ref[0] and other[1] != ref[1]
+
+
+# On the 3x3 grid, links sort by (u, v): 0=(0,1) 1=(0,3) 2=(1,2) 3=(1,4)
+# 4=(2,5) 5=(3,4) 6=(3,6) 7=(4,5) 8=(4,7) 9=(5,8) 10=(6,7) 11=(7,8). The two
+# flows meet on link 4; links 1, 3, 8, 10 and 11 are on no route.
+GRID9_ROUTES = RouteTable({(0, 8): Route((0, 2, 4, 9), 4.0), (6, 2): Route((6, 5, 7, 4), 4.0)})
+GRID9_UNROUTED = (1, 3, 8, 10, 11)
+
+
+@st.composite
+def idle_frame_edits(draw):
+    """Channels and frames for the 3x3 grid's 12 links, and the same frames
+    with a frame of unrouted links only inserted, or renumbered in order."""
+    channels = draw(st.lists(st.integers(0, 1), min_size=12, max_size=12))
+    frames = draw(st.lists(st.integers(0, 5), min_size=12, max_size=12))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, max(frames) + 1))
+        idle = draw(st.sets(st.sampled_from(GRID9_UNROUTED), min_size=1))
+        edited = [at if l in idle else f + (f >= at) for l, f in enumerate(frames)]
+    else:
+        used = sorted(set(frames))
+        steps = draw(st.lists(st.integers(1, 3), min_size=len(used), max_size=len(used)))
+        new = {f: n - 1 for f, n in zip(used, itertools.accumulate(steps))}
+        edited = [new[f] for f in frames]
+    return channels, frames, edited
+
+
+@settings(max_examples=60, deadline=None)
+@given(idle_frame_edits())
+def test_idle_frames_and_frame_numbers_drop_out_of_a_run(case):
+    channels, frames, edited = case
+    imap = build_interference_map(build("grid", 9, 200.0))
+    prof = profile(cbr(0, 8, 2.5e6, 1250), cbr(6, 2, 1e6, 1500))
+    config = SimConfig(horizon_s=0.2)
+    before, after = (sim_input(imap, prof, GRID9_ROUTES,
+                               ChannelAssignment(2, tuple(channels), tuple(f)))
+                     for f in (frames, edited))
+    assert after == before
+    assert run_simulation(after, config) == run_simulation(before, config)
+
+
+def test_grid_cycle_holds_only_frames_with_a_routed_link():
+    # A 10x10 grid, 200 m pitch, six 4+4-hop flows. ccmca colours the links
+    # no route uses last, and its plan ends in a frame that holds only those;
+    # the run's cycle leaves that frame out. Pinned as they come out.
+    flows = [{"src": 0, "dst": 44, "kind": "voip"}, {"src": 5, "dst": 41, "kind": "voip"},
+             {"src": 50, "dst": 94, "kind": "vod", "packet_bytes": 1500},
+             {"src": 59, "dst": 95, "kind": "voip"}, {"src": 22, "dst": 66, "kind": "voip"},
+             {"src": 27, "dst": 63, "kind": "vod", "packet_bytes": 1500}]
+    scenario = scenario_from_dict({"name": "grid100",
+                                   "topology": {"kind": "grid", "n": 100, "spacing": 200.0},
+                                   "traffic": {"flows": flows}, "sim": {"horizon_s": 2.0}})
+    outcome = {}
+    for protocol in ("ccmca", "baseline"):
+        _, imap, _, routes, assignment = plan(scenario, protocol)
+        inp = sim_input(imap, scenario.traffic, routes, assignment)
+        outcome[protocol] = (assignment.n_frames, inp.n_frames,
+                             run_pipeline(scenario, protocol).metrics.avg_delay_s)
+    # (frames in the plan, frames in the cycle, average delay in s)
+    assert outcome == {"ccmca": (5, 4, 0.01950000000000007),
+                       "baseline": (4, 4, 0.020500000000000015)}
 
 
 def test_sim_config_validation():
