@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import itertools
@@ -198,17 +199,21 @@ def test_idle_frames_and_frame_numbers_drop_out_of_a_run(case):
     assert run_simulation(after, config) == run_simulation(before, config)
 
 
+# A 10x10 grid, 200 m pitch, six 4+4-hop flows, 2 s.
+GRID100 = {"name": "grid100", "topology": {"kind": "grid", "n": 100, "spacing": 200.0},
+           "traffic": {"flows": [
+               {"src": 0, "dst": 44, "kind": "voip"}, {"src": 5, "dst": 41, "kind": "voip"},
+               {"src": 50, "dst": 94, "kind": "vod", "packet_bytes": 1500},
+               {"src": 59, "dst": 95, "kind": "voip"}, {"src": 22, "dst": 66, "kind": "voip"},
+               {"src": 27, "dst": 63, "kind": "vod", "packet_bytes": 1500}]},
+           "sim": {"horizon_s": 2.0}}
+
+
 def test_grid_cycle_holds_only_frames_with_a_routed_link():
-    # A 10x10 grid, 200 m pitch, six 4+4-hop flows. ccmca colours the links
-    # no route uses last, and its plan ends in a frame that holds only those;
-    # the run's cycle leaves that frame out. Pinned as they come out.
-    flows = [{"src": 0, "dst": 44, "kind": "voip"}, {"src": 5, "dst": 41, "kind": "voip"},
-             {"src": 50, "dst": 94, "kind": "vod", "packet_bytes": 1500},
-             {"src": 59, "dst": 95, "kind": "voip"}, {"src": 22, "dst": 66, "kind": "voip"},
-             {"src": 27, "dst": 63, "kind": "vod", "packet_bytes": 1500}]
-    scenario = scenario_from_dict({"name": "grid100",
-                                   "topology": {"kind": "grid", "n": 100, "spacing": 200.0},
-                                   "traffic": {"flows": flows}, "sim": {"horizon_s": 2.0}})
+    # ccmca colours the links no route uses last, and its plan ends in a
+    # frame that holds only those; the run's cycle leaves that frame out.
+    # Pinned as they come out.
+    scenario = scenario_from_dict(GRID100)
     outcome = {}
     for protocol in ("ccmca", "baseline"):
         _, imap, _, routes, assignment = plan(scenario, protocol)
@@ -218,6 +223,44 @@ def test_grid_cycle_holds_only_frames_with_a_routed_link():
     # (frames in the plan, frames in the cycle, average delay in s)
     assert outcome == {"ccmca": (5, 4, 0.01950000000000007),
                        "baseline": (4, 4, 0.020500000000000015)}
+
+
+def schedule_facts(scenario, protocol):
+    """What a plan gives the simulator: (frames in the plan, frames in the
+    cycle, the routed subgraph's maximum degree, same-frame co-channel pairs
+    of interfering routed links, average delay in s)."""
+    topology, imap, _, routes, asg = plan(scenario, protocol)
+    routed = sorted({l for r in routes.routes.values() for l in r.links})
+    degree = collections.Counter(n for l in routed
+                                 for n in (topology.links[l].u, topology.links[l].v))
+    pairs = sum(1 for i, l in enumerate(routed) for q in routed[i + 1:]
+                if (asg.frame_of[l], asg.channel_of[l]) == (asg.frame_of[q], asg.channel_of[q])
+                and q in imap.interferers[l])
+    cycle = sim_input(imap, scenario.traffic, routes, asg).n_frames
+    return (asg.n_frames, cycle, max(degree.values()), pairs,
+            run_pipeline(scenario, protocol).metrics.avg_delay_s)
+
+
+SCHEDULE_DOCS = {"paper-table1": {"preset": "paper-table1"}, "grid100": GRID100}
+# Per protocol: frames in the plan, frames in the cycle, the routed
+# subgraph's maximum degree, same-frame co-channel routed pairs, average
+# delay in s.
+PINNED_SCHEDULES = {
+    "paper-table1": {"ccmca": (3, 3, 2, 0, 0.3558189171974565),
+                     "baseline": (2, 2, 2, 11, 0.1740040415335408)},
+    "grid100": {"ccmca": (5, 4, 4, 8, 0.01950000000000007),
+                "baseline": (4, 4, 4, 18, 0.020500000000000015)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_DOCS))
+def test_schedule_characterization(name):
+    # Both protocols' schedules on a ring and a grid where they differ,
+    # pinned as they come out: ccmca's frames against the routed subgraph's
+    # degree, the paper's co-channel interference claim, and delay.
+    scenario = scenario_from_dict(SCHEDULE_DOCS[name])
+    outcome = {protocol: schedule_facts(scenario, protocol) for protocol in ("ccmca", "baseline")}
+    assert outcome == PINNED_SCHEDULES[name]
 
 
 def test_sim_config_validation():
