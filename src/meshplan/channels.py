@@ -1,14 +1,16 @@
 """Greedy load-ordered channel assignment with TDMA-like activation frames.
 
-Frames are a first-fit colouring of the links: each link takes the
-smallest frame that no link before it already holds at either of its
-endpoints, so no two links of a frame share a node (self-interference).
-The colouring reads each link's own endpoints and keeps, per node, the
-frames its links hold so far. Links go in descending expected-load order
-for ccmca and in id order for the seeded random baseline. ccmca then gives
-each link, frame by frame and in load order within a frame, the channel
-with the smallest summed gain of already-assigned co-channel interferers.
-Every link holds exactly one channel and one frame.
+Frames colour the links so that no two links of a frame share a node
+(self-interference); the colouring keeps, per node, the frames its links
+hold so far. The seeded random baseline colours by first fit in id order:
+each link takes the smallest frame that no link before it holds at either
+endpoint. ccmca goes in descending expected-load order and adds Kempe-chain
+swaps to first fit, so its routed links take as many frames as their
+subgraph's maximum degree when that subgraph is bipartite, as on rings of
+even length and grids (König). ccmca then gives each link, frame by frame
+and in load order within a frame, the channel with the smallest summed gain
+of already-assigned co-channel interferers. Every link holds exactly one
+channel and one frame.
 """
 
 from __future__ import annotations
@@ -83,15 +85,62 @@ def first_fit_frames(order: Iterable[int], links: Sequence[VirtualLink]) -> list
     return frame_of
 
 
-def schedule_all_frames(order: Sequence[int], topology: Topology, imap: InterferenceMap,
+def kempe_frames(loads: Sequence[float], links: Sequence[VirtualLink]) -> list[int]:
+    """Per link, its frame: links go in ``order_links(loads)`` order, and
+    link (u, v) takes the first-fit frame ff unless that is above both a and
+    b, the lowest frames free at u and at v. Then, if the link carries load,
+    the a/b-alternating path from v's a-link has its two frames swapped and
+    the link takes a; if that path ends at u (an odd cycle), it takes ff.
+
+    A swap frees a at v and leaves u as it was, so loaded links use exactly
+    the maximum degree of their subgraph in frames when that is bipartite
+    (König), and at most 2Δ - 1 otherwise. Zero-load links come last and
+    never swap, so they cannot move a loaded link's frame."""
+    frame_of = [-1] * len(links)
+    held: defaultdict[int, int] = defaultdict(int)  # per node: bit f set once frame f is held
+    at: defaultdict[int, dict[int, int]] = defaultdict(dict)  # per node: frame -> loaded link
+    for link in order_links(loads):
+        l = links[link]
+        hu, hv = held[l.u], held[l.v]
+        taken = hu | hv
+        bit = ~taken & (taken + 1)  # first fit: the lowest frame neither endpoint holds
+        if loads[link] > 0:  # so every link placed so far is loaded, and in `at`
+            a, b = ~hu & (hu + 1), ~hv & (hv + 1)
+            if bit != max(a, b):
+                # v holds a, since a < bit and a is free at u; b is free at v
+                fa, fb = a.bit_length() - 1, b.bit_length() - 1
+                walk, node, f = [], l.v, fa
+                while f in at[node]:
+                    e = at[node][f]
+                    walk.append(e)
+                    node = links[e].u + links[e].v - node
+                    f = fa + fb - f
+                if node != l.u:  # swap a and b along the path
+                    for e in walk:
+                        del at[links[e].u][frame_of[e]], at[links[e].v][frame_of[e]]
+                    for e in walk:
+                        f = frame_of[e] = fa + fb - frame_of[e]
+                        at[links[e].u][f] = at[links[e].v][f] = e
+                    held[l.v] ^= a | b  # the path's inner nodes still hold both
+                    held[node] ^= a | b
+                    bit = a
+            f = bit.bit_length() - 1
+            at[l.u][f] = at[l.v][f] = link
+        held[l.u] |= bit
+        held[l.v] |= bit
+        frame_of[link] = bit.bit_length() - 1
+    return frame_of
+
+
+def schedule_all_frames(loads: Sequence[float], topology: Topology, imap: InterferenceMap,
                         n_channels: int) -> ChannelAssignment:
-    """Frames by first fit in `order`; then channels link by link in (frame,
-    order) sequence, each the one with the smallest summed gain of the
+    """Frames by ``kempe_frames``; then channels link by link in (frame,
+    load order) sequence, each the one with the smallest summed gain of the
     co-channel interferers already assigned, ties to the smallest channel."""
-    frame_of = first_fit_frames(order, topology.links)
+    frame_of = kempe_frames(loads, topology.links)
     gains = topology.link_gains()
     channel_of: list[int | None] = [None] * len(frame_of)
-    for link in sorted(order, key=frame_of.__getitem__):
+    for link in sorted(order_links(loads), key=frame_of.__getitem__):
         d = channel_gain_sums(link, n_channels, channel_of, imap, gains)
         channel_of[link] = d.index(min(d))  # ties to the smallest channel
     return ChannelAssignment(n_channels, tuple(channel_of), tuple(frame_of))

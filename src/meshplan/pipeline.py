@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
-from .channels import ChannelAssignment, baseline_assign, order_links, schedule_all_frames
+from .channels import ChannelAssignment, baseline_assign, schedule_all_frames
+# not called here: bench/spans.py times channels' order_links under this name
+from .channels import order_links  # noqa: F401
 from .errors import ConfigurationError, PipelineError
 from .loads import GoodputReport, LoadEstimate, goodput
 from .routing import RouteTable, fixed_point_route, routed_link_loads
@@ -136,7 +138,7 @@ def _assign(topology, imap, routes, scenario: Scenario, protocol: str) -> Channe
             # Priorities follow the loads the committed routes will induce;
             # identical to loads.load at a converged fixed point.
             induced = routed_link_loads(topology.n_links, routes, scenario.traffic)
-            return schedule_all_frames(order_links(induced), topology, imap, channels)
+            return schedule_all_frames(induced, topology, imap, channels)
         return baseline_assign(topology, channels, scenario.sim.seed)
 
 

@@ -73,22 +73,58 @@ def n1(topology):
             for l, link in enumerate(topology.links)]
 
 
-def replay_schedule(order, topology, imap, n_channels):
-    """Independent re-simulation of the greedy assignment walk: per-step
-    exhaustive argmin over brute-force gain sums, per-frame eligibility
-    against the node-adjacent links of ``n1``, ties to the smallest channel
-    index."""
+def replay_schedule(loads, topology, imap, n_channels):
+    """Independent re-simulation of the assignment walk, over explicit sets.
+
+    Frames: links in descending load, ties by ascending id. A link takes the
+    smallest frame that no placed link at either endpoint holds, unless it
+    carries load and that frame exceeds both a and b, the smallest frames
+    free at u and at v. Then the path from v through links of frames a, b, a,
+    ... is followed; unless it reaches u, its links trade a for b and b for a,
+    and the link takes a. Channels: frame by frame, in load order within a
+    frame, the exhaustive argmin over brute-force gain sums, ties to the
+    smallest channel index."""
+    links = topology.links
     gains = topology.link_gains()
-    adjacent = n1(topology)
-    n = len(order)
-    channel = [None] * n
+    n = len(links)
+    order = sorted(range(n), key=lambda l: (-loads[l], l))
     frame = [None] * n
-    f = 0
-    while any(c is None for c in channel):
+
+    def held(*nodes):
+        return {frame[e] for e in range(n)
+                if frame[e] is not None and {links[e].u, links[e].v} & set(nodes)}
+
+    def smallest_not_in(frames):
+        f = 0
+        while f in frames:
+            f += 1
+        return f
+
+    for link in order:
+        u, v = links[link].u, links[link].v
+        chosen = smallest_not_in(held(u, v))
+        a, b = smallest_not_in(held(u)), smallest_not_in(held(v))
+        if loads[link] > 0 and chosen != max(a, b):
+            path, node, want = [], v, a
+            while True:
+                step = [e for e in range(n)
+                        if frame[e] == want and node in (links[e].u, links[e].v)]
+                if not step:
+                    break
+                assert len(step) == 1  # frames are matchings
+                path.append(step[0])
+                node = links[step[0]].v if links[step[0]].u == node else links[step[0]].u
+                want = b if want == a else a
+            if node != u:
+                for e in path:
+                    frame[e] = b if frame[e] == a else a
+                chosen = a
+        frame[link] = chosen
+
+    channel = [None] * n
+    for f in sorted(set(frame)):
         for link in order:
-            if channel[link] is not None:
-                continue
-            if any(frame[e] == f for e in adjacent[link]):
+            if frame[link] != f:
                 continue
             d = []
             for c in range(n_channels):
@@ -99,8 +135,6 @@ def replay_schedule(order, topology, imap, n_channels):
                 if best is None or d[c] < best:
                     best, best_c = d[c], c
             channel[link] = best_c
-            frame[link] = f
-        f += 1
     return tuple(channel), tuple(frame)
 
 

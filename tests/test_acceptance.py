@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from meshplan import (AlgorithmParams, Flow, TrafficProfile, acceptable_paths_for_profile,
-                      build_interference_map, expected_link_load, load_scenario, order_links,
+                      build_interference_map, expected_link_load, load_scenario,
                       render_report, run_pipeline, run_simulation,
                       scenario_from_dict, schedule_all_frames, sim_input,
                       sweep_channels)
@@ -35,17 +35,16 @@ def greedy_battery():
         rng = random.Random(10_000 + seed)
         delta = [rng.uniform(0.0, 100.0) for _ in range(topo.n_links)]
         n_channels = 2 + seed % 4  # 2..5
-        order = order_links(delta)
-        asg = schedule_all_frames(order, topo, imap, n_channels)
-        cases.append((topo, imap, order, n_channels, asg))
+        asg = schedule_all_frames(delta, topo, imap, n_channels)
+        cases.append((topo, imap, delta, n_channels, asg))
     return cases
 
 
 def test_acceptance_1_greedy_replay_oracle(greedy_battery, capsys):
     start = time.time()
-    for topo, imap, order, n_channels, asg in greedy_battery:
+    for topo, imap, delta, n_channels, asg in greedy_battery:
         assert topo.n_nodes <= 12 and topo.n_links <= 24
-        channel, frame = replay_schedule(order, topo, imap, n_channels)
+        channel, frame = replay_schedule(delta, topo, imap, n_channels)
         assert asg.channel_of == channel, "channel differs from per-turn argmin"
         assert asg.frame_of == frame
     elapsed = time.time() - start

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,7 +75,7 @@ def test_channel_gain_sum_counts_only_interferers(grid9):
 def test_schedule_single_link():
     t = build("chain", 2, 100.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames([0], t, imap, 3)
+    asg = schedule_all_frames([1.0], t, imap, 3)
     # all gain sums zero: smallest index wins
     assert asg == ChannelAssignment(3, (0,), (0,))
 
@@ -87,7 +88,7 @@ def test_first_fit_adjacent_links_defer_lower_priority():
 
 def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
     gains = ring4.link_gains()
-    asg = schedule_all_frames(order_links([4.0, 3.0, 2.0, 1.0]), ring4, ring4_imap, 2)
+    asg = schedule_all_frames([4.0, 3.0, 2.0, 1.0], ring4, ring4_imap, 2)
     assert asg.links_in_frame(0) == [0, 3]  # a maximal matching: opposite links
     assert asg.channel_of[0] == 0
     assert asg.channel_of[3] == 1  # channel 0 already carries an interferer
@@ -99,13 +100,13 @@ def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
 def test_schedule_two_adjacent_links():
     t = build("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames(order_links([1.0, 5.0]), t, imap, 2)
+    asg = schedule_all_frames([1.0, 5.0], t, imap, 2)
     assert asg.frame_of == (1, 0)
     assert asg.n_frames == 2
 
 
 def test_schedule_ring4_two_frames(ring4, ring4_imap):
-    asg = schedule_all_frames(order_links([4.0, 3.0, 2.0, 1.0]), ring4, ring4_imap, 2)
+    asg = schedule_all_frames([4.0, 3.0, 2.0, 1.0], ring4, ring4_imap, 2)
     assert asg.n_frames == 2
     assert sorted(asg.links_in_frame(0)) == [0, 3]
     assert sorted(asg.links_in_frame(1)) == [1, 2]
@@ -117,7 +118,7 @@ def test_schedule_ring4_two_frames(ring4, ring4_imap):
 def test_schedule_star_all_links_share_hub():
     t = build("star", 6, 250.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames(order_links([5.0, 4.0, 3.0, 2.0, 1.0]), t, imap, 3)
+    asg = schedule_all_frames([5.0, 4.0, 3.0, 2.0, 1.0], t, imap, 3)
     assert asg.n_frames == 5
     assert [asg.frame_of[l] for l in range(5)] == [0, 1, 2, 3, 4]
 
@@ -128,7 +129,7 @@ def test_schedule_coverage_and_matching_invariants():
         imap = build_interference_map(topo)
         rng = random.Random(seed + 1000)
         delta = [rng.uniform(0, 100) for _ in range(topo.n_links)]
-        asg = schedule_all_frames(order_links(delta), topo, imap, 3)
+        asg = schedule_all_frames(delta, topo, imap, 3)
         # coverage: exactly one channel and one frame everywhere
         assert len(asg.channel_of) == len(asg.frame_of) == topo.n_links
         # matching: no two links in one frame share an endpoint
@@ -147,9 +148,8 @@ def test_schedule_matches_independent_replay():
         rng = random.Random(seed + 2000)
         delta = [rng.uniform(0, 100) for _ in range(topo.n_links)]
         n_channels = 2 + seed % 4
-        order = order_links(delta)
-        asg = schedule_all_frames(order, topo, imap, n_channels)
-        channel, frame = replay_schedule(order, topo, imap, n_channels)
+        asg = schedule_all_frames(delta, topo, imap, n_channels)
+        channel, frame = replay_schedule(delta, topo, imap, n_channels)
         assert asg.channel_of == channel
         assert asg.frame_of == frame
 
@@ -164,9 +164,8 @@ def test_per_step_argmin_small_topologies_exhaustive():
         imap = build_interference_map(topo)
         for n_channels in (1, 2, 3):
             delta = [rng.uniform(0, 10) for _ in range(topo.n_links)]
-            order = order_links(delta)
-            asg = schedule_all_frames(order, topo, imap, n_channels)
-            channel, frame = replay_schedule(order, topo, imap, n_channels)
+            asg = schedule_all_frames(delta, topo, imap, n_channels)
+            channel, frame = replay_schedule(delta, topo, imap, n_channels)
             assert asg.channel_of == channel and asg.frame_of == frame
 
 
@@ -186,9 +185,42 @@ def test_frame_priority_respects_order(monkeypatch):
         delta = [random.Random(seed).uniform(0, 9) for _ in range(topo.n_links)]
         order = order_links(delta)
         visited.clear()
-        asg = schedule_all_frames(order, topo, imap, 2)
+        asg = schedule_all_frames(delta, topo, imap, 2)
         pos = {l: i for i, l in enumerate(order)}
         assert visited == sorted(order, key=lambda l: (asg.frame_of[l], pos[l]))
+
+
+@st.composite
+def loaded_topologies(draw):
+    """A random topology, and per link a load; a fifth of them zero."""
+    topo = random_topology(draw(st.integers(0, 10**6)))
+    loads = draw(st.lists(st.integers(0, 4).map(float), min_size=topo.n_links,
+                          max_size=topo.n_links))
+    return topo, loads
+
+
+@settings(max_examples=200, deadline=None)
+@given(loaded_topologies())
+def test_frames_take_the_loaded_subgraphs_degree(case):
+    topo, loads = case
+    frame_of = channels.kempe_frames(loads, topo.links)
+    for f in set(frame_of):  # every frame is a matching
+        ends = [n for l, link in enumerate(topo.links) if frame_of[l] == f
+                for n in (link.u, link.v)]
+        assert len(ends) == len(set(ends))
+    loaded = [l for l, x in enumerate(loads) if x > 0]
+    if not loaded:
+        return
+    # The loaded links alone, every one carrying load: adding the zero-load
+    # links leaves each loaded link's frame unchanged.
+    alone = channels.kempe_frames([loads[l] for l in loaded], [topo.links[l] for l in loaded])
+    assert [frame_of[l] for l in loaded] == alone
+    graph = nx.Graph((topo.links[l].u, topo.links[l].v) for l in loaded)
+    degree = max(d for _, d in graph.degree())
+    if nx.is_bipartite(graph):
+        assert max(alone) + 1 == degree
+    else:
+        assert degree <= max(alone) + 1 <= 2 * degree - 1
 
 
 def first_fit_oracle(order, adjacent):

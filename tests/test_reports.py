@@ -31,9 +31,9 @@ RUN_DIGESTS = {
     ("paper-ring-4", "baseline", "json"):
         "151d0f2e0480bd8d2fa748650328fd648bbb81d475271d87ab5afc785e805c36",
     ("paper-table1", "ccmca", "csv"):
-        "95e94989d9314dd8d967b71cfec2055f8a9414f0161e64bd7d8bc7d487eefd4d",
+        "5839c8381861b87cf9d927e4746a5270c0868947fa3461279dae4061450f1b88",
     ("paper-table1", "ccmca", "json"):
-        "a754231d9e70034c5c8a7c424aafac39e15e1968b9fb9ac57da9332226e6e28f",
+        "c5a83c5c345c7589130f69c22d9c06d0f01883aeb87057be579df3aedebcb73d",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
@@ -42,7 +42,7 @@ RUN_DIGESTS = {
 
 ASSIGN_DIGESTS = {
     "paper-ring-4": "8bb18106f29efd7b412a0b0372e5898fd29c2fdbdb2d6b0a14c2366648a27ac9",
-    "paper-table1": "4e5c7fe925f9181bc6ef92ab4ab70f2b3a6e3387422424af151a3db79435fa91",
+    "paper-table1": "c705e25673ab0e387102f4f18bafe5e07377e6f2cfbddb34f2c1600a8a39d169",
 }
 
 # `meshplan assign --format json` on one document of each topology kind the
@@ -84,7 +84,7 @@ FULL_HORIZON_DOCS = {
 }
 FULL_HORIZON_DIGESTS = {
     ("paper-table1", "ccmca"):
-        "5fd02667ff6b77cb7c47c26cdd902be394ee50211c7193822e1a4b1e7657c0c1",
+        "3cd109e910c0d4011659a5e4eefa7d2fd6ca648c8af81f9f8796b18917352507",
     ("paper-table1", "baseline"):
         "14253381fd11de4b6f3fd7550f2d96d33a4fdc8903cc232e4642d60b6e42f0e1",
     ("chain-saturated", "ccmca"):
