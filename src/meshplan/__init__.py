@@ -9,7 +9,7 @@ seeded random-assignment baseline.
 """
 
 from .channels import (ChannelAssignment, baseline_assign, channel_gain_sums,
-                       first_fit_frames, order_links, schedule_all_frames)
+                       order_links, schedule_all_frames)
 from .errors import (ConfigurationError, ContractError, MeshPlanError,
                      PipelineError, ScenarioParseError,
                      ScenarioValidationError, UnroutableFlowError)

@@ -1,16 +1,17 @@
 """Greedy load-ordered channel assignment with TDMA-like activation frames.
 
 Frames colour the links so that no two links of a frame share a node
-(self-interference); the colouring keeps, per node, the frames its links
-hold so far. The seeded random baseline colours by first fit in id order:
-each link takes the smallest frame that no link before it holds at either
-endpoint. ccmca goes in descending expected-load order and adds Kempe-chain
-swaps to first fit, so its routed links take as many frames as their
-subgraph's maximum degree when that subgraph is bipartite, as on rings of
-even length and grids (König). ccmca then gives each link, frame by frame
-and in load order within a frame, the channel with the smallest summed gain
-of already-assigned co-channel interferers. Every link holds exactly one
-channel and one frame.
+(self-interference); one builder, ``kempe_frames``, makes them for both
+protocols, keeping per node the frames its links hold so far. Links go in
+descending load order, each taking the smallest frame that no link before it
+holds at either endpoint (first fit), and a loaded link adds Kempe-chain
+swaps to that. ccmca passes its expected loads, so its routed links take as
+many frames as their subgraph's maximum degree when that subgraph is
+bipartite, as on rings of even length and grids (König). The seeded random
+baseline passes no load at all, which is first fit in link-id order. ccmca
+then gives each link, frame by frame and in load order within a frame, the
+channel with the smallest summed gain of already-assigned co-channel
+interferers. Every link holds exactly one channel and one frame.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .schema import check, invalid, param
 from .topology import InterferenceMap, Topology, VirtualLink
@@ -44,9 +45,6 @@ class ChannelAssignment:
             if f < 0:
                 raise invalid(f"frame_of[{link}]", f"must be >= 0, got {f}")
 
-    def links_in_frame(self, frame: int) -> list[int]:
-        return [l for l, f in enumerate(self.frame_of) if f == frame]
-
     @property
     def n_frames(self) -> int:
         return max(self.frame_of, default=-1) + 1
@@ -69,22 +67,6 @@ def channel_gain_sums(link: int, n_channels: int, channel_of: Sequence[int | Non
     return sums
 
 
-def first_fit_frames(order: Iterable[int], links: Sequence[VirtualLink]) -> list[int]:
-    """Per link, the smallest frame that no link earlier in `order` holds at
-    either of its endpoints: first-fit colouring of the shared-endpoint
-    conflict. `order` lists every link id once."""
-    frame_of = [-1] * len(links)
-    held: defaultdict[int, int] = defaultdict(int)  # per node: bit f set once frame f is held
-    for link in order:
-        l = links[link]
-        taken = held[l.u] | held[l.v]
-        bit = ~taken & (taken + 1)  # the lowest frame that neither endpoint holds
-        held[l.u] |= bit
-        held[l.v] |= bit
-        frame_of[link] = bit.bit_length() - 1
-    return frame_of
-
-
 def kempe_frames(loads: Sequence[float], links: Sequence[VirtualLink]) -> list[int]:
     """Per link, its frame: links go in ``order_links(loads)`` order, and
     link (u, v) takes the first-fit frame ff unless that is above both a and
@@ -95,7 +77,8 @@ def kempe_frames(loads: Sequence[float], links: Sequence[VirtualLink]) -> list[i
     A swap frees a at v and leaves u as it was, so loaded links use exactly
     the maximum degree of their subgraph in frames when that is bipartite
     (König), and at most 2Δ - 1 otherwise. Zero-load links come last and
-    never swap, so they cannot move a loaded link's frame."""
+    never swap, so they cannot move a loaded link's frame; all loads zero
+    give plain first fit in link-id order."""
     frame_of = [-1] * len(links)
     held: defaultdict[int, int] = defaultdict(int)  # per node: bit f set once frame f is held
     at: defaultdict[int, dict[int, int]] = defaultdict(dict)  # per node: frame -> loaded link
@@ -148,9 +131,9 @@ def schedule_all_frames(loads: Sequence[float], topology: Topology, imap: Interf
 
 def baseline_assign(topology: Topology, n_channels: int, seed: int) -> ChannelAssignment:
     """Comparison baseline: seeded uniform-random channel per link, frames
-    by first fit in link-id order."""
+    by ``kempe_frames`` with no load, which is first fit in link-id order."""
     rng = random.Random(seed)
     links = topology.links
     channel_of = tuple(rng.randrange(n_channels) for _ in links)
     return ChannelAssignment(n_channels, channel_of,
-                             tuple(first_fit_frames(range(len(links)), links)))
+                             tuple(kempe_frames([0.0] * len(links), links)))

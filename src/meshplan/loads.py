@@ -34,10 +34,6 @@ class LoadEstimate:
     load: tuple[float, ...]
     paths: dict[Pair, tuple[Path, ...]] = field(default_factory=dict)
 
-    def normalized(self, link: int) -> float:
-        """Load as a fraction of the link's capacity share."""
-        return self.load[link] / self.capacity[link]
-
 
 @dataclass(frozen=True)
 class GoodputReport:

@@ -33,13 +33,13 @@ class PipelineResult:
 
     The fields are the bundle. ``loads``, the load estimate routing started
     from, is not one: it replays the geometry and routing stages from the
-    scenario on first read, so a decoded bundle has it too."""
+    scenario on first read, so a decoded bundle has it too. Nor is
+    ``goodput``, which follows from the metrics and the traffic."""
     scenario: Scenario
     protocol: str
     routes: RouteTable
     assignment: ChannelAssignment
     metrics: SimMetrics
-    goodput: GoodputReport
 
     @property
     def config(self) -> SimConfig:
@@ -48,6 +48,10 @@ class PipelineResult:
     @cached_property
     def loads(self) -> LoadEstimate:
         return _route(*_geometry(self.scenario), self.scenario)[1]
+
+    @cached_property
+    def goodput(self) -> GoodputReport:
+        return goodput(self.metrics.per_flow, self.scenario.traffic)
 
     def to_dict(self) -> dict:
         return to_json(self)
@@ -185,10 +189,7 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
                         lambda: sim_input(imap, scenario.traffic, routes, assignment))
         metrics = _memoized(memo, sim_key(inp, scenario.sim),
                             lambda: run_simulation(inp, scenario.sim))
-    with _Stage("goodput"):
-        report = goodput(metrics.per_flow, scenario.traffic)
-
-    return PipelineResult(scenario, protocol, routes, assignment, metrics, report)
+    return PipelineResult(scenario, protocol, routes, assignment, metrics)
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def from_json(tp, doc, where: str):
     missing required field, a non-object or non-list value and a failed
     ``__post_init__`` raise ConfigurationError naming the place, such as
     ``traffic.flows[0].dst``. An int or float is typed here, so each element
-    of a tuple or dict is checked too (``bundle.goodput.useful.0->2``); other
+    of a tuple or dict is checked too (``bundle.assignment.channel_of[2]``); other
     scalars are left to ``check``."""
     # Most values are link ids and floats; testing for them first makes a
     # large bundle decode about three times faster.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from meshplan import (ChannelAssignment, ConfigurationError, baseline_assign,
                       build_interference_map, channel_gain_sums,
-                      channels, first_fit_frames, order_links, schedule_all_frames)
+                      channels, order_links, schedule_all_frames)
 from meshplan.schema import from_json, to_json
 
 from conftest import build, n1, random_topology, replay_schedule
@@ -35,13 +35,11 @@ def test_order_links_matches_selection_sort_oracle():
         assert order_links(delta) == expect
 
 
-def test_first_fit_frames_semantics(ring4):
+def test_baseline_frames_semantics(ring4):
     # links 1 and 2 share an endpoint with link 0 and are kept out of its
     # frame; the opposite link 3 joins it, and 1 and 2 share the next frame
-    assert first_fit_frames([0, 1, 2, 3], ring4.links) == [0, 1, 1, 0]
-    # only links earlier in the order hold frames a link must avoid
-    assert first_fit_frames([1, 0, 3, 2], ring4.links) == [1, 0, 0, 1]
-    assert first_fit_frames([], ()) == []
+    assert baseline_assign(ring4, 3, 1).frame_of == (0, 1, 1, 0)
+    assert channels.kempe_frames([], ()) == []
 
 
 def test_channel_gain_sum(ring4_imap):
@@ -82,14 +80,15 @@ def test_schedule_single_link():
 
 def test_first_fit_adjacent_links_defer_lower_priority():
     t = build("chain", 3, 100.0, tx_range=100.0)
-    order = order_links([1.0, 5.0])  # link 1 first
-    assert first_fit_frames(order, t.links) == [1, 0]
+    assert order_links([1.0, 5.0]) == [1, 0]  # link 1 first
+    assert channels.kempe_frames([1.0, 5.0], t.links) == [1, 0]
 
 
 def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
     gains = ring4.link_gains()
     asg = schedule_all_frames([4.0, 3.0, 2.0, 1.0], ring4, ring4_imap, 2)
-    assert asg.links_in_frame(0) == [0, 3]  # a maximal matching: opposite links
+    # a maximal matching: opposite links
+    assert [l for l, f in enumerate(asg.frame_of) if f == 0] == [0, 3]
     assert asg.channel_of[0] == 0
     assert asg.channel_of[3] == 1  # channel 0 already carries an interferer
     # exhaustive argmin replay for the second placed link
@@ -108,8 +107,7 @@ def test_schedule_two_adjacent_links():
 def test_schedule_ring4_two_frames(ring4, ring4_imap):
     asg = schedule_all_frames([4.0, 3.0, 2.0, 1.0], ring4, ring4_imap, 2)
     assert asg.n_frames == 2
-    assert sorted(asg.links_in_frame(0)) == [0, 3]
-    assert sorted(asg.links_in_frame(1)) == [1, 2]
+    assert asg.frame_of == (0, 1, 1, 0)
     # co-frame links land on different channels once gains are in play
     assert asg.channel_of[0] != asg.channel_of[3]
     assert asg.channel_of[1] != asg.channel_of[2]
@@ -134,7 +132,7 @@ def test_schedule_coverage_and_matching_invariants():
         assert len(asg.channel_of) == len(asg.frame_of) == topo.n_links
         # matching: no two links in one frame share an endpoint
         for f in range(asg.n_frames):
-            in_frame = asg.links_in_frame(f)
+            in_frame = [l for l, g in enumerate(asg.frame_of) if g == f]
             for i, a in enumerate(in_frame):
                 ea = {topo.links[a].u, topo.links[a].v}
                 for b in in_frame[i + 1:]:
@@ -209,7 +207,8 @@ def test_frames_take_the_loaded_subgraphs_degree(case):
                 for n in (link.u, link.v)]
         assert len(ends) == len(set(ends))
     loaded = [l for l, x in enumerate(loads) if x > 0]
-    if not loaded:
+    if not loaded:  # no load: first fit in id order, the baseline's frames
+        assert frame_of == first_fit_oracle(range(topo.n_links), n1(topo))
         return
     # The loaded links alone, every one carrying load: adding the zero-load
     # links leaves each loaded link's frame unchanged.
@@ -236,27 +235,11 @@ def first_fit_oracle(order, adjacent):
     return frame_of
 
 
-@st.composite
-def ordered_topologies(draw):
-    topo = random_topology(draw(st.integers(0, 10**6)))
-    return topo, draw(st.permutations(range(topo.n_links)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(ordered_topologies())
-def test_first_fit_frames_properties(case):
-    t, order = case
-    adjacent = n1(t)
-    frame_of = first_fit_frames(order, t.links)
-    assert frame_of == first_fit_oracle(order, adjacent)
-    pos = {l: i for i, l in enumerate(order)}
-    for link in order:
-        # the smallest frame that no earlier node-adjacent link holds
-        taken = {frame_of[e] for e in adjacent[link] if pos[e] < pos[link]}
-        assert frame_of[link] not in taken
-        assert all(f in taken for f in range(frame_of[link]))
-    assert max(frame_of) + 1 <= max(len(s) for s in adjacent) + 1
-    by_id = first_fit_oracle(range(t.n_links), adjacent)
+@given(st.integers(0, 10**6))
+def test_baseline_frames_are_first_fit_in_id_order(seed):
+    t = random_topology(seed)
+    by_id = first_fit_oracle(range(t.n_links), n1(t))
     assert baseline_assign(t, 3, 1).frame_of == tuple(by_id)
 
 
@@ -276,7 +259,7 @@ def test_baseline_deterministic_per_seed(ring4):
 def test_baseline_frames_form_matchings(ring4):
     asg = baseline_assign(ring4, 2, 3)
     for f in range(asg.n_frames):
-        in_frame = asg.links_in_frame(f)
+        in_frame = [l for l, g in enumerate(asg.frame_of) if g == f]
         for i, a in enumerate(in_frame):
             ea = {ring4.links[a].u, ring4.links[a].v}
             for b in in_frame[i + 1:]:

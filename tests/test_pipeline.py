@@ -182,6 +182,19 @@ def test_bundle_replays_from_its_scenario():
         assert render_report(again, "json") == text
 
 
+@pytest.mark.parametrize("name,protocol", [(preset, protocol) for preset in PRESETS
+                                           for protocol in PROTOCOLS] + [("blocked", "ccmca")])
+def test_bundle_goodput_follows_from_its_metrics(name, protocol):
+    # The bundle stores no goodput: a decoded bundle derives the same report
+    # from its metrics and traffic.
+    doc = BLOCKED if name == "blocked" else {"preset": name, "sim": {"horizon_s": 5.0}}
+    result = run_pipeline(scenario_from_dict(doc), protocol)
+    bundle = result.to_dict()
+    assert "goodput" not in bundle
+    assert PipelineResult.from_dict(bundle).goodput == result.goodput
+    assert (result.goodput.total == 0.0) == (name == "blocked")
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", ["paper-ring-4", "paper-table1", "grid-params"])
 def test_bundle_loads_replay_from_its_scenario(name, protocol, monkeypatch):
@@ -243,8 +256,8 @@ def test_bundle_missing_field_names_it():
         PipelineResult.from_dict(doc)
 
 
-# Values of the right shape that no run could produce; paper-ring-4 has 4
-# links and 3 channels.
+# Values of the right shape that no run could produce, and a derived report
+# that no bundle stores; paper-ring-4 has 4 links and 3 channels.
 @pytest.mark.parametrize("path,value,error", [
     (("assignment", "channel_of"), [0, 0],
      r"^bundle\.assignment\.frame_of: must list 2 links, like channel_of, got 4$"),
@@ -261,20 +274,20 @@ def test_bundle_missing_field_names_it():
      r"^bundle\.metrics\.per_flow\.0->2\.delivered: must be >= 0, got -1$"),
     (("scenario", "algorithm", "threshold_fraction"), "x",
      r"^bundle\.scenario\.algorithm\.threshold_fraction: must be a number, got 'x'$"),
-    (("goodput", "total"), -1.0, r"^bundle\.goodput\.total: must be >= 0, got -1\.0$"),
+    (("goodput",), {"useful": {"0->2": 1.0}, "total": 1.0},
+     r"^bundle: unknown key\(s\) \['goodput'\]; allowed: \['assignment', 'metrics', "
+     r"'protocol', 'routes', 'scenario'\]$"),
     (("assignment", "channel_of"), [0, 1, None, 1],
      r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got None$"),
     (("assignment", "channel_of"), [0, 1, True, 1],
      r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got True$"),
-    (("goodput", "useful", "0->2"), "x",
-     r"^bundle\.goodput\.useful\.0->2: must be a number, got 'x'$"),
+    # no bundle float is infinite, so the codec has no form for one
+    (("routes", "routes", "0->2", "cost"), "inf",
+     r"^bundle\.routes\.routes\.0->2\.cost: must be a number, got 'inf'$"),
     (("routes", "routes", "0->2", "links"), ["x"],
      r"^bundle\.routes\.routes\.0->2\.links\[0\]: must be an integer, got 'x'$"),
     (("scenario", "traffic", "flows", 0, "dst"), 99,
      r"^bundle\.scenario\.traffic\.flows\[0\]\.dst: node 99 not in topology \(0\.\.3\)$"),
-    # no bundle float is infinite, so the codec has no form for one
-    (("routes", "routes", "0->2", "cost"), "inf",
-     r"^bundle\.routes\.routes\.0->2\.cost: must be a number, got 'inf'$"),
 ])
 def test_bundle_impossible_value_names_it(path, value, error):
     doc = run_pipeline(ring_scenario(), "ccmca").to_dict()

@@ -25,19 +25,19 @@ RUN_DIGESTS = {
     ("paper-ring-4", "ccmca", "csv"):
         "ab12950cbda1b558379b6850f4630872eaa59facdb4753443b2ade3ea58b0179",
     ("paper-ring-4", "ccmca", "json"):
-        "248f4a67e72bd5d23b0786c1a38acb11f0ab5447c92d5ac77f72d2c34f02e770",
+        "a3ddaa166f38ff512d93f7bc4485b6648ece6ffcbaaa06265810036df60030b4",
     ("paper-ring-4", "baseline", "csv"):
         "502fc2284c2ae615b2801cb293b4c6e36b4697bd82baf837d13e46e63c25def3",
     ("paper-ring-4", "baseline", "json"):
-        "151d0f2e0480bd8d2fa748650328fd648bbb81d475271d87ab5afc785e805c36",
+        "441d878311d3f42b432be61f6ec32069752cecd60bfb48416a63c84b3c41ee8d",
     ("paper-table1", "ccmca", "csv"):
         "5839c8381861b87cf9d927e4746a5270c0868947fa3461279dae4061450f1b88",
     ("paper-table1", "ccmca", "json"):
-        "c5a83c5c345c7589130f69c22d9c06d0f01883aeb87057be579df3aedebcb73d",
+        "d1636939176c4dd845a0b46e057094c4acbfc91e9516241a39da5338408f4ff0",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
-        "f8a75d44fb035e9068b3cb6286ccc0f0c7272537fb52869f343963838e05f858",
+        "f76c0a0c5424c11e174cd5f6d702f700862720d63a588c6e87b1f2e8bf04afab",
 }
 
 ASSIGN_DIGESTS = {
@@ -84,13 +84,13 @@ FULL_HORIZON_DOCS = {
 }
 FULL_HORIZON_DIGESTS = {
     ("paper-table1", "ccmca"):
-        "3cd109e910c0d4011659a5e4eefa7d2fd6ca648c8af81f9f8796b18917352507",
+        "7b5673c21962bfc96804f17bf098736e31da7b35f5a0553b5c625512994656fb",
     ("paper-table1", "baseline"):
-        "14253381fd11de4b6f3fd7550f2d96d33a4fdc8903cc232e4642d60b6e42f0e1",
+        "23b12b5feaf55da4e7a7a5c23fb7bf9670633962e25a83e14454c104eb68bdf7",
     ("chain-saturated", "ccmca"):
-        "3d6c26dfd60f78aae327c9d40517fb719c8ed24e4e49e149031f1419216b5f77",
+        "ffbc95510c138ff9476d3807c7975438de9d379ad2a2c6cb95bd424a97db8d8c",
     ("chain-saturated", "baseline"):
-        "de9b4842963a788026afa9d7e6b942b002e47686a9444bd03082497d87dfc889",
+        "a769f6c79469cbb330e45d2de6566f8ace53a670e3d05987710ea30cd36e8055",
 }
 
 # `meshplan run` and `meshplan assign` JSON on a document whose every
@@ -109,8 +109,8 @@ GRID_PARAMS = {
     "sim": {"horizon_s": 5, "channel_capacity_bps": 9e6},
 }
 GRID_PARAMS_DIGESTS = {
-    ("run", "ccmca"): "41291dead5a83de4afb92c5f4aa673b9eeab18a7e47e3369bc90f8bc90c42f64",
-    ("run", "baseline"): "f221e9fffd9030f4b803f4dbf387551fac16ec1d5635f9958141a1d8fb16bee4",
+    ("run", "ccmca"): "cd66b687901c385543a1809a0dfd3be2785d6e4319b11440f2240a48fad438ae",
+    ("run", "baseline"): "5958eea32138197c573c37afdfc17372ab4b23ebbace886a4c55a67374444afc",
     ("assign", "ccmca"): "370f2606d7b46dfa8def002f70543ce2f81c0c7b301dfe0bf9bd86709b7a502b",
     ("assign", "baseline"): "e1563b3cd9b6c35546ea99639d72d93e2243722f6edb3ba2b6223ae65b958863",
 }
