@@ -225,10 +225,26 @@ def test_grid_cycle_holds_only_frames_with_a_routed_link():
                        "baseline": (4, 4, 0.020500000000000015)}
 
 
+def slots_per_hop(inp):
+    """The packet-rate-weighted mean of the slots a packet waits between one
+    hop's frame and the next hop's in the cycle: ((b - a - 1) mod F) + 1 for
+    places a then b in a cycle of F frames, over every hop after a route's
+    first."""
+    place = {l: frame for l, frame, _ in inp.links}
+    waits = weights = 0.0
+    for flow, links in inp.flows:
+        rate = flow.rate_bps / flow.packet_bits
+        for a, b in zip(links, links[1:]):
+            waits += rate * ((place[b] - place[a] - 1) % inp.n_frames + 1)
+            weights += rate
+    return waits / weights
+
+
 def schedule_facts(scenario, protocol):
     """What a plan gives the simulator: (frames in the plan, frames in the
     cycle, the routed subgraph's maximum degree, same-frame co-channel pairs
-    of interfering routed links, average delay in s)."""
+    of interfering routed links, rate-weighted mean slots per hop to 4
+    places, average delay in s)."""
     topology, imap, _, routes, asg = plan(scenario, protocol)
     routed = sorted({l for r in routes.routes.values() for l in r.links})
     degree = collections.Counter(n for l in routed
@@ -236,20 +252,20 @@ def schedule_facts(scenario, protocol):
     pairs = sum(1 for i, l in enumerate(routed) for q in routed[i + 1:]
                 if (asg.frame_of[l], asg.channel_of[l]) == (asg.frame_of[q], asg.channel_of[q])
                 and q in imap.interferers[l])
-    cycle = sim_input(imap, scenario.traffic, routes, asg).n_frames
-    return (asg.n_frames, cycle, max(degree.values()), pairs,
-            run_pipeline(scenario, protocol).metrics.avg_delay_s)
+    inp = sim_input(imap, scenario.traffic, routes, asg)
+    return (asg.n_frames, inp.n_frames, max(degree.values()), pairs,
+            round(slots_per_hop(inp), 4), run_pipeline(scenario, protocol).metrics.avg_delay_s)
 
 
 SCHEDULE_DOCS = {"paper-table1": {"preset": "paper-table1"}, "grid100": GRID100}
 # Per protocol: frames in the plan, frames in the cycle, the routed
-# subgraph's maximum degree, same-frame co-channel routed pairs, average
-# delay in s.
+# subgraph's maximum degree, same-frame co-channel routed pairs, mean slots
+# per hop, average delay in s.
 PINNED_SCHEDULES = {
-    "paper-table1": {"ccmca": (2, 2, 2, 0, 0.1685380794569717),
-                     "baseline": (2, 2, 2, 11, 0.1740040415335408)},
-    "grid100": {"ccmca": (5, 4, 4, 5, 0.0204000000000001),
-                "baseline": (4, 4, 4, 18, 0.020500000000000015)},
+    "paper-table1": {"ccmca": (2, 2, 2, 0, 1.0, 0.1685380794569717),
+                     "baseline": (2, 2, 2, 11, 1.0, 0.1740040415335408)},
+    "grid100": {"ccmca": (5, 4, 4, 5, 1.8143, 0.0204000000000001),
+                "baseline": (4, 4, 4, 18, 1.7571, 0.020500000000000015)},
 }
 
 
@@ -257,7 +273,8 @@ PINNED_SCHEDULES = {
 def test_schedule_characterization(name):
     # Both protocols' schedules on a ring and a grid where they differ,
     # pinned as they come out: ccmca's frames against the routed subgraph's
-    # degree, the paper's co-channel interference claim, and delay.
+    # degree, the paper's co-channel interference claim, the slots a packet
+    # waits per hop, and delay.
     scenario = scenario_from_dict(SCHEDULE_DOCS[name])
     outcome = {protocol: schedule_facts(scenario, protocol) for protocol in ("ccmca", "baseline")}
     assert outcome == PINNED_SCHEDULES[name]
