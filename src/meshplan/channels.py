@@ -1,28 +1,36 @@
-"""Greedy load-ordered channel assignment with TDMA-like activation frames.
+"""Channel assignment with TDMA-like activation frames chosen along routes.
 
 Frames colour the links so that no two links of a frame share a node
-(self-interference); one builder, ``kempe_frames``, makes them for both
-protocols, keeping per node the frames its links hold so far. Links go in
-descending load order, each taking the smallest frame that no link before it
-holds at either endpoint (first fit), and a loaded link adds Kempe-chain
-swaps to that. ccmca passes its expected loads, so its routed links take as
-many frames as their subgraph's maximum degree when that subgraph is
-bipartite, as on rings of even length and grids (König). The seeded random
-baseline passes no load at all, which is first fit in link-id order. ccmca
-then gives each link, frame by frame and in load order within a frame, the
-channel with the smallest summed gain of already-assigned co-channel
-interferers. Every link holds exactly one channel and one frame.
+(self-interference); one builder, ``route_frames``, makes them for both
+protocols, keeping per node the frames its links hold so far. It walks
+routes hop by hop, and each hop takes the first frame free at both its
+endpoints in the cyclic order that follows its predecessor's frame, modulo
+Δ, the routed subgraph's maximum degree. So consecutive hops of a route
+land in consecutive frames of the cycle, and a packet served at one hop
+meets the next hop's frame one slot later. When no frame below Δ is free at
+both ends, a Kempe-chain swap frees one unless the chain closes an odd
+cycle, so the routed links take exactly Δ frames when their subgraph is
+bipartite, as on rings of even length and grids (König). Links on no route
+come last, by first fit in link-id order.
+
+ccmca walks its routes, the highest packet rate first. The seeded random
+baseline walks none, which is first fit in link-id order. ccmca then gives
+each link, frame by frame and in load order within a frame, the channel with
+the smallest summed gain of already-assigned co-channel interferers. Every
+link holds exactly one channel and one frame.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
+from .routing import RouteTable, routed_link_loads
 from .schema import check, invalid, param
 from .topology import InterferenceMap, Topology, VirtualLink
+from .traffic import TrafficProfile
 
 
 @dataclass(frozen=True)
@@ -67,60 +75,100 @@ def channel_gain_sums(link: int, n_channels: int, channel_of: Sequence[int | Non
     return sums
 
 
-def kempe_frames(loads: Sequence[float], links: Sequence[VirtualLink]) -> list[int]:
-    """Per link, its frame: links go in ``order_links(loads)`` order, and
-    link (u, v) takes the first-fit frame ff unless that is above both a and
-    b, the lowest frames free at u and at v. Then, if the link carries load,
-    the a/b-alternating path from v's a-link has its two frames swapped and
-    the link takes a; if that path ends at u (an odd cycle), it takes ff.
+def route_frames(walks: Sequence[Sequence[int]], links: Sequence[VirtualLink]) -> list[int]:
+    """Per link, its frame. ``walks`` are routes as link ids, in the order
+    they take frames, and Δ is the maximum degree of the links on them. Each
+    walk goes first hop first, with p = -1 at its start. A hop that an
+    earlier walk framed keeps its frame, which becomes p. Any other hop (u,
+    v) takes the first frame free at both ends in the cyclic order (p + 1 +
+    k) mod Δ, k = 0..Δ-1, and that frame becomes p. If none is free at
+    both, then for frames a free at u and b free at v, both in that order,
+    the first a/b-alternating path from v that does not end at u has its two
+    frames swapped, and the hop takes a. If every such path ends at u (an
+    odd cycle), the hop takes the first frame >= Δ free at both ends.
 
-    A swap frees a at v and leaves u as it was, so loaded links use exactly
-    the maximum degree of their subgraph in frames when that is bipartite
-    (König), and at most 2Δ - 1 otherwise. Zero-load links come last and
-    never swap, so they cannot move a loaded link's frame; all loads zero
-    give plain first fit in link-id order."""
+    A swap frees a at v and leaves u as it was, so routed links use exactly
+    Δ frames when their subgraph is bipartite (König), and at most 2Δ - 1
+    otherwise. The links on no walk then take first fit in id order and
+    never swap, so they cannot move a routed link; no walks at all give
+    plain first fit in link-id order."""
     frame_of = [-1] * len(links)
     held: defaultdict[int, int] = defaultdict(int)  # per node: bit f set once frame f is held
-    at: defaultdict[int, dict[int, int]] = defaultdict(dict)  # per node: frame -> loaded link
-    for link in order_links(loads):
-        l = links[link]
-        hu, hv = held[l.u], held[l.v]
-        taken = hu | hv
-        bit = ~taken & (taken + 1)  # first fit: the lowest frame neither endpoint holds
-        if loads[link] > 0:  # so every link placed so far is loaded, and in `at`
-            a, b = ~hu & (hu + 1), ~hv & (hv + 1)
-            if bit != max(a, b):
-                # v holds a, since a < bit and a is free at u; b is free at v
-                fa, fb = a.bit_length() - 1, b.bit_length() - 1
-                walk, node, f = [], l.v, fa
-                while f in at[node]:
-                    e = at[node][f]
-                    walk.append(e)
-                    node = links[e].u + links[e].v - node
-                    f = fa + fb - f
-                if node != l.u:  # swap a and b along the path
-                    for e in walk:
-                        del at[links[e].u][frame_of[e]], at[links[e].v][frame_of[e]]
-                    for e in walk:
-                        f = frame_of[e] = fa + fb - frame_of[e]
-                        at[links[e].u][f] = at[links[e].v][f] = e
-                    held[l.v] ^= a | b  # the path's inner nodes still hold both
-                    held[node] ^= a | b
-                    bit = a
-            f = bit.bit_length() - 1
-            at[l.u][f] = at[l.v][f] = link
-        held[l.u] |= bit
-        held[l.v] |= bit
-        frame_of[link] = bit.bit_length() - 1
+    at: defaultdict[int, dict[int, int]] = defaultdict(dict)  # per node: frame -> routed link
+    ends = Counter(n for l in {l for walk in walks for l in walk}
+                   for n in (links[l].u, links[l].v))
+    delta = max(ends.values(), default=0)
+
+    def swapped(u: int, v: int, a: int, b: int) -> bool:
+        """Swaps a and b along the a/b-alternating path from v, unless it
+        ends at u; says whether it did."""
+        path, node, f = [], v, a
+        while f in at[node]:
+            e = at[node][f]
+            path.append(e)
+            node = links[e].u + links[e].v - node
+            f = a + b - f
+        if node == u:
+            return False
+        for e in path:
+            del at[links[e].u][frame_of[e]], at[links[e].v][frame_of[e]]
+        for e in path:
+            f = frame_of[e] = a + b - frame_of[e]
+            at[links[e].u][f] = at[links[e].v][f] = e
+        held[v] ^= 1 << a | 1 << b  # the path's inner nodes still hold both
+        held[node] ^= 1 << a | 1 << b
+        return True
+
+    def kempe(u: int, v: int, cyclic: list[int]) -> int | None:
+        """a, once a swap has freed it at v, or None on an odd cycle."""
+        hu, hv = held[u], held[v]
+        for a in cyclic:
+            if not hu >> a & 1:
+                for b in cyclic:
+                    if not hv >> b & 1 and swapped(u, v, a, b):
+                        return a
+        return None
+
+    for walk in walks:
+        p = -1
+        for link in walk:
+            if frame_of[link] < 0:
+                u, v = links[link].u, links[link].v
+                cyclic = [(p + 1 + k) % delta for k in range(delta)]
+                taken = held[u] | held[v]
+                f = next((f for f in cyclic if not taken >> f & 1), None)
+                if f is None:
+                    f = kempe(u, v, cyclic)
+                if f is None:
+                    above = taken >> delta
+                    f = delta + (~above & (above + 1)).bit_length() - 1
+                frame_of[link] = f
+                held[u] |= 1 << f
+                held[v] |= 1 << f
+                at[u][f] = at[v][f] = link
+            p = frame_of[link]
+    for link, l in enumerate(links):
+        if frame_of[link] < 0:
+            taken = held[l.u] | held[l.v]
+            bit = ~taken & (taken + 1)  # first fit: the lowest frame neither endpoint holds
+            held[l.u] |= bit
+            held[l.v] |= bit
+            frame_of[link] = bit.bit_length() - 1
     return frame_of
 
 
-def schedule_all_frames(loads: Sequence[float], topology: Topology, imap: InterferenceMap,
-                        n_channels: int) -> ChannelAssignment:
-    """Frames by ``kempe_frames``; then channels link by link in (frame,
-    load order) sequence, each the one with the smallest summed gain of the
-    co-channel interferers already assigned, ties to the smallest channel."""
-    frame_of = kempe_frames(loads, topology.links)
+def schedule_all_frames(routes: RouteTable, profile: TrafficProfile, topology: Topology,
+                        imap: InterferenceMap, n_channels: int) -> ChannelAssignment:
+    """Frames by ``route_frames`` over the routes by descending packet rate,
+    ties by pair; then channels link by link in (frame, load order)
+    sequence, the loads being those the routes induce, each link taking the
+    channel with the smallest summed gain of the co-channel interferers
+    already assigned, ties to the smallest channel."""
+    flows = profile.by_pair()
+    walks = [routes.routes[pair].links for pair in sorted(
+        routes.routes, key=lambda pair: (-flows[pair].rate_bps / flows[pair].packet_bits, pair))]
+    frame_of = route_frames(walks, topology.links)
+    loads = routed_link_loads(topology.n_links, routes, profile)
     gains = topology.link_gains()
     channel_of: list[int | None] = [None] * len(frame_of)
     for link in sorted(order_links(loads), key=frame_of.__getitem__):
@@ -131,9 +179,8 @@ def schedule_all_frames(loads: Sequence[float], topology: Topology, imap: Interf
 
 def baseline_assign(topology: Topology, n_channels: int, seed: int) -> ChannelAssignment:
     """Comparison baseline: seeded uniform-random channel per link, frames
-    by ``kempe_frames`` with no load, which is first fit in link-id order."""
+    by ``route_frames`` with no route, which is first fit in link-id order."""
     rng = random.Random(seed)
     links = topology.links
     channel_of = tuple(rng.randrange(n_channels) for _ in links)
-    return ChannelAssignment(n_channels, channel_of,
-                             tuple(kempe_frames([0.0] * len(links), links)))
+    return ChannelAssignment(n_channels, channel_of, tuple(route_frames((), links)))

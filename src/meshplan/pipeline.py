@@ -16,9 +16,10 @@ from .channels import ChannelAssignment, baseline_assign, schedule_all_frames
 from .channels import order_links  # noqa: F401
 from .errors import ConfigurationError, PipelineError
 from .loads import GoodputReport, LoadEstimate, goodput
-from .routing import RouteTable, fixed_point_route, routed_link_loads
-# not called here: bench/spans.py times routing's cost_table under this name
-from .routing import cost_table  # noqa: F401
+from .routing import RouteTable, fixed_point_route
+# not called here: bench/spans.py times routing's cost_table and
+# routed_link_loads under these names
+from .routing import cost_table, routed_link_loads  # noqa: F401
 from .scenario import Scenario
 from .schema import from_json, to_json
 from .sim import SimConfig, SimMetrics, run_simulation, sim_input, sim_key
@@ -139,10 +140,7 @@ def _assign(topology, imap, routes, scenario: Scenario, protocol: str) -> Channe
     channels = scenario.algorithm.n_channels
     with _Stage("assignment"):
         if protocol == "ccmca":
-            # Priorities follow the loads the committed routes will induce;
-            # identical to loads.load at a converged fixed point.
-            induced = routed_link_loads(topology.n_links, routes, scenario.traffic)
-            return schedule_all_frames(induced, topology, imap, channels)
+            return schedule_all_frames(routes, scenario.traffic, topology, imap, channels)
         return baseline_assign(topology, channels, scenario.sim.seed)
 
 

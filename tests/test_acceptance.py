@@ -2,6 +2,7 @@
 pass line each. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import collections
 import random
 import time
 
@@ -15,8 +16,8 @@ from meshplan import (AlgorithmParams, Flow, TrafficProfile, acceptable_paths_fo
                       sweep_channels)
 from meshplan.report import result_row, rows_to_csv
 
-from conftest import (build, cbr, generator_topologies_upto_8, profile, random_topology,
-                      replay_schedule)
+from conftest import (build, cbr, generator_topologies_upto_8, profile, random_routes,
+                      random_topology, replay_schedule)
 
 
 def _report(capsys, n, elapsed, detail):
@@ -32,31 +33,36 @@ def greedy_battery():
     for seed in range(100):
         topo = random_topology(seed, max_nodes=12, max_links=24)
         imap = build_interference_map(topo)
-        rng = random.Random(10_000 + seed)
-        delta = [rng.uniform(0.0, 100.0) for _ in range(topo.n_links)]
+        routes, traffic = random_routes(topo, random.Random(10_000 + seed))
         n_channels = 2 + seed % 4  # 2..5
-        asg = schedule_all_frames(delta, topo, imap, n_channels)
-        cases.append((topo, imap, delta, n_channels, asg))
+        asg = schedule_all_frames(routes, traffic, topo, imap, n_channels)
+        cases.append((topo, imap, routes, traffic, n_channels, asg))
     return cases
 
 
 def test_acceptance_1_greedy_replay_oracle(greedy_battery, capsys):
     start = time.time()
-    for topo, imap, delta, n_channels, asg in greedy_battery:
+    events = collections.Counter()
+    for topo, imap, routes, traffic, n_channels, asg in greedy_battery:
         assert topo.n_nodes <= 12 and topo.n_links <= 24
-        channel, frame = replay_schedule(delta, topo, imap, n_channels)
+        channel, frame, seen = replay_schedule(routes, traffic, topo, imap, n_channels)
         assert asg.channel_of == channel, "channel differs from per-turn argmin"
         assert asg.frame_of == frame
+        events += seen
+    # the battery reaches both fallbacks of the route walk
+    assert events["swapped"] > 0 and events["opened"] > 0, events
     elapsed = time.time() - start
     assert elapsed < 10.0
-    _report(capsys, 1, elapsed, "100 random topologies, every channel equals the "
-                        "exhaustively recomputed per-turn argmin with index tie-break")
+    _report(capsys, 1, elapsed, "100 random topologies and route sets, every frame equals "
+                        "the replayed route walk and every channel the exhaustively "
+                        f"recomputed per-turn argmin with index tie-break ({events['swapped']} "
+                        f"swaps, {events['opened']} frames opened)")
 
 
 def test_acceptance_2_self_interference_matchings(greedy_battery, capsys):
     start = time.time()
     frames_checked = 0
-    for topo, _, _, _, asg in greedy_battery:
+    for topo, _, _, _, _, asg in greedy_battery:
         for f in range(asg.n_frames):
             in_frame = [l for l, g in enumerate(asg.frame_of) if g == f]
             endpoints = []

@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshplan import (ChannelAssignment, ConfigurationError, baseline_assign,
-                      build_interference_map, channel_gain_sums,
-                      channels, order_links, schedule_all_frames)
+from meshplan import (ChannelAssignment, ConfigurationError, MeshNode, Route, RouteTable,
+                      baseline_assign, build_interference_map, channel_gain_sums,
+                      channels, order_links, routed_link_loads, schedule_all_frames)
 from meshplan.schema import from_json, to_json
 
-from conftest import build, n1, random_topology, replay_schedule
+from conftest import (build, build_from_nodes, cbr, n1, profile, random_paths, random_routes, random_topology,
+                      replay_frames, replay_schedule)
+
+
+def routed(*flows):
+    """A route table and its traffic from (flow, link ids) pairs."""
+    return (RouteTable({f.pair: Route(links, float(len(links))) for f, links in flows}),
+            profile(*(f for f, _ in flows)))
 
 
 def test_order_links_examples():
@@ -39,7 +46,7 @@ def test_baseline_frames_semantics(ring4):
     # links 1 and 2 share an endpoint with link 0 and are kept out of its
     # frame; the opposite link 3 joins it, and 1 and 2 share the next frame
     assert baseline_assign(ring4, 3, 1).frame_of == (0, 1, 1, 0)
-    assert channels.kempe_frames([], ()) == []
+    assert channels.route_frames((), ()) == []
 
 
 def test_channel_gain_sum(ring4_imap):
@@ -73,20 +80,69 @@ def test_channel_gain_sum_counts_only_interferers(grid9):
 def test_schedule_single_link():
     t = build("chain", 2, 100.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames([1.0], t, imap, 3)
+    asg = schedule_all_frames(*routed((cbr(0, 1, 1000.0), (0,))), t, imap, 3)
     # all gain sums zero: smallest index wins
     assert asg == ChannelAssignment(3, (0,), (0,))
 
 
-def test_first_fit_adjacent_links_defer_lower_priority():
+def test_routes_take_frames_hop_by_hop():
+    # links 0=(0,1) and 1=(1,2): a route takes frames in its hop order
     t = build("chain", 3, 100.0, tx_range=100.0)
-    assert order_links([1.0, 5.0]) == [1, 0]  # link 1 first
-    assert channels.kempe_frames([1.0, 5.0], t.links) == [1, 0]
+    assert channels.route_frames([(0, 1)], t.links) == [0, 1]
+    assert channels.route_frames([(1, 0)], t.links) == [1, 0]
+    # a hop framed by an earlier route keeps its frame and leads the next hop
+    assert channels.route_frames([(1,), (1, 0)], t.links) == [1, 0]
+
+
+def test_routes_search_frames_cyclically_after_the_previous_hop(grid9):
+    # 3x3 grid, links sorted by (u, v); the route 0-1-2-5-8 has a degree-2
+    # routed subgraph, so its hops cycle over frames 0 and 1
+    links = grid9.links
+    ids = {(l.u, l.v): i for i, l in enumerate(links)}
+    walk = [ids[(0, 1)], ids[(1, 2)], ids[(2, 5)], ids[(5, 8)]]
+    frame_of = channels.route_frames([walk], links)
+    assert [frame_of[l] for l in walk] == [0, 1, 0, 1]
+
+
+def test_higher_packet_rate_takes_frames_first():
+    # two one-hop routes meeting at node 1: the higher packet rate takes
+    # frame 0, whatever its pair; equal packet rates go by pair
+    t = build("chain", 3, 100.0, tx_range=100.0)
+    imap = build_interference_map(t)
+    fast, slow = cbr(2, 1, 4000.0), cbr(0, 1, 1000.0)
+    assert schedule_all_frames(*routed((slow, (0,)), (fast, (1,))), t, imap, 1).frame_of == (1, 0)
+    same = cbr(2, 1, 2000.0, packet_bytes=250)  # 1 packet/s per bit/s, as slow
+    assert schedule_all_frames(*routed((slow, (0,)), (same, (1,))), t, imap, 1).frame_of == (0, 1)
+
+
+def test_a_kempe_swap_keeps_a_bipartite_routed_subgraph_in_degree_frames():
+    # chain 0-1-2-3-4, links 0=(0,1) 1=(1,2) 2=(2,3) 3=(3,4), Δ = 2. Link 1
+    # finds frame 0 held at node 1 and frame 1 at node 2, so the path from
+    # node 2 through frames 1, 0 (links 2, 3) swaps them, and link 1 takes 1.
+    t = build("chain", 5, 100.0, tx_range=100.0)
+    walks = [(0,), (3, 2), (1,)]
+    assert channels.route_frames(walks, t.links) == [0, 1, 0, 1]
+    assert replay_frames(walks, t.links) == ([0, 1, 0, 1], {"swapped": 1})
+
+
+def test_an_odd_cycle_opens_a_frame_past_the_degree():
+    # triangle, links 0=(0,1) 1=(0,2) 2=(1,2), Δ = 2: the only path from
+    # node 2 through frames 1, 0 ends at node 0, so link 1 opens frame 2
+    t = build_from_nodes([MeshNode(0.0, 0.0), MeshNode(100.0, 0.0), MeshNode(50.0, 80.0)])
+    walks = [(0,), (2,), (1,)]
+    assert channels.route_frames(walks, t.links) == [0, 2, 1]
+    assert replay_frames(walks, t.links) == ([0, 2, 1], {"opened": 1})
+
+
+def ring4_routes():
+    # ring4 links 0=(0,1) 1=(0,3) 2=(1,2) 3=(2,3): 0->2 over links 0, 2 at
+    # twice the rate of 2->0 over links 3, 1, so links 0 and 2 carry more load
+    return routed((cbr(0, 2, 2000.0), (0, 2)), (cbr(2, 0, 1000.0), (3, 1)))
 
 
 def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
     gains = ring4.link_gains()
-    asg = schedule_all_frames([4.0, 3.0, 2.0, 1.0], ring4, ring4_imap, 2)
+    asg = schedule_all_frames(*ring4_routes(), ring4, ring4_imap, 2)
     # a maximal matching: opposite links
     assert [l for l, f in enumerate(asg.frame_of) if f == 0] == [0, 3]
     assert asg.channel_of[0] == 0
@@ -99,13 +155,13 @@ def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
 def test_schedule_two_adjacent_links():
     t = build("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames([1.0, 5.0], t, imap, 2)
+    asg = schedule_all_frames(*routed((cbr(2, 0, 1000.0), (1, 0))), t, imap, 2)
     assert asg.frame_of == (1, 0)
     assert asg.n_frames == 2
 
 
 def test_schedule_ring4_two_frames(ring4, ring4_imap):
-    asg = schedule_all_frames([4.0, 3.0, 2.0, 1.0], ring4, ring4_imap, 2)
+    asg = schedule_all_frames(*ring4_routes(), ring4, ring4_imap, 2)
     assert asg.n_frames == 2
     assert asg.frame_of == (0, 1, 1, 0)
     # co-frame links land on different channels once gains are in play
@@ -116,7 +172,9 @@ def test_schedule_ring4_two_frames(ring4, ring4_imap):
 def test_schedule_star_all_links_share_hub():
     t = build("star", 6, 250.0)
     imap = build_interference_map(t)
-    asg = schedule_all_frames([5.0, 4.0, 3.0, 2.0, 1.0], t, imap, 3)
+    # one-hop routes from the hub, link l at 5 - l packets per second
+    asg = schedule_all_frames(*routed(*((cbr(0, l + 1, 1000.0 * (5 - l)), (l,))
+                                        for l in range(5))), t, imap, 3)
     assert asg.n_frames == 5
     assert [asg.frame_of[l] for l in range(5)] == [0, 1, 2, 3, 4]
 
@@ -125,9 +183,8 @@ def test_schedule_coverage_and_matching_invariants():
     for seed in range(30):
         topo = random_topology(seed)
         imap = build_interference_map(topo)
-        rng = random.Random(seed + 1000)
-        delta = [rng.uniform(0, 100) for _ in range(topo.n_links)]
-        asg = schedule_all_frames(delta, topo, imap, 3)
+        asg = schedule_all_frames(*random_routes(topo, random.Random(seed + 1000)), topo,
+                                  imap, 3)
         # coverage: exactly one channel and one frame everywhere
         assert len(asg.channel_of) == len(asg.frame_of) == topo.n_links
         # matching: no two links in one frame share an endpoint
@@ -143,11 +200,10 @@ def test_schedule_matches_independent_replay():
     for seed in range(30):
         topo = random_topology(seed)
         imap = build_interference_map(topo)
-        rng = random.Random(seed + 2000)
-        delta = [rng.uniform(0, 100) for _ in range(topo.n_links)]
+        routes, traffic = random_routes(topo, random.Random(seed + 2000))
         n_channels = 2 + seed % 4
-        asg = schedule_all_frames(delta, topo, imap, n_channels)
-        channel, frame = replay_schedule(delta, topo, imap, n_channels)
+        asg = schedule_all_frames(routes, traffic, topo, imap, n_channels)
+        channel, frame, _ = replay_schedule(routes, traffic, topo, imap, n_channels)
         assert asg.channel_of == channel
         assert asg.frame_of == frame
 
@@ -161,14 +217,14 @@ def test_per_step_argmin_small_topologies_exhaustive():
         assert topo.n_links <= 6
         imap = build_interference_map(topo)
         for n_channels in (1, 2, 3):
-            delta = [rng.uniform(0, 10) for _ in range(topo.n_links)]
-            asg = schedule_all_frames(delta, topo, imap, n_channels)
-            channel, frame = replay_schedule(delta, topo, imap, n_channels)
+            routes, traffic = random_routes(topo, rng)
+            asg = schedule_all_frames(routes, traffic, topo, imap, n_channels)
+            channel, frame, _ = replay_schedule(routes, traffic, topo, imap, n_channels)
             assert asg.channel_of == channel and asg.frame_of == frame
 
 
 def test_frame_priority_respects_order(monkeypatch):
-    # channels are chosen frame by frame, in priority order within a frame
+    # channels are chosen frame by frame, in load order within a frame
     visited = []
     gain_sums = channels.channel_gain_sums
 
@@ -180,44 +236,48 @@ def test_frame_priority_respects_order(monkeypatch):
     for seed in range(10):
         topo = random_topology(seed)
         imap = build_interference_map(topo)
-        delta = [random.Random(seed).uniform(0, 9) for _ in range(topo.n_links)]
-        order = order_links(delta)
+        routes, traffic = random_routes(topo, random.Random(seed))
+        order = order_links(routed_link_loads(topo.n_links, routes, traffic))
         visited.clear()
-        asg = schedule_all_frames(delta, topo, imap, 2)
+        asg = schedule_all_frames(routes, traffic, topo, imap, 2)
         pos = {l: i for i, l in enumerate(order)}
         assert visited == sorted(order, key=lambda l: (asg.frame_of[l], pos[l]))
 
 
 @st.composite
-def loaded_topologies(draw):
-    """A random topology, and per link a load; a fifth of them zero."""
-    topo = random_topology(draw(st.integers(0, 10**6)))
-    loads = draw(st.lists(st.integers(0, 4).map(float), min_size=topo.n_links,
-                          max_size=topo.n_links))
-    return topo, loads
+def walked_topologies(draw):
+    """A random topology, and random simple paths over it as link ids; a
+    tenth of the time none."""
+    seed = draw(st.integers(0, 10**6))
+    topo = random_topology(seed)
+    if draw(st.integers(0, 9)) == 0:
+        return topo, []
+    return topo, [links for _, _, links in random_paths(topo, random.Random(seed), 8)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(loaded_topologies())
+@given(walked_topologies())
 def test_frames_take_the_loaded_subgraphs_degree(case):
-    topo, loads = case
-    frame_of = channels.kempe_frames(loads, topo.links)
+    topo, walks = case
+    frame_of = channels.route_frames(walks, topo.links)
     for f in set(frame_of):  # every frame is a matching
         ends = [n for l, link in enumerate(topo.links) if frame_of[l] == f
                 for n in (link.u, link.v)]
         assert len(ends) == len(set(ends))
-    loaded = [l for l, x in enumerate(loads) if x > 0]
-    if not loaded:  # no load: first fit in id order, the baseline's frames
+    if not walks:  # no routes: first fit in id order, the baseline's frames
         assert frame_of == first_fit_oracle(range(topo.n_links), n1(topo))
         return
-    # The loaded links alone, every one carrying load: adding the zero-load
-    # links leaves each loaded link's frame unchanged.
-    alone = channels.kempe_frames([loads[l] for l in loaded], [topo.links[l] for l in loaded])
-    assert [frame_of[l] for l in loaded] == alone
-    graph = nx.Graph((topo.links[l].u, topo.links[l].v) for l in loaded)
+    # The routed links alone, each walk renumbered: adding the links on no
+    # route leaves each routed link's frame unchanged.
+    routed = sorted({l for walk in walks for l in walk})
+    index = {l: i for i, l in enumerate(routed)}
+    alone = channels.route_frames([[index[l] for l in walk] for walk in walks],
+                                  [topo.links[l] for l in routed])
+    assert [frame_of[l] for l in routed] == alone
+    graph = nx.Graph((topo.links[l].u, topo.links[l].v) for l in routed)
     degree = max(d for _, d in graph.degree())
     if nx.is_bipartite(graph):
-        assert max(alone) + 1 == degree
+        assert sorted(set(alone)) == list(range(degree))
     else:
         assert degree <= max(alone) + 1 <= 2 * degree - 1
 

@@ -31,9 +31,9 @@ RUN_DIGESTS = {
     ("paper-ring-4", "baseline", "json"):
         "441d878311d3f42b432be61f6ec32069752cecd60bfb48416a63c84b3c41ee8d",
     ("paper-table1", "ccmca", "csv"):
-        "5839c8381861b87cf9d927e4746a5270c0868947fa3461279dae4061450f1b88",
+        "3ae910f84ccf1fb2c3328031a01f7f622cfc13b17ada6b1829490b1772b849ea",
     ("paper-table1", "ccmca", "json"):
-        "d1636939176c4dd845a0b46e057094c4acbfc91e9516241a39da5338408f4ff0",
+        "3caa98653dcfc7dd9835918ded0bf494405ddcdeb3f357e6ab4b05df787165d0",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
@@ -42,7 +42,7 @@ RUN_DIGESTS = {
 
 ASSIGN_DIGESTS = {
     "paper-ring-4": "8bb18106f29efd7b412a0b0372e5898fd29c2fdbdb2d6b0a14c2366648a27ac9",
-    "paper-table1": "c705e25673ab0e387102f4f18bafe5e07377e6f2cfbddb34f2c1600a8a39d169",
+    "paper-table1": "2fa7371306d254cd7866ceec756a6e33beb7bf9a63c7e3a506c2d5edb44da12c",
 }
 
 # `meshplan assign --format json` on one document of each topology kind the
@@ -62,10 +62,10 @@ KIND_DOCS = {
     "square": SQUARE,
 }
 KIND_ASSIGN_DIGESTS = {
-    "grid-3x3": "d935e643d506c81a84dd565a62c51f52e2cbf28ca8e8121967a68f2b95a568b6",
-    "star": "bed9a7ac8f638a2d7d5312c15cbb49c45d12a2a70677661a257220264e67fe0f",
-    "binary-tree": "b96cc3c3e5466553db1d0b08d269e74a9f2434bb2b77e47a192edad39ac09496",
-    "square": "4b72a601d774bd9b9d3be2ae23d7f7cf9240c1e704bfa53b7751849ddb95049e",
+    "grid-3x3": "c8ab7483c610554954dd1cbc6d00a1d1f234d1bceda92a91f454b4f9fbf280ea",
+    "star": "b9ac27927d0aa2104df307a2f5c0aef34f74115f2bd7331e9d49bf7e5d5ed76c",
+    "binary-tree": "786f9faee35e3a1a072ff8bcba5a7cdd0b6b57ad7cbfb8cdc4142758057e5753",
+    "square": "ed4f67edbec0f88d8806760b0a9181e125eef0393bd38f7cc41b4a78a366b439",
 }
 
 # Full-horizon JSON reports: paper-table1 at its default 100 s, whose 64 KiB
@@ -84,7 +84,7 @@ FULL_HORIZON_DOCS = {
 }
 FULL_HORIZON_DIGESTS = {
     ("paper-table1", "ccmca"):
-        "7b5673c21962bfc96804f17bf098736e31da7b35f5a0553b5c625512994656fb",
+        "965fb2ee1d6debaf64023230f7f164b1c7be8ba862fb49e39ea583e30719c759",
     ("paper-table1", "baseline"):
         "23b12b5feaf55da4e7a7a5c23fb7bf9670633962e25a83e14454c104eb68bdf7",
     ("chain-saturated", "ccmca"):
@@ -109,9 +109,9 @@ GRID_PARAMS = {
     "sim": {"horizon_s": 5, "channel_capacity_bps": 9e6},
 }
 GRID_PARAMS_DIGESTS = {
-    ("run", "ccmca"): "cd66b687901c385543a1809a0dfd3be2785d6e4319b11440f2240a48fad438ae",
+    ("run", "ccmca"): "b7877002fe30e7c866a981cb1d72b99f3ffccb7ea017a8cf8fb00568965c3967",
     ("run", "baseline"): "5958eea32138197c573c37afdfc17372ab4b23ebbace886a4c55a67374444afc",
-    ("assign", "ccmca"): "370f2606d7b46dfa8def002f70543ce2f81c0c7b301dfe0bf9bd86709b7a502b",
+    ("assign", "ccmca"): "9be11c4775229360fd10c0c6b2e51038f9c4af8fa7e66d40fe3fcfbbd7f10cb2",
     ("assign", "baseline"): "e1563b3cd9b6c35546ea99639d72d93e2243722f6edb3ba2b6223ae65b958863",
 }
 
