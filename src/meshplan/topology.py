@@ -35,6 +35,13 @@ to the points' own ids and no pair is stored as an object or code of its
 own. The pair count is checked against its bound after every point. Sorting
 a row gives the links in (u, v) order, or a link's interferer set, exactly
 as the all-pairs scan does.
+
+When there are more points than the pair bound allows pairs, a cheaper
+count comes first: points binned into squares small enough that any two in
+one square pass the range test, the pairs within each square, summed. That
+is a lower bound on the pairs in range, so when it exceeds the bound the
+search fails before it allocates a row or a cell, and it never fails a
+search that would pass.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -206,21 +214,51 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return round(math.hypot(a[0] - b[0], a[1] - b[1]), 9)
 
 
+def _too_many_pairs(name: str, limit: float) -> ConfigurationError:
+    return invalid(name, f"puts more than {MAX_PAIRS:.0e} pairs within "
+                         f"{limit:.6g} m; one topology may have at most {MAX_PAIRS:.0e}")
+
+
+def _sure_pairs(xs: list[float], ys: list[float], x0: float, y0: float,
+                half_spread: float, limit: float) -> int:
+    """A lower bound on the pairs of points within ``limit``: the pairs that
+    share a square of a grid so fine that any two points in one square pass
+    the range test. Coordinates are halved and offset by (x0, y0), and an
+    index rounds as in _neighbours, so two points given one index lie less
+    than 2 * half_side + 2**-50 * half_spread apart on each axis. That is
+    kept below (limit - 1e-9) / sqrt(2), less a relative slack, so two such
+    points lie within limit - 1e-9, which _distance's rounding to 1e-9
+    cannot push past the limit. Returns 0 when no square fits, or when the
+    squares are so small against the spread that an index could pass 2**50."""
+    half_side = ((limit - 1e-9) * (1 - 1e-6) / math.sqrt(2) - half_spread * 2.0 ** -49) / 2
+    if not half_side > 0 or half_side < half_spread * 2.0 ** -50:
+        return 0
+    squares = Counter((math.floor((x / 2 - x0) / half_side), math.floor((y / 2 - y0) / half_side))
+                      for x, y in zip(xs, ys))
+    return sum(k * (k - 1) // 2 for k in squares.values())
+
+
 def _neighbours(points: list[tuple[float, float]], limit: float,
                 name: str) -> list[list[int]]:
     """Per point i, the row of ids j != i with _distance(points[i],
     points[j]) <= limit, in no set order, found by the cell list of the module
     docstring. More than ``MAX_PAIRS`` pairs in range is an error naming the
-    field ``name``. The count is checked after each point's search, not after
-    a cell's, so the rows never hold more than that bound plus one point's
-    matches, even when every point shares one cell."""
-    rows: list[list[int]] = [[] for _ in points]
+    field ``name``. When the points could make that many pairs, ``_sure_pairs``
+    is checked first, before any row or cell exists; after that the count is
+    checked after each point's search, not after a cell's, so the rows never
+    hold more than that bound plus one point's matches, even when every point
+    shares one cell."""
     if not points:
-        return rows
+        return []
     # Coordinates are halved so that no difference of two finite ones overflows.
-    xs, ys = zip(*points)
+    xs, ys = [x for x, _ in points], [y for _, y in points]
     x0, y0 = min(xs) / 2, min(ys) / 2
     half_spread = max(max(xs) / 2 - x0, max(ys) / 2 - y0)
+    n = len(points)
+    if (n * (n - 1) // 2 > MAX_PAIRS
+            and _sure_pairs(xs, ys, x0, y0, half_spread, limit) > MAX_PAIRS):
+        raise _too_many_pairs(name, limit)
+    rows: list[list[int]] = [[] for _ in points]
     # A passing pair can be 5e-10 beyond the limit, since _distance rounds to
     # 1e-9: the first term covers that. Computing a cell index rounds twice,
     # each time by at most 2**-53 of the index, so two points' indices move
@@ -262,8 +300,7 @@ def _neighbours(points: list[tuple[float, float]], limit: float,
                 rows[j].append(i)
             pairs += len(near)
             if pairs > MAX_PAIRS:
-                raise invalid(name, f"puts more than {MAX_PAIRS:.0e} pairs within "
-                                    f"{limit:.6g} m; one topology may have at most {MAX_PAIRS:.0e}")
+                raise _too_many_pairs(name, limit)
     return rows
 
 

@@ -361,7 +361,9 @@ def test_neighbours_bound_holds_inside_one_cell(monkeypatch):
     # 3,000 points within a metre of each other share one cell and make about
     # 4.5 million pairs; the bound is checked after each point's search, so
     # the search stops holding a few thousand of them, not the whole cell's.
+    # The count before the search would fail them first, so it is taken out.
     monkeypatch.setattr(topology, "MAX_PAIRS", 1_000)
+    monkeypatch.setattr(topology, "_sure_pairs", lambda *args: 0)
     points = [(k * 1e-4, (k % 7) * 1e-4) for k in range(3_000)]
     tracemalloc.start()
     try:
@@ -371,6 +373,56 @@ def test_neighbours_bound_holds_inside_one_cell(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def sure_pairs(points, limit):
+    """``_sure_pairs`` over the points, offset and halved as _neighbours does."""
+    xs, ys = zip(*points)
+    x0, y0 = min(xs) / 2, min(ys) / 2
+    half_spread = max(max(xs) / 2 - x0, max(ys) / 2 - y0)
+    return topology._sure_pairs(xs, ys, x0, y0, half_spread, limit)
+
+
+def test_dense_points_fail_before_the_search_allocates():
+    # 20,000 points within a millimetre make 2e8 pairs within 250 m. The
+    # count before the search finds them in one square and fails at once:
+    # no row or cell is made, so the traced peak stays near the two
+    # coordinate lists (2 x 160 kB), where the rows alone would take 1.1 MB.
+    points = [(k % 100 * 1e-5, k // 100 * 1e-5) for k in range(20_000)]
+    assert sure_pairs(points, 250.0) == 20_000 * 19_999 // 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="^crowd: puts more than 4e[+]06 pairs"):
+            topology._neighbours(points, 250.0, "crowd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000
+
+
+@st.composite
+def clustered_points(draw):
+    """A range limit and up to 30 points around a few centres, at offsets of
+    up to two limits, some snapped to the limit's multiples or to one
+    another, and at times one point 1e12 limits away."""
+    limit = draw(st.sampled_from([1.5e-9, 1e-3, 1.0, 250.0, 1e10, 1e160]))
+    centres = draw(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                            min_size=1, max_size=3))
+    offsets = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.5, 1.0, -1.0, 0.7071]))
+    points = [(limit * (cx + draw(offsets)), limit * (cy + draw(offsets)))
+              for cx, cy in (draw(st.sampled_from(centres)) for _ in range(draw(st.integers(2, 30))))]
+    if draw(st.booleans()):
+        points.append((limit * 1e12, 0.0))
+    return points, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_points())
+def test_sure_pairs_never_exceed_the_pairs_in_range(case):
+    # the count before the search is a lower bound, so it fails no search
+    # that would pass
+    points, limit = case
+    assert sure_pairs(points, limit) <= len(all_pairs_within(points, limit))
 
 
 @pytest.fixture
