@@ -10,8 +10,8 @@ from meshplan import (ChannelAssignment, ConfigurationError, MeshNode, Route, Ro
                       channels, order_links, routed_link_loads, schedule_all_frames)
 from meshplan.schema import from_json, to_json
 
-from conftest import (build, build_from_nodes, cbr, n1, profile, random_paths, random_routes, random_topology,
-                      replay_frames, replay_schedule)
+from conftest import (build, build_from_nodes, cbr, n1, profile, random_paths, random_routes,
+                      random_topology, replay_frames, replay_schedule)
 
 
 def routed(*flows):

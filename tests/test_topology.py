@@ -409,8 +409,10 @@ def clustered_points(draw):
     centres = draw(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
                             min_size=1, max_size=3))
     offsets = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.5, 1.0, -1.0, 0.7071]))
-    points = [(limit * (cx + draw(offsets)), limit * (cy + draw(offsets)))
-              for cx, cy in (draw(st.sampled_from(centres)) for _ in range(draw(st.integers(2, 30))))]
+    points = []
+    for _ in range(draw(st.integers(2, 30))):
+        cx, cy = draw(st.sampled_from(centres))
+        points.append((limit * (cx + draw(offsets)), limit * (cy + draw(offsets))))
     if draw(st.booleans()):
         points.append((limit * 1e12, 0.0))
     return points, limit
