@@ -90,8 +90,6 @@ def test_routes_take_frames_hop_by_hop():
     t = build("chain", 3, 100.0, tx_range=100.0)
     assert channels.route_frames([(0, 1)], t.links) == [0, 1]
     assert channels.route_frames([(1, 0)], t.links) == [1, 0]
-    # a hop framed by an earlier route keeps its frame and leads the next hop
-    assert channels.route_frames([(1,), (1, 0)], t.links) == [1, 0]
 
 
 def test_routes_search_frames_cyclically_after_the_previous_hop(grid9):
@@ -102,6 +100,12 @@ def test_routes_search_frames_cyclically_after_the_previous_hop(grid9):
     walk = [ids[(0, 1)], ids[(1, 2)], ids[(2, 5)], ids[(5, 8)]]
     frame_of = channels.route_frames([walk], links)
     assert [frame_of[l] for l in walk] == [0, 1, 0, 1]
+    # Δ = 3 at node 1. (1,2) takes frame 0 first; the walk 2-5, 2-1, 1-0
+    # gives (2,5) frame 1, keeps (1,2) in 0, and (1,0) searches from
+    # there: frame 1, not the 2 that would follow (2,5). (1,4) takes 2.
+    walks = [(ids[(1, 2)],), (ids[(2, 5)], ids[(1, 2)], ids[(0, 1)]), (ids[(1, 4)],)]
+    frame_of = channels.route_frames(walks, links)
+    assert [frame_of[ids[e]] for e in ((1, 2), (2, 5), (0, 1), (1, 4))] == [0, 1, 1, 2]
 
 
 def test_higher_packet_rate_takes_frames_first():
@@ -111,7 +115,7 @@ def test_higher_packet_rate_takes_frames_first():
     imap = build_interference_map(t)
     fast, slow = cbr(2, 1, 4000.0), cbr(0, 1, 1000.0)
     assert schedule_all_frames(*routed((slow, (0,)), (fast, (1,))), t, imap, 1).frame_of == (1, 0)
-    same = cbr(2, 1, 2000.0, packet_bytes=250)  # 1 packet/s per bit/s, as slow
+    same = cbr(2, 1, 2000.0, packet_bytes=250)  # 1 packet/s, as slow
     assert schedule_all_frames(*routed((slow, (0,)), (same, (1,))), t, imap, 1).frame_of == (0, 1)
 
 
