@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import UnroutableFlowError
-from .schema import check, param
 from .topology import InterferenceMap, Topology
 from .traffic import TrafficProfile
 
@@ -37,11 +36,15 @@ class LoadEstimate:
 
 @dataclass(frozen=True)
 class GoodputReport:
+    """Per flow pair, its useful bandwidth; ``total`` is their sum."""
     useful: dict[Pair, float]
-    total: float = param(ge=0)
 
-    def __post_init__(self):
-        check(self)
+    @property
+    def total(self) -> float:
+        total = 0.0
+        for u in self.useful.values():  # left to right on every Python, unlike sum()
+            total += u
+        return total
 
 
 def link_capacities(imap: InterferenceMap, scenario: Scenario) -> tuple[float, ...]:
@@ -159,7 +162,4 @@ def goodput(per_flow: dict, profile: TrafficProfile) -> GoodputReport:
         stats = per_flow.get(pair)
         useful[pair] = (flow.rate_bps * (stats.delivered / stats.generated)
                         if stats is not None and stats.generated > 0 else 0.0)
-    total = 0.0
-    for u in useful.values():  # left to right on every Python, unlike sum()
-        total += u
-    return GoodputReport(useful, total)
+    return GoodputReport(useful)

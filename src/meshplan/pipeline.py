@@ -64,7 +64,8 @@ class PipelineResult:
 
 class _Stage:
     """Tags an error escaping the named stage as a PipelineError of that
-    stage, unless it is one already."""
+    stage, unless it is one already. A BaseException that is not an
+    Exception, such as KeyboardInterrupt, passes as it is."""
     __slots__ = ("name",)
 
     def __init__(self, name: str):
@@ -74,7 +75,7 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, PipelineError):
+        if isinstance(exc, Exception) and not isinstance(exc, PipelineError):
             raise PipelineError(self.name, exc) from exc
         return False
 

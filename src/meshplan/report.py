@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+import json
 from dataclasses import dataclass, fields
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path as FsPath
 
@@ -49,53 +48,6 @@ def assignment_to_csv(asg: ChannelAssignment) -> str:
                                      in enumerate(zip(asg.channel_of, asg.frame_of))))
 
 
-def _dump(v, pad: str) -> str:
-    """v, a ``to_json`` value, as ``json.dumps(v, indent=2)`` writes it,
-    nested at indent pad.
-
-    The standard encoder writes each element through Python code whenever
-    ``indent`` is set; a list of plain ints, finite floats or strings is
-    written here with one join, and such lists are most of a bundle.
-    """
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        inner = pad + "  "
-        body = (",\n" + inner).join([encode_basestring_ascii(k) + ": " + _dump(x, inner)
-                                       for k, x in v.items()])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(v, list):
-        if not v:
-            return "[]"
-        inner = pad + "  "
-        sep = ",\n" + inner
-        kinds = set(map(type, v))
-        if kinds == {int}:
-            body = sep.join(map(int.__repr__, v))
-        elif kinds == {float} and all(map(math.isfinite, v)):
-            body = sep.join(map(float.__repr__, v))
-        elif kinds == {str}:
-            body = sep.join(map(encode_basestring_ascii, v))
-        else:
-            body = sep.join([_dump(x, inner) for x in v])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    raise TypeError(f"{type(v).__name__} is not a JSON value")
-
-
 Report = PipelineResult | AssignmentReport | list[SweepRow]
 
 
@@ -103,7 +55,7 @@ def render_report(obj: Report, fmt: str) -> str:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
     if fmt == "json":
-        return _dump(to_json(obj), "") + "\n"
+        return json.dumps(to_json(obj), indent=2) + "\n"
     if isinstance(obj, PipelineResult):
         return rows_to_csv([result_row(obj)])
     if isinstance(obj, AssignmentReport):

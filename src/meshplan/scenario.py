@@ -72,35 +72,26 @@ class Scenario:
         return self.topology.build(self.algorithm)
 
 
-def _preset_ring4() -> dict:
+# Each preset is a ring of this many nodes, 250 m apart, with the flows of
+# ``_preset``.
+PRESETS = {"paper-ring-4": 4, "paper-table1": 50}
+
+
+def _preset(name: str) -> dict:
+    """The document of a preset: an n-node ring, two voip flows across it and
+    a vod flow back over the first one's nodes."""
+    n = PRESETS[name]
     return {
-        "name": "paper-ring-4",
-        "topology": {"kind": "ring", "n": 4, "spacing": 250.0, "tx_range": 250.0},
+        "name": name,
+        "topology": {"kind": "ring", "n": n, "spacing": 250.0, "tx_range": 250.0},
         "traffic": {"flows": [
-            {"src": 0, "dst": 2, "kind": "voip"},
-            {"src": 1, "dst": 3, "kind": "voip"},
-            {"src": 2, "dst": 0, "kind": "vod"},
+            {"src": 0, "dst": n // 2, "kind": "voip"},
+            {"src": n // 4, "dst": n // 4 + n // 2, "kind": "voip"},
+            {"src": n // 2, "dst": 0, "kind": "vod"},
         ]},
         "algorithm": {},
         "sim": {"horizon_s": 100.0},
     }
-
-
-def _preset_table1() -> dict:
-    return {
-        "name": "paper-table1",
-        "topology": {"kind": "ring", "n": 50, "spacing": 250.0, "tx_range": 250.0},
-        "traffic": {"flows": [
-            {"src": 0, "dst": 25, "kind": "voip"},
-            {"src": 12, "dst": 37, "kind": "voip"},
-            {"src": 25, "dst": 0, "kind": "vod"},
-        ]},
-        "algorithm": {},
-        "sim": {"horizon_s": 100.0},
-    }
-
-
-PRESETS = {"paper-ring-4": _preset_ring4, "paper-table1": _preset_table1}
 
 
 def _with_kind_defaults(traffic):
@@ -122,7 +113,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if not (isinstance(name, str) and name in PRESETS):
                 raise ConfigurationError(
                     f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-            base = PRESETS[name]()
+            base = _preset(name)
             for section in ("topology", "traffic", "algorithm", "sim"):
                 given = doc.get(section, {})
                 base[section] = {**base[section], **given} if isinstance(given, dict) else given

@@ -60,9 +60,11 @@ The result equals stepping every slot. One run may inject at most
 
 Each flow counts its own packets generated, delivered and dropped and its
 delays; the run keeps one more sum, of every delay in service order, for
-the average delay. ``metrics()`` derives the totals from the flows' counts
-and the packets in flight from the queues' own counts, and raises
-ContractError unless generated equals delivered + dropped + queued.
+the average delay. ``SimMetrics`` stores the flows' counts, that average
+and the throughput in bits, and reads every total off the flows.
+``metrics()`` raises ContractError unless the flows' generated packets
+equal those delivered, dropped and held in the queues, which count their
+packets apart from the flows.
 
 A flow's due slot is ceil(next_t / slot_s), moved at most one slot to
 agree with the admit test of ``_inject``. A flow whose next packet falls
@@ -121,22 +123,50 @@ class FlowStats:
 
     def __post_init__(self):
         check(self)
+        if self.delivered + self.dropped > self.generated:
+            raise invalid("delivered", f"must be <= {self.generated} generated - "
+                                       f"{self.dropped} dropped, got {self.delivered}")
 
 
 @dataclass(frozen=True)
 class SimMetrics:
-    generated: int = param(0, ge=0)
-    delivered: int = param(0, ge=0)
-    dropped: int = param(0, ge=0)
-    in_flight: int = param(0, ge=0)
+    """A run's outcome: each flow's counts, the average delay and the
+    throughput in bits per second. The average is kept because it sums every
+    delay in service order, which the flows' sums added up would not give
+    bit for bit, and the throughput because the flows' counts hold no packet
+    size. Every total is read off the flows."""
     avg_delay_s: float = param(0.0, ge=0)
-    pdr: float = param(0.0, ge=0, le=1)
-    throughput_pkts: int = param(0, ge=0)
     throughput_bps: float = param(0.0, ge=0)
     per_flow: dict[Pair, FlowStats] = field(default_factory=dict)
 
     def __post_init__(self):
         check(self)
+
+    @property
+    def generated(self) -> int:
+        return sum(st.generated for st in self.per_flow.values())
+
+    @property
+    def delivered(self) -> int:
+        return sum(st.delivered for st in self.per_flow.values())
+
+    @property
+    def dropped(self) -> int:
+        return sum(st.dropped for st in self.per_flow.values())
+
+    @property
+    def in_flight(self) -> int:
+        """The packets generated but neither delivered nor dropped: queued."""
+        return self.generated - self.delivered - self.dropped
+
+    @property
+    def pdr(self) -> float:
+        generated = self.generated
+        return self.delivered / generated if generated else 0.0
+
+    @property
+    def throughput_pkts(self) -> int:
+        return self.delivered
 
 
 class ServiceAudit:
@@ -572,28 +602,21 @@ class Simulator:
     # -- results ---------------------------------------------------------
 
     def metrics(self) -> SimMetrics:
-        """A snapshot of the run so far, totals summed over its flows. The
-        packets in flight are those the queues hold, which they count apart
+        """A snapshot of the run so far. The queues count their packets apart
         from the flows, so a packet generated but neither delivered, dropped
         nor queued raises ContractError."""
         flows = self._flows
         generated = sum(fr.generated for fr in flows)
         delivered = sum(fr.delivered for fr in flows)
         dropped = sum(fr.dropped for fr in flows)
-        in_flight = sum(link.count for link in self._links)
-        if generated != delivered + dropped + in_flight:
+        queued = sum(link.count for link in self._links)
+        if generated != delivered + dropped + queued:
             raise ContractError(
                 f"packet conservation violated at slot {self.slot}: "
-                f"{generated} != {delivered} + {dropped} + {in_flight} queued")
+                f"{generated} != {delivered} + {dropped} + {queued} queued")
         delivered_bits = sum(fr.delivered * fr.size_bits for fr in flows)
         return SimMetrics(
-            generated=generated,
-            delivered=delivered,
-            dropped=dropped,
-            in_flight=in_flight,
             avg_delay_s=self.delay_sum_s / delivered if delivered else 0.0,
-            pdr=delivered / generated if generated else 0.0,
-            throughput_pkts=delivered,
             throughput_bps=delivered_bits / self.config.horizon_s,
             per_flow={fr.pair: FlowStats(fr.generated, fr.delivered, fr.dropped, fr.delay_sum_s)
                       for fr in flows},

@@ -41,7 +41,10 @@ count comes first: points binned into squares small enough that any two in
 one square pass the range test, the pairs within each square, summed. That
 is a lower bound on the pairs in range, so when it exceeds the bound the
 search fails before it allocates a row or a cell, and it never fails a
-search that would pass.
+search that would pass. Likewise the links that share a node interfere when
+the interference range exceeds the transmission range by a little more than
+the rounding, so ``build`` counts those pairs off the node rows and fails
+before it makes a link when they alone pass the bound.
 """
 
 from __future__ import annotations
@@ -179,8 +182,16 @@ class TopologySpec:
         # meets them. A binary tree's links are the parent-child edges, not a
         # range search, so it looks for such nodes with a search at 0 m.
         tree = self.kind == "binary-tree"
+        tx_limit = self.tx_range * (1.0 + _RANGE_TOL)
         rows = (_neighbours(points, 0.0, "topology.spacing") if tree else
-                _neighbours(points, self.tx_range * (1.0 + _RANGE_TOL), "topology.tx_range"))
+                _neighbours(points, tx_limit, "topology.tx_range"))
+        interference_range = alg.interference_multiplier * self.tx_range
+        if not tree:
+            # The links that share a node already pass the bound on the
+            # interfering pairs: fail before making one of them.
+            int_limit = interference_range * (1.0 + _RANGE_TOL)
+            if _adjacent_pairs(rows, points, tx_limit, int_limit) > MAX_PAIRS:
+                raise _too_many_pairs("algorithm.interference_multiplier", int_limit)
         pairs = ((u, v) for u, row in enumerate(rows) for v in sorted(row) if v > u)
         if tree:
             coincident = next(pairs, None)
@@ -193,7 +204,7 @@ class TopologySpec:
             if d == 0:
                 raise _coincident(u, v, self.spacing)
             links.append(VirtualLink(u, v, _link_gain(d, alg.d0, alg.alpha)))
-        return Topology(nodes, tuple(links), alg.interference_multiplier * self.tx_range)
+        return Topology(nodes, tuple(links), interference_range)
 
 
 def _link_gain(distance: float, d0: float, alpha: float) -> float:
@@ -236,6 +247,23 @@ def _sure_pairs(xs: list[float], ys: list[float], x0: float, y0: float,
     squares = Counter((math.floor((x / 2 - x0) / half_side), math.floor((y / 2 - y0) / half_side))
                       for x, y in zip(xs, ys))
     return sum(k * (k - 1) // 2 for k in squares.values())
+
+
+def _adjacent_pairs(rows: list[list[int]], points: list[tuple[float, float]],
+                    tx_limit: float, int_limit: float) -> int:
+    """A lower bound on the interfering pairs of the links that ``rows``, the
+    node search within ``tx_limit``, makes: the pairs of links that share a
+    node, the sum over nodes of C(degree, 2). Two such links have midpoints
+    at most tx_limit apart, give or take the 1 nm to which _distance rounds a
+    link's length and the midpoints' distance and the float error of the
+    midpoints, below 2**-51 of the largest coordinate. The count is a lower
+    bound only when int_limit, the interference limit, leaves room for all
+    that over tx_limit, so that every such pair interferes; otherwise it is
+    0."""
+    reach = max(abs(c) for p in points for c in p)
+    if not int_limit >= tx_limit * (1 + 1e-12) + 2e-9 + reach * 2.0 ** -50:
+        return 0
+    return sum(len(row) * (len(row) - 1) // 2 for row in rows)
 
 
 def _neighbours(points: list[tuple[float, float]], limit: float,

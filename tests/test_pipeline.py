@@ -234,9 +234,10 @@ def test_run_without_overrides_carries_its_scenario_as_given():
 
 
 def test_codec_orders_pairs_numerically():
-    goodput = GoodputReport({(10, 1): 1.0, (2, 0): 2.0}, 3.0)
+    goodput = GoodputReport({(10, 1): 1.0, (2, 0): 2.0})
     doc = to_json(goodput)
-    assert list(doc["useful"]) == ["2->0", "10->1"]
+    assert doc == {"useful": {"2->0": 2.0, "10->1": 1.0}}
+    assert goodput.total == 3.0
     assert to_json(frozenset({(10, 1), (2, 0), (2, 11)})) == ["2->0", "2->11", "10->1"]
     assert from_json(GoodputReport, doc, "goodput") == goodput
 
@@ -268,8 +269,13 @@ def test_bundle_missing_field_names_it():
     (("assignment", "frame_of"), [0, 1, None, 1],
      r"^bundle\.assignment\.frame_of\[2\]: must be an integer, got None$"),
     (("routes", "iterations"), "x", r"^bundle\.routes\.iterations: must be an integer, got 'x'$"),
-    (("metrics", "pdr"), [1], r"^bundle\.metrics\.pdr: must be a number, got \[1\]$"),
-    (("metrics", "pdr"), 1.5, r"^bundle\.metrics\.pdr: must be <= 1, got 1\.5$"),
+    # a total the flows' counts give is not stored, so it cannot disagree with them
+    (("metrics", "pdr"), 0.5,
+     r"^bundle\.metrics: unknown key\(s\) \['pdr'\]; allowed: \['avg_delay_s', 'per_flow', "
+     r"'throughput_bps'\]$"),
+    (("metrics", "per_flow", "0->2", "delivered"), 1_000_000,
+     r"^bundle\.metrics\.per_flow\.0->2\.delivered: must be <= 125 generated - 0 dropped, "
+     r"got 1000000$"),
     (("metrics", "per_flow", "0->2", "delivered"), -1,
      r"^bundle\.metrics\.per_flow\.0->2\.delivered: must be >= 0, got -1$"),
     (("scenario", "algorithm", "threshold_fraction"), "x",
@@ -312,6 +318,20 @@ def test_unroutable_flow_tagged_with_stage():
         run_pipeline(scenario_from_dict(doc), "ccmca")
     assert err.value.stage == "routing"
     assert isinstance(err.value.__cause__, UnroutableFlowError)
+
+
+def test_interrupt_in_a_stage_is_not_a_stage_error(monkeypatch, capsys):
+    # Ctrl-C during a stage stops the run as it is: neither run_pipeline nor
+    # the CLI turns it into a failed stage with an empty cause and exit 1.
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "run_simulation", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(ring_scenario(), "ccmca")
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--scenario", "paper-ring-4"])
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_protocol_rejected():

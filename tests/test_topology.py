@@ -4,7 +4,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshplan import ConfigurationError, MeshNode, build_interference_map, scenario_from_dict
@@ -71,12 +71,15 @@ def test_configuration_errors():
 
 
 def test_pair_bound_names_the_range_field(monkeypatch):
-    # A 6-node ring 1 m apart has all 15 node pairs in range as links, and
-    # all 105 pairs of those links interfere.
+    # A 6-node ring 1 m apart has all 15 node pairs in range as links; 60
+    # pairs of those links share a node, and all 105 pairs interfere.
     monkeypatch.setattr(topology, "MAX_PAIRS", 14)
     with pytest.raises(ConfigurationError, match="^topology.tx_range: "):
         build("ring", 6, 1.0)
-    monkeypatch.setattr(topology, "MAX_PAIRS", 15)
+    monkeypatch.setattr(topology, "MAX_PAIRS", 59)
+    with pytest.raises(ConfigurationError, match="^algorithm.interference_multiplier: "):
+        build("ring", 6, 1.0)
+    monkeypatch.setattr(topology, "MAX_PAIRS", 60)
     ring = build("ring", 6, 1.0)
     assert ring.n_links == 15
     with pytest.raises(ConfigurationError, match="^algorithm.interference_multiplier: "):
@@ -425,6 +428,64 @@ def test_sure_pairs_never_exceed_the_pairs_in_range(case):
     # that would pass
     points, limit = case
     assert sure_pairs(points, limit) <= len(all_pairs_within(points, limit))
+
+
+def test_dense_ring_fails_before_links_are_made(monkeypatch):
+    # 1000 nodes within a millimetre: every pair is a link, and the 4.98e8
+    # pairs of links that share a node pass the bound on interfering pairs,
+    # so the build fails before it makes one of the 499,500 links.
+    def no_link(*args):
+        raise AssertionError("a link was made")
+
+    monkeypatch.setattr(topology, "VirtualLink", no_link)
+    with pytest.raises(ConfigurationError,
+                       match="^algorithm.interference_multiplier: puts more than 4e[+]06 pairs"):
+        build("ring", 1000, 1e-6, tx_range=1e-3)
+
+
+@st.composite
+def hubs(draw):
+    """A range and up to 6 nodes about that range from a hub up to 1e9 m from
+    the origin, some straight across the hub from another: two links of the
+    hub have midpoints up to the range apart, give or take the float error
+    of coordinates that large."""
+    tx_range = draw(st.sampled_from([1e-3, 1.0, 250.0]))
+    hub = (draw(st.sampled_from([0.0, 1e6, 1e9])), draw(st.floats(-1e9, 1e9)))
+    points = [hub]
+    for _ in range(draw(st.integers(2, 6))):
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        r = tx_range * (1 + draw(st.sampled_from([0.0, -1e-12, 5e-10, 1e-9])))
+        points.append((hub[0] + r * math.cos(angle), hub[1] + r * math.sin(angle)))
+        if draw(st.booleans()):
+            points.append((2 * hub[0] - points[-1][0], 2 * hub[1] - points[-1][1]))
+    return points, tx_range
+
+
+@settings(max_examples=500, deadline=None)
+# a hub 1e9 m out, where the midpoints' float error outweighs 1e-5 of a 1 mm range
+@example(([(1e9, 491963578.772427), (1000000000.0008461, 491963578.7718941),
+           (999999999.9991539, 491963578.77295995), (1000000000.0008131, 491963578.7718449)],
+          1e-3), 1.00001)
+@given(clustered_points() | hubs(),
+       st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 + 1e-9, 1.00001, 1.0001, 1.5, 2.0])
+       | st.floats(1.0, 3.0))
+def test_adjacent_pairs_never_exceed_the_interfering_pairs(case, multiplier):
+    # the count of links that share a node is a lower bound on the pairs the
+    # interference search finds, so the build fails no topology that would pass
+    points, tx_range = case
+    tx_limit = tx_range * (1.0 + topology._RANGE_TOL)
+    rows = topology._neighbours(points, tx_limit, "tx_range")
+    try:
+        topo = build_from_nodes([MeshNode(x, y) for x, y in points], tx_range,
+                                interference_multiplier=multiplier)
+    except ConfigurationError:  # nodes at one point
+        return
+    imap = build_interference_map(topo)
+    count = topology._adjacent_pairs(rows, points, tx_limit,
+                                     topo.interference_range * (1.0 + topology._RANGE_TOL))
+    assert count <= sum(len(row) - 1 for row in imap.interferers) // 2
+    if multiplier >= 1.5 and 1e-3 <= tx_range <= 250.0:
+        assert count == sum(len(row) * (len(row) - 1) // 2 for row in rows)
 
 
 @pytest.fixture
