@@ -21,7 +21,7 @@ from .routing import RouteTable, fixed_point_route
 # routed_link_loads under these names
 from .routing import cost_table, routed_link_loads  # noqa: F401
 from .scenario import Scenario
-from .schema import from_json, to_json
+from .schema import check, from_json, invalid, pair_key, param, to_json
 from .sim import SimConfig, SimMetrics, run_simulation, sim_input, sim_key
 from .topology import build_interference_map
 
@@ -35,12 +35,39 @@ class PipelineResult:
     The fields are the bundle. ``loads``, the load estimate routing started
     from, is not one: it replays the geometry and routing stages from the
     scenario on first read, so a decoded bundle has it too. Nor is
-    ``goodput``, which follows from the metrics and the traffic."""
+    ``goodput``, which follows from the metrics and the traffic.
+
+    The parts must agree with the scenario: each traffic pair is routed or
+    blocked, not both, and no other pair is; the metrics count the routed
+    pairs; the plan has the scenario's channel count and took at most its
+    ``max_iters`` routing rounds."""
     scenario: Scenario
-    protocol: str
+    protocol: str = param(choices=PROTOCOLS)
     routes: RouteTable
     assignment: ChannelAssignment
     metrics: SimMetrics
+
+    def __post_init__(self):
+        check(self)
+        alg = self.scenario.algorithm
+        routed, blocked = self.routes.routes.keys(), self.routes.blocked
+        traffic = set(self.scenario.traffic.pairs())
+        for pairs, problem in ((routed & blocked, "both routed and blocked"),
+                               (traffic - routed - blocked, "neither routed nor blocked"),
+                               ((routed | blocked) - traffic, "not in the traffic")):
+            if pairs:
+                raise invalid("routes", f"pair(s) {_keys(pairs)} {problem}")
+        if self.metrics.per_flow.keys() != routed:
+            raise invalid("metrics.per_flow", f"must count the routed pairs {_keys(routed)}, "
+                                              f"got {_keys(self.metrics.per_flow)}")
+        if self.assignment.n_channels != alg.n_channels:
+            raise invalid("assignment.n_channels",
+                          f"must be {alg.n_channels} (scenario.algorithm.n_channels), "
+                          f"got {self.assignment.n_channels}")
+        if self.routes.iterations > alg.max_iters:
+            raise invalid("routes.iterations",
+                          f"must be <= {alg.max_iters} (scenario.algorithm.max_iters), "
+                          f"got {self.routes.iterations}")
 
     @property
     def config(self) -> SimConfig:
@@ -60,6 +87,10 @@ class PipelineResult:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineResult":
         return from_json(cls, d, "bundle")
+
+
+def _keys(pairs) -> list[str]:
+    return [pair_key(p) for p in sorted(pairs)]
 
 
 class _Stage:

@@ -46,15 +46,15 @@ def cost_table(load, capacity, alg: AlgorithmParams) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Route:
+    """A selected path as its link ids; its cost follows from the loads."""
     links: Path
-    cost: float
 
 
 @dataclass(frozen=True)
 class RouteTable:
     routes: dict[Pair, Route] = field(default_factory=dict)
     blocked: frozenset[Pair] = frozenset()
-    iterations: int = param(1, ge=0)
+    iterations: int = param(1, ge=1)
     converged: bool = True
 
     def __post_init__(self):
@@ -63,9 +63,8 @@ class RouteTable:
 
 def select_routes(paths: dict[Pair, tuple[Path, ...]],
                   costs: tuple[float, ...]) -> RouteTable:
-    """Per pair, the cheapest finite-cost acceptable path; ties break to the
-    lexicographically smallest link-id sequence. Pairs whose every path hits
-    an infinite-cost link are blocked, not failed."""
+    """Per pair, the first cheapest finite-cost path in the order given, the
+    lexicographic one ``enumerate_acceptable_paths`` emits; else blocked."""
     routes: dict[Pair, Route] = {}
     blocked: set[Pair] = set()
     for pair in sorted(paths):
@@ -76,12 +75,12 @@ def select_routes(paths: dict[Pair, tuple[Path, ...]],
             c = 0.0
             for link in p:
                 c += costs[link]
-            if c < best_cost or (c == best_cost and best is not None and p < best):
+            if c < best_cost:
                 best, best_cost = p, c
         if best is None:
             blocked.add(pair)
         else:
-            routes[pair] = Route(best, best_cost)
+            routes[pair] = Route(best)
     return RouteTable(routes, frozenset(blocked))
 
 
@@ -120,8 +119,8 @@ def fixed_point_route(topology: Topology, imap: InterferenceMap,
     for it in range(1, alg.max_iters + 1):
         costs = cost_table(delta, caps, alg)
         table = select_routes(paths, costs)
-        key = tuple((pair, table.routes[pair].links) if pair in table.routes
-                    else (pair, None) for pair in sorted(paths))
+        # sorted by pair; a pair absent from it is blocked
+        key = tuple(table.routes.items())
         delta_next = routed_link_loads(topology.n_links, table, profile)
         if delta_next == delta:
             converged = True

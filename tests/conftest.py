@@ -104,7 +104,7 @@ def random_routes(topology, rng, max_paths: int = 6):
     routes, flows = {}, []
     for src, dst, links in random_paths(topology, rng, max_paths):
         if (src, dst) not in routes:
-            routes[(src, dst)] = Route(links, float(len(links)))
+            routes[(src, dst)] = Route(links)
             flows.append(cbr(src, dst, rng.choice((1000.0, 2000.0, 4000.0)),
                              rng.choice((125, 250))))
     return RouteTable(routes), profile(*flows)

@@ -211,7 +211,7 @@ def test_acceptance_7_saturated_queue_oracle(capsys):
     topo = build("chain", 2, 100.0)
     imap = build_interference_map(topo)
     prof = TrafficProfile((Flow(0, 1, 2e6, 125, "cbr"),))
-    routes = RouteTable({(0, 1): Route((0,), 1.0)})
+    routes = RouteTable({(0, 1): Route((0,))})
     asg = ChannelAssignment(1, (0,), (0,))
     cfg = SimConfig(horizon_s=10.0, channel_capacity_bps=1e6, slot_s=1e-3)
     assert cfg.n_slots >= 10_000

@@ -16,7 +16,7 @@ from conftest import (build, build_from_nodes, cbr, n1, profile, random_paths, r
 
 def routed(*flows):
     """A route table and its traffic from (flow, link ids) pairs."""
-    return (RouteTable({f.pair: Route(links, float(len(links))) for f, links in flows}),
+    return (RouteTable({f.pair: Route(links) for f, links in flows}),
             profile(*(f for f, _ in flows)))
 
 

@@ -134,9 +134,9 @@ def test_blocked_bundle_roundtrip_through_json():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", ["paper-ring-4", "paper-table1", "grid-params", "blocked"])
 def test_route_costs_follow_from_the_bundle_loads(name, protocol):
-    # A bundle stores no link costs: the costs of its loads price every route
-    # at its links' costs added left to right, and leave every path of a
-    # blocked pair at infinite cost.
+    # A bundle stores no cost: priced by the costs of its loads, its links'
+    # costs added left to right, each route is the first cheapest of its
+    # pair's acceptable paths, and every path of a blocked pair costs infinity.
     from test_reports import GRID_PARAMS  # test_reports imports this module
     from test_routing import left_to_right
     doc = {"grid-params": GRID_PARAMS, "blocked": BLOCKED}.get(
@@ -144,8 +144,10 @@ def test_route_costs_follow_from_the_bundle_loads(name, protocol):
     result = run_pipeline(scenario_from_dict(doc), protocol)
     loads = result.loads
     costs = cost_table(loads.load, loads.capacity, result.scenario.algorithm)
-    for route in result.routes.routes.values():
-        assert route.cost == left_to_right(costs, route.links)
+    for pair, route in result.routes.routes.items():
+        priced = [left_to_right(costs, path) for path in loads.paths[pair]]
+        assert not math.isinf(min(priced))
+        assert route.links == loads.paths[pair][priced.index(min(priced))]
     for pair in result.routes.blocked:
         assert all(math.isinf(left_to_right(costs, path)) for path in loads.paths[pair])
 
@@ -287,13 +289,33 @@ def test_bundle_missing_field_names_it():
      r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got None$"),
     (("assignment", "channel_of"), [0, 1, True, 1],
      r"^bundle\.assignment\.channel_of\[2\]: must be an integer, got True$"),
-    # no bundle float is infinite, so the codec has no form for one
+    # a route is its links: a cost, whatever its value, is not stored
     (("routes", "routes", "0->2", "cost"), "inf",
-     r"^bundle\.routes\.routes\.0->2\.cost: must be a number, got 'inf'$"),
+     r"^bundle\.routes\.routes\.0->2: unknown key\(s\) \['cost'\]; allowed: \['links'\]$"),
     (("routes", "routes", "0->2", "links"), ["x"],
      r"^bundle\.routes\.routes\.0->2\.links\[0\]: must be an integer, got 'x'$"),
     (("scenario", "traffic", "flows", 0, "dst"), 99,
      r"^bundle\.scenario\.traffic\.flows\[0\]\.dst: node 99 not in topology \(0\.\.3\)$"),
+    (("protocol",), "xyz",
+     r"^bundle\.protocol: must be one of \['ccmca', 'baseline'\], got 'xyz'$"),
+    # the routed and blocked pairs split the traffic's pairs, and the metrics
+    # count the routed ones
+    (("routes", "blocked"), ["0->2"],
+     r"^bundle\.routes: pair\(s\) \['0->2'\] both routed and blocked$"),
+    (("routes", "routes"), {"1->3": {"links": [0, 1]}, "2->0": {"links": [2, 0]}},
+     r"^bundle\.routes: pair\(s\) \['0->2'\] neither routed nor blocked$"),
+    (("routes", "routes", "0->1"), {"links": [0]},
+     r"^bundle\.routes: pair\(s\) \['0->1'\] not in the traffic$"),
+    (("metrics", "per_flow", "0->1"),
+     {"generated": 0, "delivered": 0, "dropped": 0, "delay_sum_s": 0.0},
+     r"^bundle\.metrics\.per_flow: must count the routed pairs \['0->2', '1->3', '2->0'\], "
+     r"got \['0->1', '0->2', '1->3', '2->0'\]$"),
+    # the plan's counts are the scenario's
+    (("assignment", "n_channels"), 7,
+     r"^bundle\.assignment\.n_channels: must be 3 \(scenario\.algorithm\.n_channels\), got 7$"),
+    (("routes", "iterations"), 0, r"^bundle\.routes\.iterations: must be >= 1, got 0$"),
+    (("routes", "iterations"), 99,
+     r"^bundle\.routes\.iterations: must be <= 10 \(scenario\.algorithm\.max_iters\), got 99$"),
 ])
 def test_bundle_impossible_value_names_it(path, value, error):
     doc = run_pipeline(ring_scenario(), "ccmca").to_dict()

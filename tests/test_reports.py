@@ -22,19 +22,19 @@ RUN_DIGESTS = {
     ("paper-ring-4", "ccmca", "csv"):
         "ab12950cbda1b558379b6850f4630872eaa59facdb4753443b2ade3ea58b0179",
     ("paper-ring-4", "ccmca", "json"):
-        "fb2a8c33670ae6c9f5dd6eb3b69d01f81994a8d201659169fff35500183c8178",
+        "1bc7a0dc4c394cd0438f3f30685d10f23435a0b4f1b4d3d6ec4d2f8c7435c021",
     ("paper-ring-4", "baseline", "csv"):
         "502fc2284c2ae615b2801cb293b4c6e36b4697bd82baf837d13e46e63c25def3",
     ("paper-ring-4", "baseline", "json"):
-        "1ae30df086c56800b9b850afc5aa8ec37e59325d2487fa49e818bde991a1feda",
+        "78de7bc5025d92da3bb69ec04191eb8aedd516acb90053e32199115b28eb4028",
     ("paper-table1", "ccmca", "csv"):
         "3ae910f84ccf1fb2c3328031a01f7f622cfc13b17ada6b1829490b1772b849ea",
     ("paper-table1", "ccmca", "json"):
-        "f5c27484d63c6ba23112c5b42b7ebbd449d297fa9d8f40f755df4aff1fbd4080",
+        "118add28e978656f99495c358c8800aabd8d5afcac8f757aab8c3ed5a4da92ff",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
-        "bb0a2d6060e455636748b86ae1b71876b3696266eb7ae024604d9a8f7cedac70",
+        "7a374d82422d434b68434718a57d4e78bc7e89c250bd95c1f58c0a5655aed003",
 }
 
 ASSIGN_DIGESTS = {
@@ -81,13 +81,13 @@ FULL_HORIZON_DOCS = {
 }
 FULL_HORIZON_DIGESTS = {
     ("paper-table1", "ccmca"):
-        "e23f9d3dd88d564e75e4444284d5411f2a67e05e62e198e2516335a6b0cce6a6",
+        "e06b1a0d2a597786816a2a31a46667ef1327b2c54eaf82cd9a4b71a1f81e8925",
     ("paper-table1", "baseline"):
-        "4c20c951fdea6f9eced546337e1a6680b84916bff3665f596aabf0c7d6578109",
+        "8e1884d5a697c6580464e6a7caf608b5fe3c4fb048dbaa053505b0d551a6c359",
     ("chain-saturated", "ccmca"):
-        "c07fa89cd0c99d520e6dcd58cf2bc3638b3de43e37a9a69e640a278a9ecb48f4",
+        "b357911b0225521dbff8f36257d8dde983ed27b1866fd421d5b12049e93a3caf",
     ("chain-saturated", "baseline"):
-        "e097924cd0f65ae315861d6b16b51cfc089cf90853e7b0279342a1b32a4d5bb7",
+        "8712168065affba105fbcf79078b8ffa77b42e89af90f3fc5c02ebf48a9c7173",
 }
 
 # `meshplan run` and `meshplan assign` JSON on a document whose every
@@ -106,8 +106,8 @@ GRID_PARAMS = {
     "sim": {"horizon_s": 5, "channel_capacity_bps": 9e6},
 }
 GRID_PARAMS_DIGESTS = {
-    ("run", "ccmca"): "9eb489887fa389451df5b79009e142da7abee9f7ede81968cd64e7484e7b31ba",
-    ("run", "baseline"): "3820848112eff29db864cb37949121dbac8dbffb01bd16cf8f79af766f099f41",
+    ("run", "ccmca"): "c9ea2649e2055c430f0eef4762b822e4f18391ac5fac0dadede4aa3814077af7",
+    ("run", "baseline"): "1754ddf5db02867a9760616d5c1392b88de750c69f57a3da9d8354e99d23f841",
     ("assign", "ccmca"): "9be11c4775229360fd10c0c6b2e51038f9c4af8fa7e66d40fe3fcfbbd7f10cb2",
     ("assign", "baseline"): "e1563b3cd9b6c35546ea99639d72d93e2243722f6edb3ba2b6223ae65b958863",
 }

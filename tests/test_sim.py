@@ -28,7 +28,7 @@ def single_link_setup(rate_bps, packet_bytes, capacity_bps, horizon_s,
                       queue_packets=64, slot_s=1e-3):
     imap = chain2()
     prof = profile(cbr(0, 1, rate_bps, packet_bytes))
-    routes = RouteTable({(0, 1): Route((0,), 1.0)})
+    routes = RouteTable({(0, 1): Route((0,))})
     asg = ChannelAssignment(1, (0,), (0,))
     cfg = SimConfig(horizon_s=horizon_s, channel_capacity_bps=capacity_bps,
                     slot_s=slot_s, queue_packets=queue_packets)
@@ -64,7 +64,7 @@ def test_two_hop_tandem_exact_delay():
     t = build("chain", 3, 100.0, tx_range=100.0)
     imap = build_interference_map(t)
     prof = profile(cbr(0, 2, 2.5e6, 1250))  # one 10000-bit packet every 4 slots
-    routes = RouteTable({(0, 2): Route((0, 1), 2.0)})
+    routes = RouteTable({(0, 2): Route((0, 1))})
     asg = ChannelAssignment(2, (0, 1), (0, 1))
     m = run_simulation(sim_input(imap, prof, routes, asg),
                        SimConfig(horizon_s=1.0, channel_capacity_bps=10e6))
@@ -111,7 +111,7 @@ def test_unassigned_route_link_is_contract_error():
     # an assignment that covers fewer links than the topology has
     imap = chain2()
     prof = profile(cbr(0, 1, 1000.0, 125))
-    routes = RouteTable({(0, 1): Route((0,), 1.0)})
+    routes = RouteTable({(0, 1): Route((0,))})
     with pytest.raises(ContractError, match="covers 0 links, the topology has 1"):
         sim_input(imap, prof, routes, ChannelAssignment(1, (), ()))
 
@@ -131,7 +131,7 @@ def test_sim_key_holds_what_a_run_reads(ring4, ring4_imap):
     # Links 0=(0,1) and 3=(2,3) carry one flow each and share frame 0; links
     # 1 and 2 are on no route.
     prof = profile(cbr(0, 1, 2.5e6, 1250), cbr(2, 3, 2.5e6, 1250))
-    routes = RouteTable({(0, 1): Route((0,), 1.0), (2, 3): Route((3,), 1.0)})
+    routes = RouteTable({(0, 1): Route((0,)), (2, 3): Route((3,))})
     config = SimConfig(horizon_s=0.5)
 
     def assignment(channels, frames):
@@ -163,7 +163,7 @@ def test_sim_key_holds_what_a_run_reads(ring4, ring4_imap):
 # On the 3x3 grid, links sort by (u, v): 0=(0,1) 1=(0,3) 2=(1,2) 3=(1,4)
 # 4=(2,5) 5=(3,4) 6=(3,6) 7=(4,5) 8=(4,7) 9=(5,8) 10=(6,7) 11=(7,8). The two
 # flows meet on link 4; links 1, 3, 8, 10 and 11 are on no route.
-GRID9_ROUTES = RouteTable({(0, 8): Route((0, 2, 4, 9), 4.0), (6, 2): Route((6, 5, 7, 4), 4.0)})
+GRID9_ROUTES = RouteTable({(0, 8): Route((0, 2, 4, 9)), (6, 2): Route((6, 5, 7, 4))})
 GRID9_UNROUTED = (1, 3, 8, 10, 11)
 
 
@@ -564,7 +564,7 @@ def test_jump_adds_shared_credit_as_stepping(ring4_imap):
     # (0, 1) wait some 105 active slots for credit and the 1500 B packets of
     # (2, 3) wait 3, so a jump often stops for (2, 3) while (0, 1) waits on.
     prof = profile(cbr(0, 1, 1e6, 65536), cbr(2, 3, 2e5, 1500))
-    routes = RouteTable({(0, 1): Route((0,), 1.0), (2, 3): Route((3,), 1.0)})
+    routes = RouteTable({(0, 1): Route((0,)), (2, 3): Route((3,))})
     inp = sim_input(ring4_imap, prof, routes, ChannelAssignment(1, (0, 0, 0, 0), (0, 1, 1, 0)))
     config = SimConfig(horizon_s=2.0)
     (m, grants), steps = assert_jumps_equal_stepping(inp, config)
