@@ -203,9 +203,9 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     The keyword overrides exist for sweeps; they leave the scenario object
     untouched, and the bundle carries it with them applied. ``_memo`` is a
     sweep's map from each stage's key to what that stage made of it: the
-    keys of ``plan``, the simulator input's (the routing and assignment
-    keys) and ``sim_key`` for the metrics. A run finds there every stage
-    whose inputs an earlier run of the sweep shared, and computes the rest.
+    keys of ``plan`` and ``sim_key`` for the metrics. A run finds there
+    every stage whose inputs an earlier run of the sweep shared, and
+    computes the rest; its simulator input is built anew, and keys the run.
     """
     algorithm = _override("algorithm", scenario.algorithm, n_channels=n_channels)
     sim = _override("sim", scenario.sim, horizon_s=horizon_s, seed=seed)
@@ -214,9 +214,7 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
     memo = {} if _memo is None else _memo
     _, imap, _, routes, assignment = plan(scenario, protocol, _memo=memo)
     with _Stage("simulation"):
-        inp = _memoized(memo, ("sim_input", routing_key(scenario),
-                               assignment_key(scenario, protocol)),
-                        lambda: sim_input(imap, scenario.traffic, routes, assignment))
+        inp = sim_input(imap, scenario.traffic, routes, assignment)
         metrics = _memoized(memo, sim_key(inp, scenario.sim),
                             lambda: run_simulation(inp, scenario.sim))
     return PipelineResult(scenario, protocol, routes, assignment, metrics)

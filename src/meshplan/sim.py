@@ -16,14 +16,12 @@ packets the queue holds, its credit, its frame, its bit in that frame and
 the bits of its co-channel links. A frame's backlog, the links of that frame
 with packets queued, is one int: bit i stands for the frame's i-th routed
 link in link order. A slot serves the backlog's set bits from the lowest
-up, which is link order, and a link's divisor is 1 plus the set bits that
-its co-channel mask shares with the backlog. The walk takes the mask 30
-bits at a time, so a wide frame's mask is shifted once per 30 bits and not
-copied once per link. A flow carries its route as a tuple of link records,
-so a slot's work reads attributes and looks up no table by link id. The
-run's constants (a slot's bits, the queue capacity, the slot length, the
-admit slack and the last admit time) are computed once, when the run is
-built.
+up, which is link order, taking off the lowest set bit each time, and a
+link's divisor is 1 plus the set bits that its co-channel mask shares with
+the backlog. A flow carries its route as a tuple of link records, so a
+slot's work reads attributes and looks up no table by link id. The run's
+constants (a slot's bits, the queue capacity, the slot length, the admit
+slack and the last admit time) are computed once, when the run is built.
 
 A queue holds runs: consecutive packets of one flow at one hop, kept as
 their inject times. Service takes packets off the head runs while the
@@ -76,7 +74,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 from .channels import ChannelAssignment
@@ -91,8 +88,6 @@ _CREDIT_EPS = 1e-6  # bits of slack on credit comparisons
 _TIME_EPS = 1e-9    # relative slack on slot-boundary comparisons
 MAX_PACKETS = 1e8   # bound on the packets one run may inject
 MAX_SLOTS = 1e8     # bound on the slots one run may span
-_WORD_BITS = 30     # bits of a backlog mask walked as one small int
-_WORD = (1 << _WORD_BITS) - 1
 _EXACT = 2.0 ** 52  # below it, charging an int size to credit is exact
 
 
@@ -219,25 +214,6 @@ class _Link:
         self.frame = frame
         self.bit = bit
         self.others = 0
-
-
-def _backlogged(mask: int, members: list[_Link]) -> Iterator[_Link]:
-    """The links of ``members`` whose bits are set in ``mask``, lowest bit
-    first. A wide mask is taken a word of ``_WORD_BITS`` at a time, so each
-    bit is found with small-int operations; only the shift to the next word
-    touches the whole mask."""
-    word, rest, base = mask, 0, -1
-    if word > _WORD:
-        word, rest = mask & _WORD, mask >> _WORD_BITS
-    while True:
-        while word:
-            low = word & -word
-            word ^= low
-            yield members[base + low.bit_length()]
-        if not rest:
-            return
-        word, rest = rest & _WORD, rest >> _WORD_BITS
-        base += _WORD_BITS
 
 
 class _FlowRun:
@@ -444,8 +420,6 @@ class Simulator:
         # Serve the links backlogged at slot start, lowest bit first, which
         # is link order; each one's divisor reads the slot-start mask.
         # Packets served in this slot wait in the outbox until service ends.
-        # The walk is _backlogged's, inline: calling the generator here made
-        # a paper-table1 run about 8% slower.
         frame = slot % self.n_frames
         backlog = self._masks[frame]
         members = self._members[frame]
@@ -455,59 +429,52 @@ class Simulator:
         emptied = []
         slot_bits = self._slot_bits
         eps = _CREDIT_EPS
-        word, rest, base = backlog, 0, -1
-        if word > _WORD:
-            word, rest = backlog & _WORD, backlog >> _WORD_BITS
-        while True:
-            while word:
-                low = word & -word
-                word ^= low
-                link = members[base + low.bit_length()]
-                others = link.others
-                if others:
-                    divisor = 1 + (backlog & others).bit_count()
-                    share = slot_bits / divisor
-                else:
-                    divisor, share = 1, slot_bits
-                c = link.credit + share
-                if audit is not None:
-                    audit.record(slot, link.id, share, divisor)
-                q = link.queue
-                while q:
-                    run = q[0]
-                    fr, hop, times, head = run
-                    size = fr.size_bits
-                    if size > c + eps:
-                        break
-                    i, end = head + 1, len(times)
-                    c -= size
-                    if i < end:
-                        n, c = _charge(c, size, end - i)
-                        i += n
-                    link.count -= i - head
-                    # A run served to its end moves on itself; a run served in
-                    # part stays, and a new run takes the packets served.
-                    if i == end:
-                        q.popleft()
-                        if head:
-                            run[2], run[3] = times[head:], 0
-                        outbox.append(run)
-                        continue
-                    outbox.append([fr, hop, times[head:i], 0])
-                    # Drop the served prefix once it outgrows the rest, so
-                    # serving costs the packets served, amortized.
-                    if 2 * i >= end:
-                        del times[:i]
-                        i = 0
-                    run[3] = i
+        mask = backlog
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            link = members[low.bit_length() - 1]
+            others = link.others
+            if others:
+                divisor = 1 + (backlog & others).bit_count()
+                share = slot_bits / divisor
+            else:
+                divisor, share = 1, slot_bits
+            c = link.credit + share
+            if audit is not None:
+                audit.record(slot, link.id, share, divisor)
+            q = link.queue
+            while q:
+                run = q[0]
+                fr, hop, times, head = run
+                size = fr.size_bits
+                if size > c + eps:
                     break
-                link.credit = c
-                if not q:
-                    emptied.append(link)
-            if not rest:
+                i, end = head + 1, len(times)
+                c -= size
+                if i < end:
+                    n, c = _charge(c, size, end - i)
+                    i += n
+                link.count -= i - head
+                # A run served to its end moves on itself; a run served in
+                # part stays, and a new run takes the packets served.
+                if i == end:
+                    q.popleft()
+                    if head:
+                        run[2], run[3] = times[head:], 0
+                    outbox.append(run)
+                    continue
+                outbox.append([fr, hop, times[head:i], 0])
+                # Drop the served prefix once it outgrows the rest, so
+                # serving costs the packets served, amortized.
+                if 2 * i >= end:
+                    del times[:i]
+                    i = 0
+                run[3] = i
                 break
-            word, rest = rest & _WORD, rest >> _WORD_BITS
-            base += _WORD_BITS
+            link.credit = c
+            if not q:
+                emptied.append(link)
 
         if outbox:
             self._forward(outbox)
@@ -552,8 +519,12 @@ class Simulator:
         # size, the size as a float where that is exact, which compares faster.
         waiting = []
         for first in range(start, min(start + n_frames, target)):
-            backlog = masks[first % n_frames]
-            for link in _backlogged(backlog, self._members[first % n_frames]):
+            backlog = mask = masks[first % n_frames]
+            members = self._members[first % n_frames]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                link = members[low.bit_length() - 1]
                 others = link.others
                 divisor = 1 + (backlog & others).bit_count() if others else 1
                 share = slot_bits / divisor

@@ -1,7 +1,9 @@
 import json
 import math
+import types
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,13 @@ from hypothesis import strategies as st
 from meshplan import (PRESETS, PROTOCOLS, ConfigurationError, GoodputReport, MeshNode,
                       PipelineError, PipelineResult, Scenario, TrafficProfile,
                       UnroutableFlowError, cost_table, emit_report, load_scenario, pipeline,
-                      render_report, run_pipeline, scenario_from_dict, sweep_channels,
-                      sweep_time)
+                      render_report, report, routing, run_pipeline, scenario_from_dict,
+                      sweep_channels, sweep_time)
 from meshplan.cli import main
 from meshplan.pipeline import assignment_key, geometry_key, routing_key
 from meshplan.report import CSV_COLUMNS, assignment_to_csv, result_row
 from meshplan.schema import from_json, to_json
+from meshplan.sim import Simulator
 
 
 def ring_scenario(horizon_s=5.0, seed=1):
@@ -483,9 +486,48 @@ def test_run_pipeline_builds_one_simulator_input(monkeypatch):
     run_pipeline(scenario, "ccmca")
     assert len(calls) == 1
     sweep_channels(scenario, [1, 2], seeds=[1, 2])
-    # one input per distinct (routes, assignment): ccmca's per channel count,
-    # the baseline's per (count, seed)
-    assert len(calls) == 1 + 2 + 2 * 2
+    # one input per run, 2 channel counts x 2 protocols x 2 seeds: runs share
+    # a simulation through sim_key, which equal inputs map to one key
+    assert len(calls) == 1 + 2 * 2 * 2
+
+
+def bench_tracer():
+    """A ``Tracer`` of the benchmark's ``bench/spans.py``, which wraps library
+    names in place. The file is compiled from its source, so no bytecode is
+    written beside it."""
+    path = Path(__file__).parent.parent / "bench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    return spans.Tracer()
+
+
+def traced_reports():
+    """Reports of a run and a sweep, through the module attributes that the
+    tracer wraps."""
+    scenario = ring_scenario(horizon_s=2.0)
+    result = pipeline.run_pipeline(scenario, "ccmca")
+    rows = pipeline.sweep_channels(scenario, [1, 2])
+    return (report.render_report(result, "json"), report.render_report(rows, "csv"))
+
+
+def test_bench_tracer_wraps_names_the_library_has():
+    owners = (pipeline, routing, report, Scenario, Simulator)
+    before = [dict(vars(owner)) for owner in owners]
+    untraced = traced_reports()
+    tracer = bench_tracer()
+    try:
+        tracer.install()
+        traced = traced_reports()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    names = {span.name for span in tracer.spans}
+    assert {"pipeline.run", "sim.run", "routing.fixed_point", "channels.assign",
+            "topology.build"} <= names
+    assert tracer.counts["sim.steps"] > 0
+    for owner, attrs in zip(owners, before):
+        assert vars(owner).keys() == attrs.keys()
+        assert all(vars(owner)[name] is value for name, value in attrs.items()), owner
 
 
 def varied(scenario, section, **changes):

@@ -802,8 +802,8 @@ def test_run_length_queues_equal_packet_oracle_on_presets(protocol):
     assert assert_equals_packet_oracle(ring, protocol, n_channels=1).delivered > 0
     # 70 one-hop flows on every other link of a chain, one channel: the
     # routed links share no node, so all 70 share a frame, and its backlog
-    # mask spans several words. Their packets wait slots for credit, so run()
-    # also jumps over slots with links of every word waiting.
+    # mask holds more than 64 bits. Their packets wait slots for credit, so
+    # run() also jumps over slots with links past the 64th bit waiting.
     flows = [{"src": 2 * i, "dst": 2 * i + 1, "kind": "cbr", "rate_bps": 5e4 * (1 + i % 5),
               "packet_bytes": (1500, 4000)[i % 2]} for i in range(70)]
     chain = scenario_from_dict(small_doc(141, flows, 0.2))
