@@ -2,13 +2,14 @@
 
 Pipeline: topology construction and interference mapping, per-link load
 estimation under uniform multipath splitting, congestion-aware route
-selection with a load threshold, greedy gain-minimizing multi-channel
-assignment with TDMA-like activation frames, and a deterministic packet
-simulator producing delay / delivery-ratio / throughput metrics against a
-seeded random-assignment baseline.
+selection with a load threshold, greedy multi-channel assignment with
+TDMA-like activation frames that gives each link the channel fewest of its
+co-frame interferers hold, and a deterministic packet simulator producing
+delay / delivery-ratio / throughput metrics against a seeded
+random-assignment baseline.
 """
 
-from .channels import (ChannelAssignment, baseline_assign, channel_gain_sums,
+from .channels import (ChannelAssignment, baseline_assign, co_channel_counts,
                        order_links, schedule_all_frames)
 from .errors import (ConfigurationError, ContractError, MeshPlanError,
                      PipelineError, ScenarioParseError,

@@ -15,9 +15,11 @@ come last, by first fit in link-id order.
 
 ccmca walks its routes, the highest packet rate first. The seeded random
 baseline walks none, which is first fit in link-id order. ccmca then gives
-each link, frame by frame and in load order within a frame, the channel with
-the smallest summed gain of already-assigned co-channel interferers. Every
-link holds exactly one channel and one frame.
+each link, frame by frame and in load order within a frame, the channel that
+the fewest already-assigned interferers in its own frame hold: the
+simulator splits a slot only among co-channel links of one frame, so those
+are the only interferers a channel choice meets. Every link holds exactly
+one channel and one frame.
 """
 
 from __future__ import annotations
@@ -63,16 +65,16 @@ def order_links(delta: Sequence[float]) -> list[int]:
     return sorted(range(len(delta)), key=lambda l: (-delta[l], l))
 
 
-def channel_gain_sums(link: int, n_channels: int, channel_of: Sequence[int | None],
-                      imap: InterferenceMap, gains: Sequence[float]) -> list[float]:
-    """Per channel, the summed gain of the assigned links on it that
-    interfere with `link`."""
-    sums = [0.0] * n_channels
+def co_channel_counts(link: int, n_channels: int, channel_of: Sequence[int | None],
+                      frame_of: Sequence[int], imap: InterferenceMap) -> list[int]:
+    """Per channel, the assigned links on it that interfere with `link` in
+    `link`'s frame."""
+    counts = [0] * n_channels
     for q in imap.interferers[link]:
         c = channel_of[q]
-        if c is not None:
-            sums[c] += gains[q]
-    return sums
+        if c is not None and frame_of[q] == frame_of[link]:
+            counts[c] += 1
+    return counts
 
 
 def route_frames(walks: Sequence[Sequence[int]], links: Sequence[VirtualLink]) -> list[int]:
@@ -162,17 +164,16 @@ def schedule_all_frames(routes: RouteTable, profile: TrafficProfile, topology: T
     """Frames by ``route_frames`` over the routes by descending packet rate,
     ties by pair; then channels link by link in (frame, load order)
     sequence, the loads being those the routes induce, each link taking the
-    channel with the smallest summed gain of the co-channel interferers
-    already assigned, ties to the smallest channel."""
+    channel that the fewest interferers already assigned in its frame hold,
+    ties to the smallest channel."""
     flows = profile.by_pair()
     walks = [routes.routes[pair].links for pair in sorted(
         routes.routes, key=lambda pair: (-flows[pair].rate_bps / flows[pair].packet_bits, pair))]
     frame_of = route_frames(walks, topology.links)
     loads = routed_link_loads(topology.n_links, routes, profile)
-    gains = topology.link_gains()
     channel_of: list[int | None] = [None] * len(frame_of)
     for link in sorted(order_links(loads), key=frame_of.__getitem__):
-        d = channel_gain_sums(link, n_channels, channel_of, imap, gains)
+        d = co_channel_counts(link, n_channels, channel_of, frame_of, imap)
         channel_of[link] = d.index(min(d))  # ties to the smallest channel
     return ChannelAssignment(n_channels, tuple(channel_of), tuple(frame_of))
 

@@ -126,9 +126,8 @@ def _override(section: str, params, **overrides):
 
 def geometry_key(scenario: Scenario) -> tuple:
     """Everything the topology and interference stages read, as a hashable
-    key: the topology section and the link model of ``algorithm``."""
-    alg = scenario.algorithm
-    return ("geometry", scenario.topology, alg.d0, alg.alpha, alg.interference_multiplier)
+    key: the topology section and ``algorithm.interference_multiplier``."""
+    return ("geometry", scenario.topology, scenario.algorithm.interference_multiplier)
 
 
 def routing_key(scenario: Scenario) -> tuple:

@@ -36,9 +36,6 @@ class AlgorithmParams:
     # Acceptable paths: at most `slack` hops over the shortest, at most `cap`.
     slack: int = param(1, ge=0)
     cap: int = param(32, ge=1, le=1024)
-    # Link gain min(1, (d0 / distance) ** alpha).
-    d0: float = param(10.0, gt=0)
-    alpha: float = param(3.0, ge=2)
     # Interference range over transmission range.
     interference_multiplier: float = param(2.0, ge=1)
     # Routing rounds before the fixed point gives up.

@@ -3,11 +3,10 @@
 
 ``TopologySpec`` declares and checks every field of that section, and its
 ``build(alg)`` is the one way to a ``Topology``: the ``AlgorithmParams`` of
-the scenario give the gain model (``d0``, ``alpha``) and the interference
-range (``interference_multiplier`` times ``tx_range``), already checked, so
-nothing here checks them again. Which links share a node is read off each
-link's own endpoints, ``u`` and ``v``, or off ``Topology.adjacency``, which
-each topology builds once.
+the scenario give the interference range (``interference_multiplier`` times
+``tx_range``), already checked, so nothing here checks it again. Which links
+share a node is read off each link's own endpoints, ``u`` and ``v``, or off
+``Topology.adjacency``, which each topology builds once.
 
 A virtual link exists between every node pair within transmission range
 (with a tiny relative tolerance so exact-range geometries such as a ring
@@ -90,7 +89,6 @@ class MeshNode:
 class VirtualLink:
     u: int
     v: int
-    gain: float
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,6 @@ class Topology:
     @property
     def n_links(self) -> int:
         return len(self.links)
-
-    def link_gains(self) -> tuple[float, ...]:
-        return tuple(l.gain for l in self.links)
 
     @functools.cached_property
     def adjacency(self) -> list[list[tuple[int, int]]]:
@@ -160,9 +155,8 @@ class TopologySpec:
 
     def build(self, alg: AlgorithmParams) -> Topology:
         """The given nodes, or the generator's placed ones, with a link
-        between every pair within tx_range, in (u, v) order, each with the
-        gain of ``alg``'s model, and an interference range of
-        ``alg.interference_multiplier`` times tx_range.
+        between every pair within tx_range, in (u, v) order, and an
+        interference range of ``alg.interference_multiplier`` times tx_range.
 
         Spacing is the adjacent-node distance of the construction (chord
         length for rings, lattice pitch for grids, hub-leaf radius for
@@ -200,28 +194,18 @@ class TopologySpec:
             pairs = (((child - 1) // 2, child) for child in range(1, self.n))
         links = []
         for u, v in pairs:
-            d = _distance(points[u], points[v])
-            if d == 0:
+            if _distance(points[u], points[v]) == 0:
                 raise _coincident(u, v, self.spacing)
-            links.append(VirtualLink(u, v, _link_gain(d, alg.d0, alg.alpha)))
+            links.append(VirtualLink(u, v))
         return Topology(nodes, tuple(links), interference_range)
 
 
-def _link_gain(distance: float, d0: float, alpha: float) -> float:
-    """Clamped power-law gain: min(1, (d0/distance)^alpha).
-
-    Equals 1 at and below the reference distance d0, then decays
-    monotonically; alpha is the path-loss exponent.
-    """
-    if distance <= d0:  # the power could overflow here
-        return 1.0
-    return (d0 / distance) ** alpha
-
-
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    # Nanometre quantization: symmetric constructions (ring chords, grid
-    # pitches) yield bit-identical distances and gains, so gain-sum ties
-    # break by channel index instead of trigonometric rounding noise.
+    # Nanometre quantization: nodes within 1 nm are one point (_coincident),
+    # and symmetric constructions (ring chords, grid pitches) give
+    # bit-identical distances, so range tests do not turn on trigonometric
+    # rounding noise. The thresholds of _neighbours, _sure_pairs and
+    # _adjacent_pairs are widened by this quantum.
     return round(math.hypot(a[0] - b[0], a[1] - b[1]), 9)
 
 

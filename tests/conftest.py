@@ -189,11 +189,11 @@ def replay_schedule(routes, traffic, topology, imap, n_channels):
     Frames: ``replay_frames`` over the routes by descending packets per
     second, ties by ascending pair. Channels: frame by frame, links in
     descending summed rate of the routes over them, ties by ascending id,
-    each the exhaustive argmin over brute-force gain sums, ties to the
-    smallest channel index. Returns (channels, frames, the Counter of
+    each the exhaustive argmin over brute-force counts of the assigned
+    interferers on each channel in its frame, ties to the smallest channel
+    index. Returns (channels, frames, the Counter of
     ``replay_frames``)."""
     links = topology.links
-    gains = topology.link_gains()
     n = len(links)
     rate = {f.pair: f.rate_bps for f in traffic.flows}
     pps = {f.pair: f.rate_bps / (8 * f.packet_bytes) for f in traffic.flows}
@@ -211,8 +211,8 @@ def replay_schedule(routes, traffic, topology, imap, n_channels):
                 continue
             d = []
             for c in range(n_channels):
-                d.append(sum(gains[q] for q in range(n)
-                             if channel[q] == c and q in imap.interferers[link]))
+                d.append(sum(1 for q in range(n) if channel[q] == c
+                             and frame[q] == f and q in imap.interferers[link]))
             best, best_c = None, None
             for c in range(n_channels):
                 if best is None or d[c] < best:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshplan import (ChannelAssignment, ConfigurationError, MeshNode, Route, RouteTable,
-                      baseline_assign, build_interference_map, channel_gain_sums,
-                      channels, order_links, routed_link_loads, schedule_all_frames)
+                      baseline_assign, build_interference_map, channels, co_channel_counts,
+                      order_links, routed_link_loads, schedule_all_frames)
 from meshplan.schema import from_json, to_json
 
 from conftest import (build, build_from_nodes, cbr, n1, profile, random_paths, random_routes,
@@ -49,39 +49,40 @@ def test_baseline_frames_semantics(ring4):
     assert channels.route_frames((), ()) == []
 
 
-def test_channel_gain_sum(ring4_imap):
-    gains = [0.1, 0.2, 0.3, 0.05]
+def test_co_channel_counts(ring4_imap):
+    # every ring4 link interferes with every other; frames as the baseline's
+    frame_of = [0, 1, 1, 0]
     channel_of = [None] * 4
-    assert channel_gain_sums(0, 2, channel_of, ring4_imap, gains) == [0.0, 0.0]
+    assert co_channel_counts(0, 2, channel_of, frame_of, ring4_imap) == [0, 0]
     channel_of[1] = channel_of[3] = 0
-    assert channel_gain_sums(0, 2, channel_of, ring4_imap, gains) == [pytest.approx(0.25), 0.0]
+    # link 1 is on channel 0 too, but in the other frame: it is not counted
+    assert co_channel_counts(0, 2, channel_of, frame_of, ring4_imap) == [1, 0]
+    assert co_channel_counts(2, 2, channel_of, frame_of, ring4_imap) == [1, 0]
 
 
-def test_channel_gain_sum_counts_only_interferers(grid9):
-    # On the grid with a tight interference range, far links must not count.
+def test_co_channel_counts_only_interferers_in_the_frame():
+    # On the grid with a tight interference range, far links must not count,
+    # and neither must links of other frames.
     topo = build("grid", 9, 200.0, interference_multiplier=1.0)
     imap = build_interference_map(topo)
-    gains = [l.gain for l in topo.links]
-    channel_of = [None] * topo.n_links
-    assigned = {0: 0, 5: 0, 11: 0, 2: 1, 7: 1, 9: 2}
-    for l, c in assigned.items():
-        channel_of[l] = c
-    for probe in range(topo.n_links):
-        if channel_of[probe] is not None:
-            continue
-        # each channel's entry, summed by hand in ascending link order
-        expect = [0.0] * 4
-        for q in sorted(assigned):
-            if q in imap.interferers[probe]:
-                expect[assigned[q]] += gains[q]
-        assert channel_gain_sums(probe, 4, channel_of, imap, gains) == expect
+    rng = random.Random(5)
+    for _ in range(20):
+        frame_of = [rng.randrange(3) for _ in topo.links]
+        channel_of = [rng.choice([None, 0, 1, 2, 3]) for _ in topo.links]
+        for probe in range(topo.n_links):
+            expect = [0] * 4
+            for q, c in enumerate(channel_of):
+                if (c is not None and frame_of[q] == frame_of[probe]
+                        and q in imap.interferers[probe]):
+                    expect[c] += 1
+            assert co_channel_counts(probe, 4, channel_of, frame_of, imap) == expect
 
 
 def test_schedule_single_link():
     t = build("chain", 2, 100.0)
     imap = build_interference_map(t)
     asg = schedule_all_frames(*routed((cbr(0, 1, 1000.0), (0,))), t, imap, 3)
-    # all gain sums zero: smallest index wins
+    # no interferer on any channel: smallest index wins
     assert asg == ChannelAssignment(3, (0,), (0,))
 
 
@@ -145,15 +146,15 @@ def ring4_routes():
 
 
 def test_schedule_ring4_matching_and_argmin(ring4, ring4_imap):
-    gains = ring4.link_gains()
     asg = schedule_all_frames(*ring4_routes(), ring4, ring4_imap, 2)
     # a maximal matching: opposite links
     assert [l for l, f in enumerate(asg.frame_of) if f == 0] == [0, 3]
     assert asg.channel_of[0] == 0
     assert asg.channel_of[3] == 1  # channel 0 already carries an interferer
     # exhaustive argmin replay for the second placed link
-    assert channel_gain_sums(3, 2, [None] * 4, ring4_imap, gains) == [0.0, 0.0]
-    assert channel_gain_sums(3, 2, [0, None, None, None], ring4_imap, gains) == [gains[0], 0.0]
+    frame_of = asg.frame_of
+    assert co_channel_counts(3, 2, [None] * 4, frame_of, ring4_imap) == [0, 0]
+    assert co_channel_counts(3, 2, [0, None, None, None], frame_of, ring4_imap) == [1, 0]
 
 
 def test_schedule_two_adjacent_links():
@@ -168,7 +169,7 @@ def test_schedule_ring4_two_frames(ring4, ring4_imap):
     asg = schedule_all_frames(*ring4_routes(), ring4, ring4_imap, 2)
     assert asg.n_frames == 2
     assert asg.frame_of == (0, 1, 1, 0)
-    # co-frame links land on different channels once gains are in play
+    # co-frame links interfere, so the second of each frame takes the other channel
     assert asg.channel_of[0] != asg.channel_of[3]
     assert asg.channel_of[1] != asg.channel_of[2]
 
@@ -230,13 +231,13 @@ def test_per_step_argmin_small_topologies_exhaustive():
 def test_frame_priority_respects_order(monkeypatch):
     # channels are chosen frame by frame, in load order within a frame
     visited = []
-    gain_sums = channels.channel_gain_sums
+    counts = channels.co_channel_counts
 
     def recorded(link, *args):
         visited.append(link)
-        return gain_sums(link, *args)
+        return counts(link, *args)
 
-    monkeypatch.setattr(channels, "channel_gain_sums", recorded)
+    monkeypatch.setattr(channels, "co_channel_counts", recorded)
     for seed in range(10):
         topo = random_topology(seed)
         imap = build_interference_map(topo)

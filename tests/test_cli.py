@@ -128,18 +128,6 @@ def test_unwritable_out_is_io_error(tmp_path, capsys, command):
     assert f"cannot write report to {out}" in capsys.readouterr().err
 
 
-GAIN_EXTREMES = {
-    "d0-huge": {"preset": "paper-ring-4", "algorithm": {"d0": 1e308}},
-    "alpha-huge": {**NODES_CLOSE, "algorithm": {"alpha": 1000.0}},
-}
-
-
-@pytest.mark.parametrize("case", sorted(GAIN_EXTREMES))
-def test_gain_extremes_run(tmp_path, capsys, case):
-    # every link is within the reference distance, so every gain is 1
-    assert main(["run", "--scenario", scenario_file(tmp_path, GAIN_EXTREMES[case])]) == 0
-
-
 def test_exit_code_io_missing_file(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "ghost.json")]) == 5
     assert "error" in capsys.readouterr().err
@@ -241,6 +229,10 @@ MALFORMED = {
     "n-one": (edited(MINI, ("topology", "n"), 1), "topology.n"),
     # keys of deleted fields are unknown keys now
     "nic-count-unknown": (edited(MINI, ("topology", "nic_count"), 2), "topology"),
+    "d0-unknown": (edited(MINI, ("algorithm", "d0"), 10.0),
+                   "algorithm: unknown key(s) ['d0']"),
+    "alpha-unknown": (edited(MINI, ("algorithm", "alpha"), 3.0),
+                      "algorithm: unknown key(s) ['alpha']"),
     "nodes-not-a-list": (edited(MINI, ("topology", "nodes"), 5), "topology.nodes"),
     "coordinate-nan": (edited(NODES, ("topology", "nodes", 1, "x"), math.nan),
                        "topology.nodes[1].x"),
@@ -334,8 +326,6 @@ PAST_BOUNDS = [
     ("algorithm", "threshold_fraction", math.nextafter(1.0, 2.0)),
     ("algorithm", "slack", -1),
     ("algorithm", "cap", 0),
-    ("algorithm", "d0", 0.0),
-    ("algorithm", "alpha", math.nextafter(2.0, 0.0)),
     # an interference range shorter than the transmission range
     ("algorithm", "interference_multiplier", math.nextafter(1.0, 0.0)),
     ("algorithm", "max_iters", 0),

@@ -558,8 +558,6 @@ KEY_CASES = {
     "topology.tx_range": (lambda s: varied(s, "topology", tx_range=300.0), ALL_STAGES),
     "topology.nodes": (lambda s: varied(s, "topology", kind=None, n=None, spacing=None,
                                         nodes=SQUARE_NODES), ALL_STAGES),
-    "algorithm.d0": (lambda s: varied(s, "algorithm", d0=20.0), ALL_STAGES),
-    "algorithm.alpha": (lambda s: varied(s, "algorithm", alpha=4.0), ALL_STAGES),
     "algorithm.interference_multiplier":
         (lambda s: varied(s, "algorithm", interference_multiplier=1.5), ALL_STAGES),
     "algorithm.n_channels": (lambda s: varied(s, "algorithm", n_channels=2),

@@ -22,24 +22,24 @@ RUN_DIGESTS = {
     ("paper-ring-4", "ccmca", "csv"):
         "ab12950cbda1b558379b6850f4630872eaa59facdb4753443b2ade3ea58b0179",
     ("paper-ring-4", "ccmca", "json"):
-        "1bc7a0dc4c394cd0438f3f30685d10f23435a0b4f1b4d3d6ec4d2f8c7435c021",
+        "bbf0c44c14bbbe4bb31da5044742b253510236b07f39e300f5ab8e7da94e1256",
     ("paper-ring-4", "baseline", "csv"):
         "502fc2284c2ae615b2801cb293b4c6e36b4697bd82baf837d13e46e63c25def3",
     ("paper-ring-4", "baseline", "json"):
-        "78de7bc5025d92da3bb69ec04191eb8aedd516acb90053e32199115b28eb4028",
+        "25d0592a5a804bbe22214320b0aaddcf007774cda0d5c70d054003bb19e3161a",
     ("paper-table1", "ccmca", "csv"):
         "3ae910f84ccf1fb2c3328031a01f7f622cfc13b17ada6b1829490b1772b849ea",
     ("paper-table1", "ccmca", "json"):
-        "118add28e978656f99495c358c8800aabd8d5afcac8f757aab8c3ed5a4da92ff",
+        "262ed8259037941b8e550bc681527ad94479da171c9b5e67d9b7d96a1240b812",
     ("paper-table1", "baseline", "csv"):
         "463a73af74d672ab9b4067e09020c5af3ec656e02148637f453583f83b9c667f",
     ("paper-table1", "baseline", "json"):
-        "7a374d82422d434b68434718a57d4e78bc7e89c250bd95c1f58c0a5655aed003",
+        "4581eda244a1ce024fca6147d789ec3c6a42db157b618b99297d22484857354f",
 }
 
 ASSIGN_DIGESTS = {
-    "paper-ring-4": "8bb18106f29efd7b412a0b0372e5898fd29c2fdbdb2d6b0a14c2366648a27ac9",
-    "paper-table1": "2fa7371306d254cd7866ceec756a6e33beb7bf9a63c7e3a506c2d5edb44da12c",
+    "paper-ring-4": "60a9dde61ad86ad276ae14954c5dff9d4973d0b25ecd82722d4bc54125d3058f",
+    "paper-table1": "1b5d089d2a434a22a1165928d150b8462b1f9f74be729ed0131d3c4c52e0692c",
 }
 
 # `meshplan assign --format json` on one document of each topology kind the
@@ -59,10 +59,10 @@ KIND_DOCS = {
     "square": SQUARE,
 }
 KIND_ASSIGN_DIGESTS = {
-    "grid-3x3": "c8ab7483c610554954dd1cbc6d00a1d1f234d1bceda92a91f454b4f9fbf280ea",
-    "star": "b9ac27927d0aa2104df307a2f5c0aef34f74115f2bd7331e9d49bf7e5d5ed76c",
-    "binary-tree": "786f9faee35e3a1a072ff8bcba5a7cdd0b6b57ad7cbfb8cdc4142758057e5753",
-    "square": "ed4f67edbec0f88d8806760b0a9181e125eef0393bd38f7cc41b4a78a366b439",
+    "grid-3x3": "3e8aee8e274a96328405e93e176e1d9375ee67c09a4dc340bd16aa1524db3721",
+    "star": "b13cbf4fbaf1cf803a94d70220ec592f9b029d9c6ec84ec032358c15e092a304",
+    "binary-tree": "3a74aeaebbf95e4f340fc2d1c4b09e2615d6028d70010bdcbf44f8122e8b2cf3",
+    "square": "a51f193340cd5d6692d05dcc5e42f5f8542aa9244e85ce01c6973c179f53645e",
 }
 
 # Full-horizon JSON reports: paper-table1 at its default 100 s, whose 64 KiB
@@ -81,13 +81,13 @@ FULL_HORIZON_DOCS = {
 }
 FULL_HORIZON_DIGESTS = {
     ("paper-table1", "ccmca"):
-        "e06b1a0d2a597786816a2a31a46667ef1327b2c54eaf82cd9a4b71a1f81e8925",
+        "47e9eae13b1e24f78cead73eb74511d5df42fbc8396f4efba1393dc999e40e82",
     ("paper-table1", "baseline"):
-        "8e1884d5a697c6580464e6a7caf608b5fe3c4fb048dbaa053505b0d551a6c359",
+        "7aee62ff244d8690e00a4984840b6cca4aae2e3d34b059e618fbaf0d12ef194d",
     ("chain-saturated", "ccmca"):
-        "b357911b0225521dbff8f36257d8dde983ed27b1866fd421d5b12049e93a3caf",
+        "5f358074f771f6c680d359bdabf066b1c0ac2323ea618daf1c03284d58811f09",
     ("chain-saturated", "baseline"):
-        "8712168065affba105fbcf79078b8ffa77b42e89af90f3fc5c02ebf48a9c7173",
+        "8810ece340e293ee28d9759cc7e161fcb220bdec4a87904e35173f79358b3713",
 }
 
 # `meshplan run` and `meshplan assign` JSON on a document whose every
@@ -102,14 +102,14 @@ GRID_PARAMS = {
                           {"src": 1, "dst": 14, "kind": "voip"},
                           {"src": 4, "dst": 11, "kind": "voip"}]},
     "algorithm": {"n_channels": 2, "threshold_fraction": 0.35, "slack": 2, "cap": 8,
-                  "d0": 250.0, "alpha": 4.0, "interference_multiplier": 1.5, "max_iters": 2},
+                  "interference_multiplier": 1.5, "max_iters": 2},
     "sim": {"horizon_s": 5, "channel_capacity_bps": 9e6},
 }
 GRID_PARAMS_DIGESTS = {
-    ("run", "ccmca"): "c9ea2649e2055c430f0eef4762b822e4f18391ac5fac0dadede4aa3814077af7",
-    ("run", "baseline"): "1754ddf5db02867a9760616d5c1392b88de750c69f57a3da9d8354e99d23f841",
-    ("assign", "ccmca"): "9be11c4775229360fd10c0c6b2e51038f9c4af8fa7e66d40fe3fcfbbd7f10cb2",
-    ("assign", "baseline"): "e1563b3cd9b6c35546ea99639d72d93e2243722f6edb3ba2b6223ae65b958863",
+    ("run", "ccmca"): "9e745e0f33c0e8e1c7d3bf446174ba5ad98df95863574aaf3129ef7f248bd16c",
+    ("run", "baseline"): "1682771099fffd188f632e036fb5f9cf2d2db13d9e9f3c85c0104cc3ffedb6ee",
+    ("assign", "ccmca"): "6548394bde3ee67599a1babe96f5307324c699e5aefa9521dd876ea753011884",
+    ("assign", "baseline"): "7059a7800329f39399c41ef44385e4f33eb0642b6d25998f5fa1f6ffc6f062db",
 }
 
 SWEEP_DIGESTS = {

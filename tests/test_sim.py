@@ -264,7 +264,7 @@ SCHEDULE_DOCS = {"paper-table1": {"preset": "paper-table1"}, "grid100": GRID100}
 PINNED_SCHEDULES = {
     "paper-table1": {"ccmca": (2, 2, 2, 0, 1.0, 0.16812182870832),
                      "baseline": (2, 2, 2, 11, 1.0, 0.1740040415335408)},
-    "grid100": {"ccmca": (5, 4, 4, 5, 1.3571, 0.0169),
+    "grid100": {"ccmca": (5, 4, 4, 1, 1.3571, 0.0169),
                 "baseline": (4, 4, 4, 18, 1.7571, 0.020500000000000015)},
 }
 

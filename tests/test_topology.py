@@ -86,31 +86,6 @@ def test_pair_bound_names_the_range_field(monkeypatch):
         build_interference_map(ring)
 
 
-def test_link_gain_reference_and_decay():
-    link_gain = topology._link_gain
-    assert link_gain(10.0, 10.0, 3.0) == 1.0
-    assert link_gain(20.0, 10.0, 3.0) == pytest.approx(0.125)
-    assert link_gain(5.0, 10.0, 3.0) == 1.0  # clamped below reference
-    # at or below the reference the power is never taken, so it cannot overflow
-    assert link_gain(250.0, 1e308, 3.0) == 1.0
-    assert link_gain(1.0, 10.0, 1000.0) == 1.0
-    assert link_gain(1.0, 1.0, 1e300) == 1.0
-    assert link_gain(20.0, 10.0, 1000.0) == 0.5 ** 1000
-    # the gains a built topology carries are the scenario's model
-    t = build("chain", 2, 20.0, d0=10.0, alpha=3.0)
-    assert t.link_gains() == (0.125,)
-
-
-@given(st.lists(st.floats(min_value=0.1, max_value=1e5), min_size=2, max_size=30),
-       st.floats(min_value=0.5, max_value=100.0),
-       st.floats(min_value=2.0, max_value=6.0))
-def test_link_gain_non_increasing(distances, d0, alpha):
-    ds = sorted(distances)
-    gains = [topology._link_gain(d, d0, alpha) for d in ds]
-    assert all(a >= b for a, b in zip(gains, gains[1:]))
-    assert all(0 < g <= 1 for g in gains)
-
-
 def test_interference_single_link():
     t = build("chain", 2, 100.0)
     im = build_interference_map(t)
