@@ -12,8 +12,7 @@ random-assignment baseline.
 from .channels import (ChannelAssignment, baseline_assign, co_channel_counts,
                        order_links, schedule_all_frames)
 from .errors import (ConfigurationError, ContractError, MeshPlanError,
-                     PipelineError, ScenarioParseError,
-                     ScenarioValidationError, UnroutableFlowError)
+                     PipelineError, ScenarioParseError, UnroutableFlowError)
 from .loads import (GoodputReport, LoadEstimate, acceptable_paths_for_profile,
                     enumerate_acceptable_paths, expected_link_load, goodput,
                     link_capacities)

@@ -18,9 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (ConfigurationError, ContractError, PipelineError,
-                     ScenarioParseError, ScenarioValidationError,
-                     UnroutableFlowError)
+from .errors import ContractError, PipelineError, ScenarioParseError
 from .pipeline import PROTOCOLS, plan, run_pipeline, sweep_channels, sweep_time
 from .report import AssignmentReport, emit_report, render_report
 from .scenario import load_scenario
@@ -134,9 +132,9 @@ def _exit_code(exc: BaseException) -> int:
         return _exit_code(exc.__cause__)
     if isinstance(exc, ScenarioParseError):
         return EXIT_PARSE
-    if isinstance(exc, (ScenarioValidationError, ConfigurationError, ValueError)):
+    if isinstance(exc, ValueError):  # ConfigurationError is one
         return EXIT_VALIDATION
-    if isinstance(exc, (ContractError, UnroutableFlowError)):
+    if isinstance(exc, ContractError):
         return EXIT_CONTRACT
     if isinstance(exc, OSError):
         return EXIT_IO

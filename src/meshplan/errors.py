@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the planning pipeline.
 
-The CLI maps these onto distinct exit codes, so keep the hierarchy flat
-and the categories disjoint.
+The CLI maps one class onto each exit code: ``ScenarioParseError`` 2,
+``ValueError`` 3 (``ConfigurationError`` is one), ``ContractError`` 4
+(``UnroutableFlowError`` is one) and ``OSError`` 5. A ``PipelineError`` maps
+as its cause does, so keep those categories disjoint.
 """
 
 from __future__ import annotations
@@ -12,22 +14,18 @@ class MeshPlanError(Exception):
 
 
 class ConfigurationError(MeshPlanError, ValueError):
-    """Invalid construction parameters (unknown topology kind, bad counts)."""
+    """An invalid field of a scenario document, a bundle or a constructor."""
 
 
 class ScenarioParseError(MeshPlanError):
     """Scenario document is not syntactically readable."""
 
 
-class ScenarioValidationError(MeshPlanError):
-    """Scenario document parsed but carries invalid or unknown fields."""
-
-
 class ContractError(MeshPlanError):
     """Two components disagree about a shared interface (pair sets, link coverage)."""
 
 
-class UnroutableFlowError(MeshPlanError):
+class UnroutableFlowError(ContractError):
     """A traffic flow has no acceptable path; names the offending pair."""
 
     def __init__(self, src: int, dst: int):

@@ -8,6 +8,7 @@ round-trippable serialization of the full result bundle.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -93,22 +94,17 @@ def _keys(pairs) -> list[str]:
     return [pair_key(p) for p in sorted(pairs)]
 
 
-class _Stage:
+@contextmanager
+def _stage(name: str):
     """Tags an error escaping the named stage as a PipelineError of that
     stage, unless it is one already. A BaseException that is not an
     Exception, such as KeyboardInterrupt, passes as it is."""
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, Exception) and not isinstance(exc, PipelineError):
-            raise PipelineError(self.name, exc) from exc
-        return False
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as e:
+        raise PipelineError(name, e) from e
 
 
 def _override(section: str, params, **overrides):
@@ -155,21 +151,21 @@ def _memoized(memo: dict, key: tuple, make):
 
 
 def _geometry(scenario: Scenario):
-    with _Stage("topology"):
+    with _stage("topology"):
         topology = scenario.build_topology()
-    with _Stage("interference"):
+    with _stage("interference"):
         imap = build_interference_map(topology)
     return topology, imap
 
 
 def _route(topology, imap, scenario: Scenario):
-    with _Stage("routing"):
+    with _stage("routing"):
         return fixed_point_route(topology, imap, scenario)
 
 
 def _assign(topology, imap, routes, scenario: Scenario, protocol: str) -> ChannelAssignment:
     channels = scenario.algorithm.n_channels
-    with _Stage("assignment"):
+    with _stage("assignment"):
         if protocol == "ccmca":
             return schedule_all_frames(routes, scenario.traffic, topology, imap, channels)
         return baseline_assign(topology, channels, scenario.sim.seed)
@@ -212,7 +208,7 @@ def run_pipeline(scenario: Scenario, protocol: str = "ccmca", *,
         scenario = replace(scenario, algorithm=algorithm, sim=sim)
     memo = {} if _memo is None else _memo
     _, imap, _, routes, assignment = plan(scenario, protocol, _memo=memo)
-    with _Stage("simulation"):
+    with _stage("simulation"):
         inp = sim_input(imap, scenario.traffic, routes, assignment)
         metrics = _memoized(memo, sim_key(inp, scenario.sim),
                             lambda: run_simulation(inp, scenario.sim))

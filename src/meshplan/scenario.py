@@ -1,16 +1,16 @@
 """Scenario documents: JSON files with topology/traffic/algorithm/sim
 sections, strict key and type validation, defaults, and the named presets.
 
-Every section is decoded by ``schema.from_json`` against the dataclass that
-declares its fields, so a failure names the section and the field:
-``topology.TopologySpec``, ``traffic.TrafficProfile``, ``AlgorithmParams``
-(declared here) and ``sim.SimConfig``. A
-``Scenario`` also requires a non-empty flow list and flow nodes that exist,
-so one decoded from a result bundle obeys the same rules. This module's
-parser adds only the allowed top-level keys, preset merging and the per-kind
-flow defaults of ``traffic.KIND_DEFAULTS``. A document may be just
-{"preset": "<name>"}; any sections given alongside the preset override the
-preset's values key by key.
+A document is decoded by the one ``schema.from_json(Scenario, ...)`` call
+that decodes a result bundle's scenario, so each field is checked by the
+dataclass that declares it: ``topology.TopologySpec``,
+``traffic.TrafficProfile``, ``AlgorithmParams`` (declared here) and
+``sim.SimConfig``. A ``Scenario`` also requires a non-empty flow list and
+flow nodes that exist. A failure raises ConfigurationError naming the section
+and the field. This module's parser adds only the allowed top-level keys,
+preset merging, the default name and the per-kind flow defaults of
+``traffic.KIND_DEFAULTS``. A document may be just {"preset": "<name>"}; any
+sections given alongside the preset override the preset's values key by key.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path as FsPath
 
-from .errors import ConfigurationError, ScenarioParseError, ScenarioValidationError
+from .errors import ConfigurationError, ScenarioParseError
 from .schema import check, from_json, invalid, known_keys, param
 from .sim import SimConfig
 from .topology import Topology, TopologySpec
@@ -103,32 +103,25 @@ def _with_kind_defaults(traffic):
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    try:
-        known_keys(doc, ["preset"] + [f.name for f in fields(Scenario)], "scenario")
-        if "preset" in doc:
-            name = doc["preset"]
-            if not (isinstance(name, str) and name in PRESETS):
-                raise ConfigurationError(
-                    f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-            base = _preset(name)
-            for section in ("topology", "traffic", "algorithm", "sim"):
-                given = doc.get(section, {})
-                base[section] = {**base[section], **given} if isinstance(given, dict) else given
-            base["name"] = doc.get("name", base["name"])
-            doc = base
-
-        for section in ("topology", "traffic"):
-            if section not in doc:
-                raise invalid(f"scenario.{section}", "required")
-        topology = from_json(TopologySpec, doc["topology"], "topology")
-        traffic = from_json(TrafficProfile, _with_kind_defaults(doc["traffic"]), "traffic")
-        algorithm = from_json(AlgorithmParams, doc.get("algorithm", {}), "algorithm")
-        sim = from_json(SimConfig, doc.get("sim", {}), "sim")
-        return Scenario(doc.get("name", "scenario"), topology, traffic, algorithm, sim)
-    except ConfigurationError as e:
-        # The name is the document's own field; every other check names its section.
-        raise ScenarioValidationError(
-            f"scenario.{e}" if str(e).startswith("name:") else str(e)) from e
+    """The scenario of a document, decoded as a bundle's scenario is, after
+    the preset merge, the ``name`` default and the per-kind flow defaults.
+    Raises ConfigurationError naming the field, as in ``topology.n: ...``."""
+    known_keys(doc, ["preset"] + [f.name for f in fields(Scenario)], "scenario")
+    if "preset" in doc:
+        name = doc["preset"]
+        if not (isinstance(name, str) and name in PRESETS):
+            raise ConfigurationError(
+                f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        base = _preset(name)
+        for section in ("topology", "traffic", "algorithm", "sim"):
+            given = doc.get(section, {})
+            base[section] = {**base[section], **given} if isinstance(given, dict) else given
+        base["name"] = doc.get("name", base["name"])
+        doc = base
+    doc = {"name": "scenario", **doc}
+    if "traffic" in doc:
+        doc["traffic"] = _with_kind_defaults(doc["traffic"])
+    return from_json(Scenario, doc, "")
 
 
 def parse_scenario(path: str | FsPath) -> Scenario:

@@ -52,8 +52,9 @@ def _typed(name: str, base: str, value):
         return value
     try:
         value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
+    except OverflowError:
+        raise invalid(name, f"must fit a float, got an integer of "
+                            f"{value.bit_length()} bits") from None
     if not math.isfinite(value):
         raise invalid(name, f"must be finite, got {value!r}")
     return value
@@ -144,13 +145,19 @@ def to_json(obj):
     return {name: to_json(getattr(obj, name)) for name in _fields(type(obj))}
 
 
+def _at(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
 def from_json(tp, doc, where: str):
     """The value of type tp that ``to_json`` writes as doc. An unknown key, a
     missing required field, a non-object or non-list value and a failed
     ``__post_init__`` raise ConfigurationError naming the place, such as
-    ``traffic.flows[0].dst``. An int or float is typed here, so each element
-    of a tuple or dict is checked too (``bundle.assignment.channel_of[2]``); other
-    scalars are left to ``check``."""
+    ``bundle.scenario.traffic.flows[0].dst``. At a document's root, where is
+    "": a field's place is its name (``traffic.flows[0].dst``). An int or
+    float is typed here, so each element of a tuple or dict is checked too
+    (``bundle.assignment.channel_of[2]``); other scalars are left to
+    ``check``."""
     # Most values are link ids and floats; testing for them first makes a
     # large bundle decode about three times faster.
     if tp is int or tp is float:
@@ -161,13 +168,13 @@ def from_json(tp, doc, where: str):
         values = {}
         for name, (ftp, required) in declared.items():
             if name in doc:
-                values[name] = from_json(ftp, doc[name], f"{where}.{name}")
+                values[name] = from_json(ftp, doc[name], _at(where, name))
             elif required:
-                raise invalid(f"{where}.{name}", "required")
+                raise invalid(_at(where, name), "required")
         try:
             return tp(**values)
         except ValueError as e:
-            raise ConfigurationError(f"{where}.{e}") from e
+            raise ConfigurationError(_at(where, str(e))) from e
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is dict:
         return {parse_pair_key(k, where): from_json(args[1], v, f"{where}.{k}")

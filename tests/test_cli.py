@@ -241,15 +241,17 @@ MALFORMED = {
     "flow-not-an-object": (edited(MINI, ("traffic", "flows"), [1]), "traffic.flows[0]"),
     "src-fraction": (edited(MINI, ("traffic", "flows", 0, "src"), 0.9),
                      "traffic.flows[0].src"),
+    "flow-src-is-dst": (edited(MINI, ("traffic", "flows", 0, "dst"), 0),
+                        "traffic.flows[0].dst: must differ from src"),
     "rate-infinite": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), math.inf),
                       "traffic.flows[0].rate_bps"),
     "rate-huge": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), 1e300), "sim.horizon_s"),
-    "name-object": (edited(MINI, ("name",), {"a": 1}), "scenario.name"),
+    "name-object": (edited(MINI, ("name",), {"a": 1}), "error: name: must be a string"),
     "preset-sim-list": ({"preset": "paper-ring-4", "sim": []}, "sim:"),
     "top-level-unknown": (edited(MINI, ("tolopogy",), {}), "scenario"),
     "document-a-list": ([MINI], "scenario"),
     "traffic-missing": ({k: v for k, v in MINI.items() if k != "traffic"},
-                        "scenario.traffic"),
+                        "error: traffic: required"),
     "flows-missing": (edited(MINI, ("traffic",), {}), "traffic.flows"),
     "flows-empty": (edited(MINI, ("traffic", "flows"), []), "traffic.flows"),
     "src-missing": (edited(MINI, ("traffic", "flows", 0), {"dst": 2, "kind": "voip"}),
@@ -279,6 +281,9 @@ MALFORMED = {
                        "traffic.flows[0].rate_bps"),
     "packet-bytes-huge": (edited(MINI, ("traffic", "flows", 0, "packet_bytes"), 10 ** 400),
                           "traffic.flows[0].packet_bytes"),
+    # an integer past the float range names itself, not the inf it would round to
+    "rate-int-huge": (edited(MINI, ("traffic", "flows", 0, "rate_bps"), 10 ** 400),
+                      "traffic.flows[0].rate_bps: must fit a float, got an integer of 1329 bits"),
     # rejected before any node is placed
     "nodes-huge": (edited(MINI, ("topology", "n"), 10 ** 10), "topology.n"),
     # finite spacings that place nodes at inf, or at nan through inf - inf

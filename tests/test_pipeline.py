@@ -319,6 +319,9 @@ def test_bundle_missing_field_names_it():
     (("routes", "iterations"), 0, r"^bundle\.routes\.iterations: must be >= 1, got 0$"),
     (("routes", "iterations"), 99,
      r"^bundle\.routes\.iterations: must be <= 10 \(scenario\.algorithm\.max_iters\), got 99$"),
+    # a pair key that is not "src->dst"
+    (("routes", "routes"), {"0-2x": {"links": [0, 1]}},
+     r"^bundle\.routes\.routes: '0-2x' is not a \"src->dst\" key$"),
 ])
 def test_bundle_impossible_value_names_it(path, value, error):
     doc = run_pipeline(ring_scenario(), "ccmca").to_dict()
@@ -357,6 +360,20 @@ def test_interrupt_in_a_stage_is_not_a_stage_error(monkeypatch, capsys):
     with pytest.raises(KeyboardInterrupt):
         main(["run", "--scenario", "paper-ring-4"])
     assert capsys.readouterr().err == ""
+
+
+def test_stage_error_inside_a_stage_keeps_its_stage(monkeypatch):
+    # a PipelineError already names its stage: the enclosing stage passes it
+    # on as it is, not wrapped in a second one
+    inner = PipelineError("inner", ValueError("x"))
+
+    def failed(*args):
+        raise inner
+
+    monkeypatch.setattr(pipeline, "run_simulation", failed)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(ring_scenario(), "ccmca")
+    assert err.value is inner
 
 
 def test_unknown_protocol_rejected():

@@ -175,3 +175,9 @@ def test_csv_header_is_literal():
 
 def test_empty_json_report():
     assert render_report([], "json") == "[]\n"
+
+
+def test_unknown_report_format_rejected():
+    # the CLI offers csv and json only; the library refuses any other itself
+    with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+        render_report([], "xml")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from meshplan import (PRESETS, ConfigurationError, Flow, MeshNode,
-                      ScenarioParseError, ScenarioValidationError, SimConfig,
+                      ScenarioParseError, SimConfig,
                       TopologySpec, TrafficProfile, load_scenario,
                       parse_scenario, run_pipeline, scenario_from_dict)
 
@@ -59,7 +59,7 @@ def test_preset_with_overrides():
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(ScenarioValidationError, match="unknown preset"):
+    with pytest.raises(ConfigurationError, match="unknown preset"):
         scenario_from_dict({"preset": "nope"})
     assert set(PRESETS) == {"paper-ring-4", "paper-table1"}
 
@@ -86,37 +86,37 @@ def test_malformed_json_reports_position(tmp_path):
 def test_unknown_keys_rejected():
     doc = dict(MINI)
     doc["extra"] = 1
-    with pytest.raises(ScenarioValidationError, match="unknown key"):
+    with pytest.raises(ConfigurationError, match="unknown key"):
         scenario_from_dict(doc)
     doc = json.loads(json.dumps(MINI))
     doc["sim"] = {"horizon": 5}
-    with pytest.raises(ScenarioValidationError, match="unknown key"):
+    with pytest.raises(ConfigurationError, match="unknown key"):
         scenario_from_dict(doc)
     doc = json.loads(json.dumps(MINI))
     doc["traffic"]["flows"][0]["burst"] = 2
-    with pytest.raises(ScenarioValidationError, match="unknown key"):
+    with pytest.raises(ConfigurationError, match="unknown key"):
         scenario_from_dict(doc)
 
 
 def test_flow_referencing_missing_node():
     doc = json.loads(json.dumps(MINI))
     doc["traffic"]["flows"][0]["dst"] = 99
-    with pytest.raises(ScenarioValidationError, match="node 99"):
+    with pytest.raises(ConfigurationError, match="node 99"):
         scenario_from_dict(doc)
 
 
 def test_bad_parameter_values():
     doc = json.loads(json.dumps(MINI))
     doc["algorithm"] = {"threshold_fraction": 1.5}
-    with pytest.raises(ScenarioValidationError, match="threshold_fraction"):
+    with pytest.raises(ConfigurationError, match="threshold_fraction"):
         scenario_from_dict(doc)
     doc = json.loads(json.dumps(MINI))
     doc["sim"] = {"queue_packets": 0}
-    with pytest.raises(ScenarioValidationError, match="queue_packets"):
+    with pytest.raises(ConfigurationError, match="queue_packets"):
         scenario_from_dict(doc)
     doc = json.loads(json.dumps(MINI))
     doc["topology"] = {"kind": "moebius", "n": 4, "spacing": 10.0}
-    with pytest.raises(ScenarioValidationError, match="kind"):
+    with pytest.raises(ConfigurationError, match="kind"):
         scenario_from_dict(doc)
 
 
@@ -131,7 +131,7 @@ def test_flow_kind_defaults():
     assert vod.rate_bps == 150000.0 and vod.packet_bytes == 65536
     # plain cbr flows must spell out their rate
     doc["traffic"] = {"flows": [{"src": 0, "dst": 2}]}
-    with pytest.raises(ScenarioValidationError, match="rate_bps"):
+    with pytest.raises(ConfigurationError, match="rate_bps"):
         scenario_from_dict(doc)
 
 
@@ -150,14 +150,14 @@ def test_explicit_nodes_topology():
     assert topo.nodes[2] == MeshNode(400.0, 0.0)
     # explicit nodes exclude the generator keys
     doc["topology"]["kind"] = "chain"
-    with pytest.raises(ScenarioValidationError):
+    with pytest.raises(ConfigurationError):
         scenario_from_dict(doc)
 
 
 def test_duplicate_pair_rejected():
     doc = json.loads(json.dumps(MINI))
     doc["traffic"]["flows"].append(dict(doc["traffic"]["flows"][0]))
-    with pytest.raises(ScenarioValidationError, match="duplicate"):
+    with pytest.raises(ConfigurationError, match="duplicate"):
         scenario_from_dict(doc)
 
 
@@ -197,7 +197,7 @@ def test_library_objects_follow_field_rules():
 def test_topology_rules_checked_when_read(topology, where):
     # a grid needs rows and columns; a binary-tree's edges must be in range
     doc = {**MINI, "topology": topology}
-    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(where)}: "):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(where)}: "):
         scenario_from_dict(doc)
 
 

@@ -489,6 +489,18 @@ def test_flow_due_is_first_slot_inject_admits(rate_bps, packet_bytes):
         assert flow.due != math.inf
 
 
+def test_flow_due_is_first_slot_inject_admits_above_ceil():
+    # ceil(next_t / slot_s) gives slot 64,066,221, but the start of that slot
+    # plus the tolerance is still short of next_t: the first slot that admits
+    # the packet is the one after it, and set_due steps up to it.
+    flow = _FlowRun((0, 1), (0,), 8, 1.0)
+    flow.interval_s = 64066.221000000005
+    flow.next_idx = 1
+    assert math.ceil(flow.next_t / 1e-3) == 64_066_221
+    assert_due_is_first_admitting_slot(flow, 1e-3)
+    assert flow.due == 64_066_222
+
+
 @given(st.floats(min_value=1e-12, max_value=1e12), st.integers(1, 65536),
        st.integers(0, 10 ** 9), st.sampled_from([1e-4, 1e-3, 3e-3]),
        st.integers(1, int(MAX_SLOTS)))

@@ -378,6 +378,16 @@ def test_dense_points_fail_before_the_search_allocates():
     assert peak < 600_000
 
 
+def test_large_binary_tree_builds():
+    # 3,000 nodes make over MAX_PAIRS candidate pairs, so the tree's search
+    # for nodes at one point, a search at 0 m, counts the sure pairs first:
+    # no square is that small, so the count is 0 and the build goes on.
+    assert 3_000 * 2_999 // 2 > topology.MAX_PAIRS
+    t = build("binary-tree", 3_000, 200.0)
+    assert t.n_links == 2_999
+    assert {(l.u, l.v) for l in t.links} == {((c - 1) // 2, c) for c in range(1, 3_000)}
+
+
 @st.composite
 def clustered_points(draw):
     """A range limit and up to 30 points around a few centres, at offsets of
@@ -398,6 +408,10 @@ def clustered_points(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(clustered_points())
+# the search at 0 m of a binary tree: no square fits, so none is counted; two
+# of these points share a square half a nanometre wide, yet lie 1 nm apart
+# once rounded
+@example(([(0.0, 0.0), (0.8e-9, 0.0), (1.35e-9, 0.0)], 0.0))
 def test_sure_pairs_never_exceed_the_pairs_in_range(case):
     # the count before the search is a lower bound, so it fails no search
     # that would pass
