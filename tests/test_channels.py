@@ -1,3 +1,4 @@
+import math
 import random
 
 import networkx as nx
@@ -137,6 +138,21 @@ def test_an_odd_cycle_opens_a_frame_past_the_degree():
     walks = [(0,), (2,), (1,)]
     assert channels.route_frames(walks, t.links) == [0, 2, 1]
     assert replay_frames(walks, t.links) == ([0, 2, 1], {"opened": 1})
+
+
+def test_an_opened_frame_skips_the_frames_past_the_degree_held_at_an_end():
+    # K5 on a 100 m circle, links 0=(0,1) ... 9=(3,4), Δ = 4, one-hop walks.
+    # Link 1 = (0, 2) opens frame 4, so when link 3 = (0, 4) finds no swap,
+    # frame 4 is held at node 0 and it opens frame 5.
+    t = build_from_nodes([MeshNode(100.0 * math.cos(2 * math.pi * i / 5),
+                                   100.0 * math.sin(2 * math.pi * i / 5)) for i in range(5)])
+    walks = [(l,) for l in (6, 7, 4, 8, 0, 5, 2, 9, 1, 3)]
+    frames = channels.route_frames(walks, t.links)
+    assert frames == [2, 4, 1, 5, 1, 3, 0, 0, 3, 2]
+    assert replay_frames(walks, t.links)[0] == frames
+    for f in set(frames):
+        ends = [n for l, g in zip(t.links, frames) if g == f for n in (l.u, l.v)]
+        assert len(ends) == len(set(ends))  # a matching
 
 
 def ring4_routes():
