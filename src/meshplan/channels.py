@@ -95,11 +95,16 @@ def route_frames(walks: Sequence[Sequence[int]], links: Sequence[VirtualLink]) -
     never swap, so they cannot move a routed link; no walks at all give
     plain first fit in link-id order."""
     frame_of = [-1] * len(links)
-    held: defaultdict[int, int] = defaultdict(int)  # per node: bit f set once frame f is held
-    at: defaultdict[int, dict[int, int]] = defaultdict(dict)  # per node: frame -> routed link
+    at: defaultdict[int, dict[int, int]] = defaultdict(dict)  # per node: frame -> its link there
     ends = Counter(n for l in {l for walk in walks for l in walk}
                    for n in (links[l].u, links[l].v))
     delta = max(ends.values(), default=0)
+
+    def first_free(u: int, v: int, f: int) -> int:
+        """The first frame from f up held at neither u nor v."""
+        while f in at[u] or f in at[v]:
+            f += 1
+        return f
 
     def swapped(u: int, v: int, a: int, b: int) -> bool:
         """Swaps a and b along the a/b-alternating path from v, unless it
@@ -117,17 +122,15 @@ def route_frames(walks: Sequence[Sequence[int]], links: Sequence[VirtualLink]) -
         for e in path:
             f = frame_of[e] = a + b - frame_of[e]
             at[links[e].u][f] = at[links[e].v][f] = e
-        held[v] ^= 1 << a | 1 << b  # the path's inner nodes still hold both
-        held[node] ^= 1 << a | 1 << b
         return True
 
     def kempe(u: int, v: int, cyclic: list[int]) -> int | None:
-        """a, once a swap has freed it at v, or None on an odd cycle."""
-        hu, hv = held[u], held[v]
+        """a, once a swap has freed it at v, or None on an odd cycle. A swap
+        that is not made changes nothing, so ``at`` is read as it stands."""
         for a in cyclic:
-            if not hu >> a & 1:
+            if a not in at[u]:
                 for b in cyclic:
-                    if not hv >> b & 1 and swapped(u, v, a, b):
+                    if b not in at[v] and swapped(u, v, a, b):
                         return a
         return None
 
@@ -137,25 +140,18 @@ def route_frames(walks: Sequence[Sequence[int]], links: Sequence[VirtualLink]) -
             if frame_of[link] < 0:
                 u, v = links[link].u, links[link].v
                 cyclic = [(p + 1 + k) % delta for k in range(delta)]
-                taken = held[u] | held[v]
-                f = next((f for f in cyclic if not taken >> f & 1), None)
+                f = next((f for f in cyclic if f not in at[u] and f not in at[v]), None)
                 if f is None:
                     f = kempe(u, v, cyclic)
                 if f is None:
-                    above = taken >> delta
-                    f = delta + (~above & (above + 1)).bit_length() - 1
+                    f = first_free(u, v, delta)
                 frame_of[link] = f
-                held[u] |= 1 << f
-                held[v] |= 1 << f
                 at[u][f] = at[v][f] = link
             p = frame_of[link]
     for link, l in enumerate(links):
         if frame_of[link] < 0:
-            taken = held[l.u] | held[l.v]
-            bit = ~taken & (taken + 1)  # first fit: the lowest frame neither endpoint holds
-            held[l.u] |= bit
-            held[l.v] |= bit
-            frame_of[link] = bit.bit_length() - 1
+            f = frame_of[link] = first_free(l.u, l.v, 0)
+            at[l.u][f] = at[l.v][f] = link
     return frame_of
 
 

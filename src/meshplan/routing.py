@@ -114,22 +114,20 @@ def fixed_point_route(topology: Topology, imap: InterferenceMap,
     paths = acceptable_paths_for_profile(topology, profile, alg)
     delta = expected_link_load(topology.n_links, paths, profile)
     seen: set[tuple] = set()
-    converged = False
-    # max_iters >= 1, so the loop runs and leaves `it` and `table` set
+    # max_iters >= 1, so the loop runs and leaves `it`, `table` and `converged` set
     for it in range(1, alg.max_iters + 1):
         costs = cost_table(delta, caps, alg)
         table = select_routes(paths, costs)
         # sorted by pair; a pair absent from it is blocked
         key = tuple(table.routes.items())
         delta_next = routed_link_loads(topology.n_links, table, profile)
-        if delta_next == delta:
-            converged = True
+        converged = delta_next == delta
+        # a key seen before is a route cycle: keep the last table, not converged;
+        # each exit leaves delta the loads that table was priced against
+        if converged or key in seen or it == alg.max_iters:
             break
-        if key in seen:
-            break  # route cycle: keep the last table, flag non-convergence
         seen.add(key)
-        if it < alg.max_iters:  # keep delta selection-consistent on exhaustion
-            delta = delta_next
+        delta = delta_next
 
     final = RouteTable(table.routes, table.blocked, it, converged)
     return final, LoadEstimate(caps, delta, paths)

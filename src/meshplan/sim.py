@@ -34,16 +34,20 @@ runs it moves, not the packets queued.
 
 A run's first packet is charged as a single packet is: it is served when
 ``size <= c + eps`` and then ``c -= size``. ``_charge`` serves the rest of
-the run with one quotient, ``n = int(c / size)``, corrected by that same
-test on ``c - k * size``, and charges ``c - n * size`` once. This equals
-charging packet by packet: the size is an int, and while the credit c is
-below 2**52 its ulp is at most 1 and divides the size, and c >= size -
+the run with one quotient, ``n = int(c / size)``, raised while that same
+test on ``c - n * size`` passes, and charges ``c - n * size`` once. This
+equals charging packet by packet: the size is an int, and while the credit
+c is below 2**52 its ulp is at most 1 and divides the size, and c >= size -
 eps > size / 2 whenever a packet is served, so each ``c - size`` is exact
 (by Sterbenz's lemma when c <= 2 * size, and because the result is a
 multiple of ulp(c) no larger than c otherwise). Hence ``c - k * size``
 is the credit after k single charges, every test sees the same float, and
-the test is monotone in k, so the correcting walk is a step or two. Credit
-of 2**52 or more, or inf, keeps the per-packet loop.
+the test is monotone in k. The quotient is never too large: c and k * size
+are both multiples of ulp(c), so a credit below k * size lies at least
+ulp(c) below it, c / size at least ulp(c) / size below k, and the floats
+near c / size are less than 2 * ulp(c) / size apart, so the division does
+not round up to k. Only a credit within eps below a multiple of the size
+takes the raise. Credit of 2**52 or more, or inf, keeps the per-packet loop.
 
 ``run()`` jumps over the slots that can change no state but credit. After
 a step that moved no packet, or when the next slot's frame has no
@@ -184,8 +188,6 @@ def _charge(c: float, size: int, n_max: int) -> tuple[int, float]:
         n = int(c / size)
         if n > n_max:
             n = n_max
-        while n and not size <= c - (n - 1) * size + eps:
-            n -= 1
         while n < n_max and size <= c - n * size + eps:
             n += 1
         return n, c - n * size

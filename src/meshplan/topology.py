@@ -221,11 +221,14 @@ def _sure_pairs(xs: list[float], ys: list[float], x0: float, y0: float,
     the range test. Coordinates are halved and offset by (x0, y0), and an
     index rounds as in _neighbours, so two points given one index lie less
     than 2 * half_side + 2**-50 * half_spread apart on each axis. That is
-    kept below (limit - 1e-9) / sqrt(2), less a relative slack, so two such
-    points lie within limit - 1e-9, which _distance's rounding to 1e-9
-    cannot push past the limit. Returns 0 when no square fits, or when the
-    squares are so small against the spread that an index could pass 2**50."""
-    half_side = ((limit - 1e-9) * (1 - 1e-6) / math.sqrt(2) - half_spread * 2.0 ** -49) / 2
+    kept below r / sqrt(2), less a relative slack, for r = max(limit - 1e-9,
+    0) + 4e-10, so two such points lie less than r apart. _distance moves a
+    distance by at most 5e-10, to a multiple of 1e-9, so it gives them 0 at a
+    limit below 1e-9 and less than the limit otherwise. Returns 0 when no
+    square fits, or when the squares are so small against the spread that an
+    index could pass 2**50."""
+    half_side = ((max(limit - 1e-9, 0.0) + 4e-10) * (1 - 1e-6) / math.sqrt(2)
+                 - half_spread * 2.0 ** -49) / 2
     if not half_side > 0 or half_side < half_spread * 2.0 ** -50:
         return 0
     squares = Counter((math.floor((x / 2 - x0) / half_side), math.floor((y / 2 - y0) / half_side))

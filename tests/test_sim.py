@@ -633,6 +633,26 @@ def test_charge_equals_charging_one_packet_at_a_time(case):
     assert left == want_left and math.copysign(1, left) == math.copysign(1, want_left)
 
 
+@st.composite
+def credits_at_or_below_a_multiple(draw):
+    """A packet size and a credit below 2**52 that is k packets exactly or 1
+    to 64 ulps below that."""
+    size = draw(st.integers(1, 2 ** 40))
+    c = float(size * draw(st.integers(1, (2 ** 52 - 1) // size)))
+    for _ in range(draw(st.integers(0, 64))):
+        c = math.nextafter(c, 0.0)
+    return c, size
+
+
+@settings(max_examples=500, deadline=None)
+@given(credits_at_or_below_a_multiple())
+def test_charge_quotient_never_exceeds_the_packets_covered(case):
+    # _charge raises int(c / size) only: the quotient's packets never cost
+    # more than the credit, so it never has to be lowered
+    c, size = case
+    assert int(c / size) * size <= c
+
+
 def test_determinism_identical_metrics():
     a = run_pipeline(fast_ring(), "baseline")
     b = run_pipeline(fast_ring(), "baseline")

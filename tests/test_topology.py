@@ -381,11 +381,28 @@ def test_dense_points_fail_before_the_search_allocates():
 def test_large_binary_tree_builds():
     # 3,000 nodes make over MAX_PAIRS candidate pairs, so the tree's search
     # for nodes at one point, a search at 0 m, counts the sure pairs first:
-    # no square is that small, so the count is 0 and the build goes on.
+    # its squares are under 3e-10 m wide, so nodes 200 m apart share none,
+    # the count is 0 and the build goes on.
     assert 3_000 * 2_999 // 2 > topology.MAX_PAIRS
     t = build("binary-tree", 3_000, 200.0)
     assert t.n_links == 2_999
     assert {(l.u, l.v) for l in t.links} == {((c - 1) // 2, c) for c in range(1, 3_000)}
+
+
+def test_crowded_binary_tree_fails_before_the_search_allocates():
+    # 3,000 nodes within a few picometres all lie at one point once rounded
+    # to 1 nm, 4.5e6 pairs at 0 m. The count before the search finds them in
+    # squares of under 3e-10 m and fails at once, before a row or cell is
+    # made; the search itself would hold 4e6 pairs (over 60 MB) first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError,
+                           match="^topology.spacing: puts more than 4e[+]06 pairs within 0 m"):
+            build("binary-tree", 3_000, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @st.composite
@@ -408,10 +425,11 @@ def clustered_points(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(clustered_points())
-# the search at 0 m of a binary tree: no square fits, so none is counted; two
-# of these points share a square half a nanometre wide, yet lie 1 nm apart
-# once rounded
+# the search at 0 m of a binary tree, whose squares are under 3e-10 m wide:
+# two of these points would share a square half a nanometre wide, yet lie
+# 1 nm apart once rounded; 1e-10 m apart, two points round to 0 m and count
 @example(([(0.0, 0.0), (0.8e-9, 0.0), (1.35e-9, 0.0)], 0.0))
+@example(([(0.0, 0.0), (1e-10, 0.0), (1.35e-9, 0.0)], 0.0))
 def test_sure_pairs_never_exceed_the_pairs_in_range(case):
     # the count before the search is a lower bound, so it fails no search
     # that would pass
