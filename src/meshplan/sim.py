@@ -54,11 +54,15 @@ a step that moved no packet, or when the next slot's frame has no
 backlogged link, it jumps to the first slot, at most the run's bound, at
 which a flow's next packet is due or some backlogged link's credit covers
 its head packet. Until that slot no packet moves, so the backlogs and
-each link's divisor stay fixed: each waiting link gets its share added
-once per slot of its frame, the same float adds in the same order as
-stepping, and an audit records the jumped grants in (slot, link) order.
-The result equals stepping every slot. One run may inject at most
-``MAX_PACKETS`` packets and span at most ``MAX_SLOTS`` slots.
+each link's divisor stay fixed. Each waiting link adds its share once per
+slot of its frame and after each add makes step()'s one cover test,
+``size <= c + eps``: the first slot whose add covers becomes the target,
+and a link that added past it adds again from its old credit. So each
+link gets the float adds of stepping, in the same order, and an audit
+records the jumped grants in (slot, link) order. The result equals
+stepping every slot. A ``SimConfig`` spans at most ``MAX_SLOTS`` slots,
+checked when it is read; a run injects at most ``MAX_PACKETS`` packets,
+checked when it is built, since that count needs the routed flows.
 
 Each flow counts its own packets generated, delivered and dropped and its
 delays; the run keeps one more sum, of every delay in service order, for
@@ -107,6 +111,11 @@ class SimConfig:
         check(self)
         if self.horizon_s < self.slot_s:
             raise invalid("horizon_s", f"must cover at least one slot of {self.slot_s} s")
+        slots = self.horizon_s / self.slot_s
+        if slots > MAX_SLOTS:
+            raise invalid("slot_s", f"{self.slot_s} s slots over {self.horizon_s} s make "
+                                    f"about {slots:.3g} slots; one run may span at most "
+                                    f"{MAX_SLOTS:.0e}")
 
     @property
     def n_slots(self) -> int:
@@ -308,11 +317,6 @@ class Simulator:
             raise ConfigurationError(
                 f"sim.horizon_s: {config.horizon_s} s at the flows' rates would inject "
                 f"about {packets:.3g} packets; one run may inject at most {MAX_PACKETS:.0e}")
-        slots = config.horizon_s / config.slot_s
-        if slots > MAX_SLOTS:
-            raise ConfigurationError(
-                f"sim.slot_s: {config.slot_s} s slots over {config.horizon_s} s make "
-                f"about {slots:.3g} slots; one run may span at most {MAX_SLOTS:.0e}")
         self.config = config
         self.audit = audit
         self.n_frames = inp.n_frames
@@ -507,7 +511,8 @@ class Simulator:
         """Jump to the first slot, at most ``bound``, at which a flow's next
         packet is due or a backlogged link's credit covers its head packet.
         The slots jumped over move no packet, so each only adds every
-        backlogged link of its frame that link's share, as step() would."""
+        backlogged link of its frame that link's share, as step() would,
+        and makes step()'s cover test after each add."""
         start = self.slot
         target = min(self._min_due, bound)
         if target <= start:
@@ -515,12 +520,16 @@ class Simulator:
         n_frames, masks = self.n_frames, self._masks
         slot_bits = self._slot_bits
         eps = _CREDIT_EPS
-        # Visit the frames in the order of their first slot, each one's links
-        # in link order, and stop at the first link whose credit covers its
-        # head there. The links before it wait: their share, divisor and head
-        # size, the size as a float where that is exact, which compares faster.
+        # Visit the frames in the order of their first slot, while that lies
+        # before the target, and each one's links in link order. A link adds
+        # its share once per slot of its frame up to the target as it then
+        # stands; the slot whose add covers its head becomes the target. The
+        # size is a float where that is exact, which compares faster.
         waiting = []
-        for first in range(start, min(start + n_frames, target)):
+        last = 0
+        for first in range(start, start + n_frames):
+            if first >= target:
+                break
             backlog = mask = masks[first % n_frames]
             members = self._members[first % n_frames]
             while mask:
@@ -531,41 +540,28 @@ class Simulator:
                 divisor = 1 + (backlog & others).bit_count() if others else 1
                 share = slot_bits / divisor
                 size = link.queue[0][0].size_bits
-                if size <= link.credit + share + eps:
-                    target = first
-                    break
-                waiting.append((link, first, share, divisor,
-                                float(size) if size < _EXACT else size))
-            if target == first:
-                break
-        # Add each waiting link's share slot by slot until its credit covers
-        # its head or the target then is reached; a link that covers first
-        # moves the target, and a link whose adds ran past it adds again.
-        added = []
-        for link, first, share, _, size in waiting:
-            c = link.credit
-            slots = range(first, target, n_frames)
-            k = len(slots)
-            for s in slots:
-                total = c + share
-                if size <= total + eps:
-                    target = s
-                    k = (s - first) // n_frames
-                    break
-                c = total
-            added.append((link, first, share, k, c))
-        for link, first, share, k, c in added:
-            need = len(range(first, target, n_frames))
-            if k > need:
+                if size < _EXACT:
+                    size = float(size)
                 c = link.credit
-                for _ in range(need):
-                    c += share
+                for s in range(first, target, n_frames):
+                    total = c + share
+                    if size <= total + eps:
+                        target, last = s, len(waiting)
+                        break
+                    c = total
+                waiting.append((link, first, link.credit, share, divisor))
+                link.credit = c
+        # The links before the last one to move the target added past it, so
+        # they add again from their old credit, up to the target.
+        for link, first, c, share, _ in waiting[:last]:
+            for _ in range(first, target, n_frames):
+                c += share
             link.credit = c
         if self.audit is not None:
             # Every frame with a slot before the target had all its links
             # wait, in link order.
             grants: list[list] = [[] for _ in range(n_frames)]
-            for link, first, share, divisor, _ in waiting:
+            for link, first, _, share, divisor in waiting:
                 grants[first % n_frames].append((link.id, share, divisor))
             for slot in range(start, target):
                 for grant in grants[slot % n_frames]:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -98,10 +99,11 @@ def test_assign_json_decodes_to_planned_assignment(tmp_path, capsys):
 
 
 def test_assign_runs_no_simulation(tmp_path, capsys):
-    # a horizon past the packet budget only matters to a simulation
+    # a horizon past the packet budget only matters to a simulation; 1e8
+    # slots of 1 s are within the bound on slots, which a document must meet
     tables = []
-    for horizon in (2.0, 1e30):
-        doc = edited(MINI, ("sim", "horizon_s"), horizon)
+    for horizon in (2.0, 1e8):
+        doc = edited(edited(MINI, ("sim", "horizon_s"), horizon), ("sim", "slot_s"), 1.0)
         assert main(["assign", "--scenario", scenario_file(tmp_path, doc)]) == 0
         tables.append(capsys.readouterr().out)
     assert tables[0] == tables[1]
@@ -190,6 +192,23 @@ def test_report_stdout_cannot_encode_is_io_error(tmp_path):
     assert b"cannot write report to stdout" in proc.stderr
 
 
+@pytest.mark.parametrize("fmt,status", [("csv", 5), ("json", 0)])
+def test_report_to_an_ascii_stdout(tmp_path, monkeypatch, fmt, status):
+    # A CSV row carries the scenario name as it is; json.dumps escapes every
+    # non-ASCII character, so a JSON report writes in any encoding.
+    scn = scenario_file(tmp_path, {**MINI, "name": "café"})
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii"), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["run", "--scenario", scn, "--format", fmt]) == status
+    if status:
+        error = stderr.getvalue().splitlines()[-1]
+        assert error.startswith("meshplan: error: cannot write report to stdout: "), error
+    else:
+        stdout.flush()
+        assert json.loads(stdout.buffer.getvalue())["scenario"]["name"] == "café"
+
+
 NODES = {
     "name": "explicit",
     "topology": {"nodes": [{"x": 0.0, "y": 0.0}, {"x": 200.0, "y": 0.0},
@@ -213,8 +232,9 @@ MALFORMED = {
     "horizon-infinite": (edited(MINI, ("sim", "horizon_s"), math.inf), "sim.horizon_s"),
     "horizon-nan": (edited(MINI, ("sim", "horizon_s"), math.nan), "sim.horizon_s"),
     "horizon-bool": (edited(MINI, ("sim", "horizon_s"), True), "sim.horizon_s"),
-    # finite, but more packets than one run may inject
-    "horizon-huge": (edited(MINI, ("sim", "horizon_s"), 1e30), "sim.horizon_s"),
+    # finite, but more packets than one run may inject and more slots than it
+    # may span: the slot bound is checked when the document is read
+    "horizon-huge": (edited(MINI, ("sim", "horizon_s"), 1e30), "sim.slot_s"),
     "channels-fraction": (edited(MINI, ("algorithm", "n_channels"), 2.5),
                           "algorithm.n_channels"),
     "channels-string": (edited(MINI, ("algorithm", "n_channels"), "3"),

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meshplan import (ChannelAssignment, ContractError, Route, RouteTable,
-                      ServiceAudit, SimConfig, Simulator, TrafficProfile,
+from meshplan import (ChannelAssignment, ConfigurationError, ContractError, Route,
+                      RouteTable, ServiceAudit, SimConfig, Simulator, TrafficProfile,
                       build_interference_map, load_scenario, run_pipeline,
                       run_simulation, scenario_from_dict, sim_input,
                       sweep_channels, sweep_time)
@@ -287,6 +287,10 @@ def test_sim_config_validation():
         SimConfig(horizon_s=1.0, channel_capacity_bps=0.0)
     with pytest.raises(ValueError):
         SimConfig(horizon_s=1.0, channel_capacity_bps=1e6, queue_packets=0)
+    # more slots than one run may span: 1e9, and a ratio past the float range
+    for horizon_s, slot_s in ((1.0, 1e-9), (1e300, 1e-300)):
+        with pytest.raises(ConfigurationError, match="^slot_s: .* one run may span at most"):
+            SimConfig(horizon_s=horizon_s, slot_s=slot_s)
 
 
 def fast_ring(horizon_s=5.0, seed=1):

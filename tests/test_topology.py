@@ -380,13 +380,15 @@ def test_dense_points_fail_before_the_search_allocates():
 
 def test_large_binary_tree_builds():
     # 3,000 nodes make over MAX_PAIRS candidate pairs, so the tree's search
-    # for nodes at one point, a search at 0 m, counts the sure pairs first:
-    # its squares are under 3e-10 m wide, so nodes 200 m apart share none,
-    # the count is 0 and the build goes on.
+    # for nodes at one point, a search at 0 m, counts the sure pairs first.
+    # At 200 m its squares are under 3e-10 m wide, so the nodes share none
+    # and the count is 0. At 1e6 m no square fits against the spread, so the
+    # count is 0 without one. Either way the build goes on.
     assert 3_000 * 2_999 // 2 > topology.MAX_PAIRS
-    t = build("binary-tree", 3_000, 200.0)
-    assert t.n_links == 2_999
-    assert {(l.u, l.v) for l in t.links} == {((c - 1) // 2, c) for c in range(1, 3_000)}
+    for spacing, tx_range in ((200.0, 250.0), (1e6, 1e6)):
+        t = build("binary-tree", 3_000, spacing, tx_range)
+        assert t.n_links == 2_999
+        assert {(l.u, l.v) for l in t.links} == {((c - 1) // 2, c) for c in range(1, 3_000)}
 
 
 def test_crowded_binary_tree_fails_before_the_search_allocates():
